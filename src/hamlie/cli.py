@@ -14,10 +14,11 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from math import comb
 
-from .linalg import format_scalar, parse_scalar
+from .linalg import format_scalar, nullspace, parse_scalar
 from .symplectic import build_sp, rank_one, sp_decompose
 from .reps import (
     build_rep,
@@ -77,11 +78,23 @@ def _parse_int_vector(text: str, length: int, what: str) -> tuple:
     return tuple(int(x) for x in vec)
 
 
+def _load_rep(path: str):
+    """A serialized rep; fundamental:k (k >= 2) gets its kernel back, since
+    the serialized form stores only the action on the kernel basis."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rep = rep_from_obj(json.load(fh))
+    kind, _, k = rep.name.partition(":")
+    if kind == "fundamental" and k.isdigit() and int(k) >= 2:
+        kernel = nullspace(contraction_theta(rep.alg, int(k)).matrix)
+        if kernel.dim != rep.dim:
+            raise ValueError(f"{path}: {rep.name} must have dimension {kernel.dim}")
+        rep.subspace = kernel
+    return rep
+
+
 def _resolve_rep(alg, spec: str):
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        with open(path, "r", encoding="utf-8") as fh:
-            return rep_from_obj(json.load(fh))
+        return _load_rep(spec[len("file:"):])
     cache_dir = os.environ.get("HAMLIE_CACHE_DIR")
     cache_path = None
     if cache_dir:
@@ -89,12 +102,18 @@ def _resolve_rep(alg, spec: str):
         name = f"rep_n{alg.n}_{spec.replace(':', '_')}.json"
         cache_path = os.path.join(cache_dir, name)
         if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                return rep_from_obj(json.load(fh))
+            return _load_rep(cache_path)
     rep = build_rep(alg, spec)
     if cache_path:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_obj(), fh, sort_keys=True, indent=2)
+        # write then rename, so a concurrent reader never sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(rep.to_obj(), fh, sort_keys=True, indent=2)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return rep
 
 
@@ -171,18 +190,8 @@ def _cmd_rep_build(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(rep.to_obj(), fh, sort_keys=True, indent=2)
             fh.write("\n")
-    report = {
-        "check": "rep_build",
-        "params": {"n": args.n, "rep": rep.name},
-        "dim": rep.dim,
-        "samples": 1,
-        "passes": 1 - len(failures),
-        "failures": failures,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2)
     ok = not failures
     print(f"[rep_build] name={rep.name} dim={rep.dim} round_trip={'ok' if ok else 'FAILED'}")
-    del text
     return 0 if ok else 1
 
 
@@ -203,8 +212,6 @@ def _cmd_theta_check(args) -> int:
 def _cmd_dim_check(args) -> int:
     alg = build_sp(args.n, verify=False)
     theta = contraction_theta(alg, args.k)
-    from .linalg import nullspace
-
     got = nullspace(theta.matrix).dim
     want = comb(alg.N, args.k) - comb(alg.N, args.k - 2)
     failures = [] if got == want else [{"got": got, "want": want}]

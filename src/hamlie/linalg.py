@@ -35,39 +35,12 @@ def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def as_vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), ZERO)
 
 
 class SparseMatrix:
@@ -128,18 +101,8 @@ class SparseMatrix:
             out[i][j] = v
         return out
 
-    def row(self, i: int) -> Vector:
-        out = [ZERO] * self.cols
-        for (r, j), v in self.entries.items():
-            if r == i:
-                out[j] = v
-        return tuple(out)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
     # -- arithmetic --------------------------------------------------
 

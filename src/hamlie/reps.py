@@ -41,9 +41,6 @@ class Representation:
     def act(self, label: str) -> SparseMatrix:
         return self.action[label]
 
-    def weight_of(self, idx: int) -> tuple:
-        return self.weights[idx]
-
     def to_obj(self) -> dict:
         return {
             "n": self.alg.n,

@@ -107,13 +107,6 @@ class TruncatedModule:
             self._spaces[grade] = s
         return s
 
-    def materialize(self):
-        for g in self.box.grades():
-            self.space(g)
-
-    def dims(self) -> dict:
-        return {g: self.space(g).dim for g in self.box.grades()}
-
     def to_obj(self) -> dict:
         spaces = {}
         for g in self.box.grades():
@@ -131,6 +124,8 @@ class TruncatedModule:
 
 
 # -- integer scaling helpers --------------------------------------------
+
+_INT64_SAFE = 2 ** 62
 
 
 def _int_rows_of_subspace(s: Subspace) -> list:
@@ -158,16 +153,6 @@ def _rows_array(rows: list) -> np.ndarray:
     return np.array(rows, dtype=object if big else np.int64)
 
 
-def _matrix_int_scaled(m: SparseMatrix, scale: int) -> np.ndarray:
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        sv = v * scale
-        if sv.denominator != 1:
-            raise ValueError("scale does not clear denominators")
-        out[i, j] = int(sv)
-    return out
-
-
 class _GradeIndex:
     """Lex enumeration of box grades with O(1) encode of shifted grades."""
 
@@ -189,45 +174,75 @@ class _GradeIndex:
 
 
 class _ActionTable:
-    """Per-generator integer matrices L*rho(r bar r^t) and bar vectors."""
+    """Per-generator integer matrices L*rho(r bar r^t), transposed, and bar
+    vectors, for sources whose grades satisfy |s_i| <= box_radius.
 
-    def __init__(self, p: ModuleParams, gens: GeneratorSet):
-        self.p = p
+    rho(r bar r^t) = sum_{a<=b} r_a r_b rho(C_ab) (the rank-one expansion
+    the certificate mode proves), so all generator matrices come from one
+    contraction of the integer tensor T[k] = L*rho(C_ab) with the monomials
+    r_a r_b.  L is the lcm of the alpha and rho(C_ab) denominators.  Every
+    int64 product is bounded before it is formed; a failed bound keeps the
+    table or the scalars in unbounded Python integers instead.
+    """
+
+    def __init__(self, p: ModuleParams, gens: GeneratorSet, box_radius: int):
+        N, dim = p.rep.alg.N, p.rep.dim
+        pairs = [(a, b) for a in range(N) for b in range(a, N)]
+        sym = [p.rho_sym_pair(a, b) for a, b in pairs]
+        self.L = L = lcm(*(a.denominator for a in p.alpha),
+                         *(v.denominator for m in sym for v in m.entries.values()))
         self.gens = sorted(gens.vectors())
-        dens = [a.denominator for a in p.alpha]
-        mats = []
-        for r in self.gens:
-            m = p.rho_rank_one(r)
-            dens.extend(v.denominator for v in m.entries.values())
-            mats.append(m)
-        self.L = lcm(*dens) if dens else 1
-        self.l_alpha = np.array([int(a * self.L) for a in p.alpha], dtype=np.int64)
-        self.pt = [_matrix_int_scaled(m, self.L).T.copy() for m in mats]
-        self.max_p = [int(np.abs(t).max()) if t.size else 0 for t in self.pt]
-        self.bars = [np.array([int(v) for v in bar(r)], dtype=np.int64) for r in self.gens]
-        self.offsets = [np.array(r, dtype=np.int64) for r in self.gens]
 
+        # T as (k, i, j, value) entries; colsum[i, j] = sum_k |T[k, i, j]|
+        ents = []
+        colsum: dict = {}
+        for k, m in enumerate(sym):
+            for (i, j), v in m.entries.items():
+                t = v.numerator * (L // v.denominator)
+                ents.append((k, i, j, t))
+                colsum[(i, j)] = colsum.get((i, j), 0) + abs(t)
+        max_coef = gens.radius ** 2
+        small = max_coef * max(colsum.values(), default=0) < _INT64_SAFE
+        dtype = np.int64 if small else object
+        T = np.zeros((len(pairs), dim, dim), dtype=dtype)
+        for k, i, j, t in ents:
+            T[k, i, j] = t
+        coef = np.array([[r[a] * r[b] for a, b in pairs] for r in self.gens], dtype=dtype)
+        self.pt = np.einsum("gk,kij->gji", coef, T)
+        self.max_p = np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist()
 
-_INT64_SAFE = 2 ** 62
+        l_alpha = [int(a * L) for a in p.alpha]
+        self.l_alpha = np.array(
+            l_alpha, dtype=np.int64 if max(map(abs, l_alpha)) < _INT64_SAFE else object
+        )
+        self.bars = np.array([bar(r) for r in self.gens], dtype=np.int64)
+        self.offsets = np.array(self.gens, dtype=np.int64)
+        # |(s*L + l_alpha) . bar r| <= (R*L + max|l_alpha|) * sum|bar r|
+        scale = box_radius * L + max(map(abs, l_alpha))
+        self.c_small = [scale * s < _INT64_SAFE for s in np.abs(self.bars).sum(axis=1).tolist()]
 
 
 def _apply_generator(table: _ActionTable, ridx: int, x_rows: np.ndarray,
-                     src_coords: np.ndarray):
+                     src_coords: np.ndarray) -> np.ndarray:
     """Images of integer rows under L*((bar r, s+alpha)I + rho(r bar r^t)).
 
-    Returns (images, scalars) with exact integer arithmetic; falls back
-    to unbounded Python integers when int64 could overflow.
+    Exact integer arithmetic: int64 where every product is bounded below
+    2^62, unbounded Python integers otherwise.
     """
-    c = (src_coords * table.L + table.l_alpha) @ table.bars[ridx]
+    bars = table.bars[ridx]
+    if table.c_small[ridx]:
+        c = (src_coords * table.L + table.l_alpha) @ bars
+    else:
+        s_l = src_coords.astype(object) * table.L + table.l_alpha.astype(object)
+        c = s_l @ bars.astype(object)
     pt = table.pt[ridx]
-    max_x = int(max(abs(int(v)) for v in x_rows.flat)) if x_rows.size else 0
+    max_x = int(np.abs(x_rows).max()) if x_rows.size else 0
     max_c = int(np.abs(c).max()) if c.size else 0
-    dim = pt.shape[0]
-    bound = dim * table.max_p[ridx] * max_x + max_c * max_x
-    if x_rows.dtype == np.int64 and bound < _INT64_SAFE:
-        return x_rows @ pt + c[:, None] * x_rows, c
+    bound = pt.shape[0] * table.max_p[ridx] * max_x + max_c * max_x
+    if bound < _INT64_SAFE and x_rows.dtype == c.dtype == pt.dtype == np.int64:
+        return x_rows @ pt + c[:, None] * x_rows
     xo = x_rows.astype(object)
-    return xo @ pt.astype(object) + c.astype(object)[:, None] * xo, c
+    return xo @ pt.astype(object) + c.astype(object)[:, None] * xo
 
 
 def _residuals(a_pad: np.ndarray, tgt_gids: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -313,7 +328,7 @@ class _ClosureEngine:
         self.p = p
         self.box = box
         self.index = _GradeIndex(box)
-        self.table = _ActionTable(p, gens)
+        self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
 
     def run(self, seeds: list) -> dict:
@@ -373,7 +388,7 @@ class _ClosureEngine:
                     continue
                 sel = np.flatnonzero(mask)[live]
                 tgt_sel = tgt_gids[live]
-                y, _ = _apply_generator(self.table, ridx, x_rows[sel], src_coords[sel])
+                y = _apply_generator(self.table, ridx, x_rows[sel], src_coords[sel])
                 res = _residuals(a_pad, tgt_sel, y)
                 cand = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_sel])
                 by_grade: dict = {}
@@ -451,7 +466,7 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
                 continue
             sel = np.flatnonzero(mask)
             tgt_gids = idx.encode(tgt_coords[mask])
-            y, _ = _apply_generator(engine.table, ridx, x_rows[sel], src_coords[sel])
+            y = _apply_generator(engine.table, ridx, x_rows[sel], src_coords[sel])
             res = _residuals(a_pad, tgt_gids, y)
             suspect = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_gids])
             for i in suspect:
@@ -1059,8 +1074,6 @@ def claim1_inequality(n_max: int) -> dict:
 
 def _inner_grades(box: Box, gens: GeneratorSet):
     inner = box.radius - gens.radius
-    if inner < 0:
-        return []
     rng = range(-inner, inner + 1)
     return list(itertools.product(rng, repeat=box.N))
 
@@ -1083,6 +1096,11 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     irreducibility); PROPER re-verifies the detected family's invariance
     and is certificate grade within the modeled generators.
     """
+    if box.radius < gens.radius:
+        # the inner box would be empty and every seed would count as FULL
+        raise ValueError(
+            f"box radius {box.radius} must be at least the generator radius {gens.radius}"
+        )
     dim = p.rep.dim
     N = p.rep.alg.N
     zero = (0,) * N

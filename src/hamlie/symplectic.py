@@ -57,9 +57,6 @@ class SpAlgebra:
         self.roots = {b.label: b.root for b in basis}
         self.simple_roots = simple_roots
 
-    def cartan_labels(self) -> list:
-        return [f"h{i + 1}" for i in range(self.n)]
-
     def positive_labels(self) -> list:
         """Labels of the positive-root basis elements (raising operators)."""
         out = []

@@ -32,6 +32,9 @@ def test_rep_build_round_trip(tmp_path):
     assert rep.dim == 5
     # the serialized file can be fed back through file:
     assert main(["rep-build", "--n", "2", "--rep", f"file:{out}"]) == 0
+    # and carries the kernel that the deltak family is built from
+    assert main(["submodule-check", "deltak", "--n", "2", "--rep", f"file:{out}",
+                 "--alpha", "1/3,0,0,0", "--box", "2", "--gens", "1"]) == 0
 
 
 def test_rep_build_malformed_file(tmp_path):
@@ -91,6 +94,9 @@ def test_probe_verdict_exit(tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["verdict"] == "PROPER"
+    # box radius below the generator radius leaves no inner box to judge
+    assert main(["probe", "--n", "1", "--rep", "trivial", "--alpha", "1,1",
+                 "--box", "1", "--gens", "2"]) == 2
 
 
 def test_report_byte_determinism(tmp_path):
@@ -119,3 +125,9 @@ def test_cache_dir(tmp_path, monkeypatch):
     cached = list(cache.glob("*.json"))
     assert len(cached) == 1
     assert main(["rep-build", "--n", "2", "--rep", "exterior:2"]) == 0
+    deltak = ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
+              "--alpha", "1/3,0,0,0", "--box", "2", "--gens", "1"]
+    assert main(deltak) == 0
+    assert main(deltak) == 0  # served from the cache
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "rep_n2_exterior_2.json", "rep_n2_fundamental_2.json"]
