@@ -94,7 +94,10 @@ def _load_rep(path: str):
 
 def _resolve_rep(alg, spec: str):
     if spec.startswith("file:"):
-        return _load_rep(spec[len("file:"):])
+        rep = _load_rep(spec[len("file:"):])
+        if rep.alg.n != alg.n:
+            raise ValueError(f"{spec}: the rep is for n={rep.alg.n}, not --n {alg.n}")
+        return rep
     cache_dir = os.environ.get("HAMLIE_CACHE_DIR")
     cache_path = None
     if cache_dir:
@@ -351,7 +354,7 @@ def _add_common(sp, rep_default=None, samples_default=None):
                     help="RNG seed (decimal or 0x hex)")
     sp.add_argument("--output", default=None, help="write the JSON report to this path")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap; never affects results")
+                    help="accepted and ignored; every command runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

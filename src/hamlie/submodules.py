@@ -81,16 +81,18 @@ class TruncatedModule:
 
     Spaces may be built lazily: grades never asked for are never
     materialized, which matters for the larger certificate-checked
-    families.
+    families.  A closure keeps its integer echelons, and a grade's
+    Fraction basis is made from them only when ``space`` asks for it.
     """
 
     def __init__(self, params: ModuleParams, box: Box, spaces=None, builder=None,
-                 kind=None, k=None):
+                 kind=None, k=None, echelons=None):
         self.params = params
         self.box = box
         self.kind = kind
         self.k = k
         self._spaces = {tuple(g): s for g, s in (spaces or {}).items()}
+        self._echelons = {tuple(g): e for g, e in (echelons or {}).items()}
         self._builder = builder
 
     @property
@@ -103,9 +105,24 @@ class TruncatedModule:
             raise ValueError(f"grade {grade} outside the box")
         s = self._spaces.get(grade)
         if s is None:
-            s = self._builder(grade) if self._builder else Subspace.zero(self.dim_v)
+            ech = self._echelons.get(grade)
+            if ech is not None:
+                s = ech.subspace()
+            elif self._builder:
+                s = self._builder(grade)
+            else:
+                s = Subspace.zero(self.dim_v)
             self._spaces[grade] = s
         return s
+
+    def int_basis(self, grade) -> tuple:
+        """(rows, pivots): the space at ``grade`` as a fully reduced echelon
+        of primitive integer rows with positive pivot entries."""
+        ech = self._echelons.get(tuple(int(g) for g in grade))
+        if ech is not None:
+            return ech.rows, ech.pivots
+        s = self.space(grade)
+        return _int_rows_of_subspace(s), list(s.pivots)
 
     def to_obj(self) -> dict:
         spaces = {}
@@ -261,12 +278,22 @@ class _IntEchelon:
     leading entry, zeros above and below every pivot.  Fraction-free
     elimination keeps the closure hot loop on machine-sized integers."""
 
-    __slots__ = ("dim", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, ambient: int):
+        self.ambient = ambient
         self.rows: list = []
         self.pivots: list = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def subspace(self) -> Subspace:
+        """The canonical RREF basis: each row divided by its pivot entry."""
+        basis = tuple(tuple(Fraction(x, row[p]) for x in row)
+                      for row, p in zip(self.rows, self.pivots))
+        return Subspace(self.ambient, basis, tuple(self.pivots))
 
     def insert(self, cand) -> tuple | None:
         """Assimilate one integer row; the reduced new row, or None."""
@@ -305,22 +332,24 @@ class _IntEchelon:
         self.pivots.insert(pos, p)
         return tuple(v)
 
-    def annihilator_rows(self) -> list:
-        """Primitive integer functionals vanishing on the row span."""
-        piv = set(self.pivots)
-        scale = 1
-        for row, p in zip(self.rows, self.pivots):
-            scale = lcm(scale, row[p])
-        out = []
-        for j in range(self.dim):
-            if j in piv:
-                continue
-            w = [0] * self.dim
-            w[j] = scale
-            for row, p in zip(self.rows, self.pivots):
-                w[p] = -row[j] * (scale // row[p])
-            out.append(_primitive(w))
-        return out
+
+def _annihilator(rows: list, pivots: list, ambient: int) -> list:
+    """Primitive integer functionals spanning the annihilator of the span
+    of a fully reduced integer echelon (zeros above and below each pivot)."""
+    piv = set(pivots)
+    scale = 1
+    for row, p in zip(rows, pivots):
+        scale = lcm(scale, row[p])
+    out = []
+    for j in range(ambient):
+        if j in piv:
+            continue
+        w = [0] * ambient
+        w[j] = scale
+        for row, p in zip(rows, pivots):
+            w[p] = -row[j] * (scale // row[p])
+        out.append(_primitive(w))
+    return out
 
 
 class _ClosureEngine:
@@ -332,6 +361,7 @@ class _ClosureEngine:
         self.dim = p.rep.dim
 
     def run(self, seeds: list) -> dict:
+        """{grade: _IntEchelon} of the closure, nonzero grades only."""
         dim = self.dim
         idx = self.index
         echelons = [None] * idx.count
@@ -352,7 +382,7 @@ class _ClosureEngine:
                 return []
             a_pad[gid] = 0
             try:
-                for i, row in enumerate(ech.annihilator_rows()):
+                for i, row in enumerate(_annihilator(ech.rows, ech.pivots, dim)):
                     a_pad[gid, i] = np.array(row, dtype=np.int64)
                 exact[gid] = False
             except OverflowError:
@@ -399,22 +429,17 @@ class _ClosureEngine:
                         next_frontier.append((gid, row))
             frontier = next_frontier
 
-        out = {}
-        for gid, ech in enumerate(echelons):
-            if ech is not None and ech.rows:
-                grade = tuple(int(v) for v in idx.coords[gid])
-                out[grade] = Subspace.from_vectors(
-                    [[Fraction(v) for v in row] for row in ech.rows], dim
-                )
-        return out
+        return {
+            tuple(int(v) for v in idx.coords[gid]): ech
+            for gid, ech in enumerate(echelons) if ech is not None and ech.rows
+        }
 
 
 def closure(seeds: list, p: ModuleParams, box: Box, gens: GeneratorSet) -> TruncatedModule:
     """Smallest family containing the seeds and closed under all H_r with
     r in gens whenever the target grade stays in the box."""
     engine = _ClosureEngine(p, box, gens)
-    spaces = engine.run(seeds)
-    return TruncatedModule(p, box, spaces=spaces)
+    return TruncatedModule(p, box, echelons=engine.run(seeds))
 
 
 def _pair_count(box: Box, gens: GeneratorSet) -> int:
@@ -437,21 +462,23 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     dim = engine.dim
 
     a_pad = np.zeros((idx.count, dim, dim), dtype=np.int64)
+    a_pad[:] = np.eye(dim, dtype=np.int64)
     exact = np.zeros(idx.count, dtype=bool)
     rows = []
     row_gids = []
     for gid in range(idx.count):
-        grade = tuple(int(v) for v in idx.coords[gid])
-        s = family.space(grade)
+        basis, pivots = family.int_basis(tuple(int(v) for v in idx.coords[gid]))
+        if not basis:
+            continue
+        a_pad[gid] = 0
         try:
-            for i, ann_row in enumerate(_int_rows_of_subspace(s.annihilator())):
+            for i, ann_row in enumerate(_annihilator(basis, pivots, dim)):
                 a_pad[gid, i] = np.array(ann_row, dtype=np.int64)
         except OverflowError:
             a_pad[gid] = 0
             exact[gid] = True
-        for r in _int_rows_of_subspace(s):
-            rows.append(r)
-            row_gids.append(gid)
+        rows.extend(basis)
+        row_gids.extend([gid] * len(basis))
 
     failures = []
     bad_pairs = set()
@@ -597,6 +624,15 @@ def _bar_component(j: int, n: int):
     return (1, n + j) if j < n else (-1, j - n)
 
 
+def _bar_pairing_poly(u: list, r: list, n: int) -> _Poly:
+    """(bar r, u) = sum_i bar(r)_i u_i as a polynomial, bar(r)_i = +-r_j."""
+    scal = _Poly(u[0].nvars)
+    for i in range(2 * n):
+        sgn, j = _bar_component(i, n)
+        scal = scal + (r[j] * u[i]).scale(sgn)
+    return scal
+
+
 def _certificate_wedge_identities(n: int, k: int) -> list:
     """Exact polynomial identities behind the deltak invariance argument.
 
@@ -620,12 +656,7 @@ def _certificate_wedge_identities(n: int, k: int) -> list:
     u_vars = [_Poly.var(nv, a) for a in range(N)]
     r_vars = [_Poly.var(nv, N + a) for a in range(N)]
 
-    # (bar r, u)
-    scal = _Poly(nv)
-    for i in range(N):
-        sgn, j = _bar_component(i, n)
-        # bar(r)_i u_i with bar(r)_i = +-r_j
-        scal = scal + (r_vars[j] * u_vars[i]).scale(sgn)
+    scal = _bar_pairing_poly(u_vars, r_vars, n)
 
     def rho_sym(yvec: dict) -> dict:
         out: dict = {}
@@ -843,10 +874,7 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         nv = 2 * N
         u = [_Poly.var(nv, a) for a in range(N)]
         r = [_Poly.var(nv, N + a) for a in range(N)]
-        scal = _Poly(nv)
-        for i in range(N):
-            sgn, j = _bar_component(i, n)
-            scal = scal + (r[j] * u[i]).scale(sgn)
+        scal = _bar_pairing_poly(u, r, n)
         ok = True
         for a in range(N):
             # (r bar(r)^t u)_a expanded entrywise from the bar map
@@ -1116,12 +1144,11 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     seed_reports = []
     proper_families = []
     all_full = True
-    zero_space = Subspace.zero(dim)
 
     for name, payload in seeds:
-        spaces = engine.run([GradedVector(zero, payload)])
-        fam = TruncatedModule(p, box, spaces=spaces)
-        dims = {g: spaces.get(g, zero_space).dim for g in inner}
+        echelons = engine.run([GradedVector(zero, payload)])
+        fam = TruncatedModule(p, box, echelons=echelons)
+        dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
         vals = list(dims.values())
         full = all(d == dim for d in vals)
         proper = any(d > 0 for d in vals) and any(d < dim for d in vals)
@@ -1141,7 +1168,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
                 ",".join(str(x) for x in g): dims[g] for g in inner
             }
             if entry["invariant"]:
-                proper_families.append(fam)
+                proper_families.append((sum(e.dim for e in echelons.values()), fam))
         seed_reports.append(entry)
 
     report = {
@@ -1171,10 +1198,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
 
     if proper_families:
         # smallest total dimension = sharpest reducibility witness
-        def total_dim(fam):
-            return sum(fam.space(g).dim for g in box.grades())
-
-        detected = min(proper_families, key=total_dim)
+        detected = min(proper_families, key=lambda t: t[0])[1]
         report["verdict"] = "PROPER"
         report["detected_family"] = detected.to_obj()
         report["caveat"] = (

@@ -72,13 +72,6 @@ class SpAlgebra:
     def __repr__(self):
         return f"SpAlgebra(n={self.n}, dim={self.dim})"
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "labels": list(self.labels),
-            "matrices": {b.label: b.matrix.to_obj() for b in self.basis},
-        }
-
 
 def _plus_label(k: int, l: int) -> str:
     if k == l:

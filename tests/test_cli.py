@@ -35,6 +35,8 @@ def test_rep_build_round_trip(tmp_path):
     # and carries the kernel that the deltak family is built from
     assert main(["submodule-check", "deltak", "--n", "2", "--rep", f"file:{out}",
                  "--alpha", "1/3,0,0,0", "--box", "2", "--gens", "1"]) == 0
+    # a rep built for n=2 is refused at --n 1, before any other work
+    assert main(["rep-build", "--n", "1", "--rep", f"file:{out}"]) == 2
 
 
 def test_rep_build_malformed_file(tmp_path):

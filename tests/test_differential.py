@@ -23,6 +23,9 @@ from hamlie.submodules import (
     GeneratorSet,
     TruncatedModule,
     _ActionTable,
+    _ClosureEngine,
+    _IntEchelon,
+    _annihilator,
     _enumerate_invariance,
     closure,
 )
@@ -102,9 +105,8 @@ def _naive_passes(family, gens) -> int:
     return passes
 
 
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_closure_and_enumeration_match_naive_oracle(data):
+def _closure_case(data):
+    """An n=1 module, box, generator set and one seed vector."""
     spec = data.draw(st.sampled_from(["trivial", "natural", "sym:2"]))
     p = ModuleParams(_alpha(data, 2), (0, 0), _rep(1, spec))
     gens = GeneratorSet(data.draw(st.integers(1, 2)), 2)
@@ -114,7 +116,14 @@ def test_closure_and_enumeration_match_naive_oracle(data):
         payload = tuple(g + a for g, a in zip(grade, p.alpha))  # the delta1 line
     else:
         payload = tuple(data.draw(st.integers(-2, 2)) for _ in range(p.rep.dim))
-    seed = GradedVector(grade, payload)
+    return p, box, gens, GradedVector(grade, payload)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_closure_and_enumeration_match_naive_oracle(data):
+    p, box, gens, seed = _closure_case(data)
+    grade, payload = seed.grade, seed.payload
 
     want = _naive_closure([seed], p, box, gens)
     got = closure([seed], p, box, gens)
@@ -123,6 +132,7 @@ def test_closure_and_enumeration_match_naive_oracle(data):
 
     closed = TruncatedModule(p, box, spaces=want)
     assert _enumerate_invariance(closed, gens)["failures"] == []
+    assert _enumerate_invariance(got, gens)["failures"] == []  # from the echelons
     seed_only = TruncatedModule(p, box, spaces={grade: Subspace.from_vectors([payload], p.rep.dim)})
     assert _enumerate_invariance(seed_only, gens)["passes"] == _naive_passes(seed_only, gens)
 
@@ -139,3 +149,61 @@ def test_closure_exact_beyond_int64(q):
     fam = closure([seed], p, box, gens)
     assert sum(fam.space(g).dim for g in box.grades()) == 49
     assert all(fam.space(g) == s for g, s in _naive_closure([seed], p, box, gens).items())
+
+
+# entries at and beyond 2^63 push annihilators and rows off int64
+BIG = (2 ** 63, -(2 ** 63 + 1), 3 ** 41)
+_entries = st.one_of(st.integers(-3, 3), st.sampled_from(BIG))
+
+
+def _int_matrix(data, d):
+    return [[data.draw(_entries) for _ in range(d)]
+            for _ in range(data.draw(st.integers(0, d + 1)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_annihilator_matches_fraction_reference(data):
+    d = data.draw(st.integers(1, 5))
+    rows = _int_matrix(data, d)
+    ech = _IntEchelon(d)
+    for row in rows:
+        ech.insert(row)
+    space = Subspace.from_vectors(rows, d)
+    assert ech.subspace() == space and ech.dim == space.dim
+    ann = _annihilator(ech.rows, ech.pivots, d)
+    assert Subspace.from_vectors(ann, d) == space.annihilator()
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_enumeration_of_big_integer_family_matches_naive(data):
+    # each grade holds nothing, its delta1 line (pairs between two lines pass
+    # through the annihilator screen) or a span of entries >= 2^63 (object
+    # rows and, where the annihilator overflows int64, the exact re-test)
+    p = ModuleParams(_alpha(data, 2), (0, 0), _rep(1, "natural"))
+    box, gens = Box(1, 2), GeneratorSet(1, 2)
+    spaces = {}
+    for g in box.grades():
+        kind = data.draw(st.sampled_from(["none", "line", "big"]))
+        if kind == "line":
+            spaces[g] = Subspace.from_vectors([[s + a for s, a in zip(g, p.alpha)]], 2)
+        elif kind == "big":
+            spaces[g] = Subspace.from_vectors(_int_matrix(data, 2), 2)
+    family = TruncatedModule(p, box, spaces=spaces)
+    assert _enumerate_invariance(family, gens)["passes"] == _naive_passes(family, gens)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_closure_echelons_convert_to_canonical_spaces(data):
+    p, box, gens, seed = _closure_case(data)
+    echelons = _ClosureEngine(p, box, gens).run([seed])
+    family = TruncatedModule(p, box, echelons=echelons)
+    for g, ech in echelons.items():
+        want = Subspace.from_vectors(ech.rows, p.rep.dim)
+        got = family.space(g)
+        assert got == want and got.pivots == want.pivots and got.to_obj() == want.to_obj()
+    # perfbench/spantrace.py sums these .dim values as closure.total_dim
+    assert sum(e.dim for e in echelons.values()) == sum(
+        family.space(g).dim for g in box.grades())
