@@ -21,6 +21,7 @@ from math import comb
 from .linalg import format_scalar, nullspace, parse_scalar
 from .symplectic import build_sp, rank_one, sp_decompose
 from .reps import (
+    bracket_violations,
     build_rep,
     contraction_theta,
     rep_from_obj,
@@ -79,10 +80,16 @@ def _parse_int_vector(text: str, length: int, what: str) -> tuple:
 
 
 def _load_rep(path: str):
-    """A serialized rep; fundamental:k (k >= 2) gets its kernel back, since
-    the serialized form stores only the action on the kernel basis."""
+    """A serialized rep whose action preserves every basis bracket;
+    fundamental:k (k >= 2) gets its kernel back, since the serialized form
+    stores only the action on the kernel basis."""
     with open(path, "r", encoding="utf-8") as fh:
         rep = rep_from_obj(json.load(fh))
+    violations = bracket_violations(rep)
+    if violations:
+        x, y = violations[0]
+        raise ValueError(f"{path}: rho([{x}, {y}]) != [rho({x}), rho({y})]; "
+                         f"{len(violations)} basis pair(s) break the bracket")
     kind, _, k = rep.name.partition(":")
     if kind == "fundamental" and k.isdigit() and int(k) >= 2:
         kernel = nullspace(contraction_theta(rep.alg, int(k)).matrix)

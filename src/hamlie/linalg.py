@@ -83,6 +83,16 @@ class SparseMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
+        """Wrap entries that are already nonzero in-bounds Fractions, as the
+        results of arithmetic on validated matrices are; no re-coercion."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
@@ -117,20 +127,20 @@ class SparseMatrix:
         entries = dict(self.entries)
         for k, v in other.entries.items():
             entries[k] = entries.get(k, ZERO) + v
-        return SparseMatrix(self.rows, self.cols, entries)
+        return SparseMatrix._trusted(self.rows, self.cols, _nonzero(entries))
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_same_shape(other)
         entries = dict(self.entries)
         for k, v in other.entries.items():
             entries[k] = entries.get(k, ZERO) - v
-        return SparseMatrix(self.rows, self.cols, entries)
+        return SparseMatrix._trusted(self.rows, self.cols, _nonzero(entries))
 
     def scale(self, c) -> "SparseMatrix":
         c = Fraction(c)
         if c == 0:
             return SparseMatrix(self.rows, self.cols)
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
         )
 
@@ -154,10 +164,10 @@ class SparseMatrix:
             for j, b in hits:
                 key = (i, j)
                 acc[key] = acc.get(key, ZERO) + a * b
-        return SparseMatrix(self.rows, other.cols, acc)
+        return SparseMatrix._trusted(self.rows, other.cols, _nonzero(acc))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -177,7 +187,7 @@ class SparseMatrix:
         entries = dict(self.entries)
         for (i, j), v in other.entries.items():
             entries[(i + self.rows, j)] = v
-        return SparseMatrix(self.rows + other.rows, self.cols, entries)
+        return SparseMatrix._trusted(self.rows + other.rows, self.cols, entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -220,6 +230,10 @@ class SparseMatrix:
     @classmethod
     def from_json(cls, text: str) -> "SparseMatrix":
         return cls.from_obj(json.loads(text))
+
+
+def _nonzero(entries: dict) -> dict:
+    return {k: v for k, v in entries.items() if v}
 
 
 def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -379,6 +393,13 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains(v) for v in other.basis)
+
+    def embedding(self) -> SparseMatrix:
+        """The ambient x dim matrix whose columns are the basis rows."""
+        return SparseMatrix._trusted(
+            self.ambient_dim, len(self.basis),
+            {(i, c): v for c, row in enumerate(self.basis) for i, v in enumerate(row) if v},
+        )
 
     def annihilator(self) -> "Subspace":
         """Row space of functionals vanishing on this subspace."""

@@ -24,7 +24,7 @@ from .linalg import (
     unit_vector,
     vec_is_zero,
 )
-from .symplectic import SpAlgebra, build_sp
+from .symplectic import SpAlgebra, bracket, build_sp, combine, sp_decompose
 
 
 @dataclass
@@ -203,35 +203,36 @@ def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
 
 
 def subrepresentation(rep: Representation, space: Subspace, name: str) -> Representation:
-    """Restrict rep to an invariant subspace given in canonical RREF basis."""
+    """Restrict rep to an invariant subspace given in canonical RREF basis.
+
+    With E the embedding (columns = basis rows), the restriction of rho(x)
+    is the R with E R = rho(x) E.  In an RREF basis the coordinates of a
+    vector are its pivot entries, so R is the pivot rows of rho(x) E, and
+    E R = rho(x) E is the invariance check.
+    """
     if space.ambient_dim != rep.dim:
         raise ValueError("subspace ambient dimension does not match rep")
     d = space.dim
+    emb = space.embedding()
+    pivot_row = {piv: row for row, piv in enumerate(space.pivots)}
     action = {}
     for label in rep.alg.labels:
-        m = rep.action[label]
-        entries = {}
-        for col in range(d):
-            img = m.matvec(space.basis[col])
-            coords = space.coordinates(img)
-            if coords is None:
-                raise ValueError(f"subspace is not invariant under {label}")
-            for row, v in enumerate(coords):
-                if v != 0:
-                    entries[(row, col)] = v
-        action[label] = SparseMatrix(d, d, entries)
+        img = rep.action[label] @ emb
+        restricted = SparseMatrix._trusted(d, d, {
+            (pivot_row[i], c): v for (i, c), v in img.entries.items() if i in pivot_row
+        })
+        if emb @ restricted != img:
+            raise ValueError(f"subspace is not invariant under {label}")
+        action[label] = restricted
     # RREF basis rows of a Cartan-stable subspace are weight-homogeneous:
-    # read the weight off the pivot monomial and confirm it exactly
-    weights = []
-    for row, piv in zip(space.basis, space.pivots):
-        wt = rep.weights[piv]
-        for a in range(rep.alg.n):
-            h = rep.action[f"h{a + 1}"]
-            hv = h.matvec(row)
-            expect = tuple(Fraction(wt[a]) * x for x in row)
-            if hv != expect:
-                raise ValueError("subspace basis vector is not a weight vector")
-        weights.append(wt)
+    # read the weight off the pivot monomial and confirm it exactly; as
+    # E R = rho(h) E holds and E has full column rank, basis row c is a
+    # weight vector of weight wt iff column c of R is wt[a] e_c
+    weights = [rep.weights[piv] for piv in space.pivots]
+    for a in range(rep.alg.n):
+        diag = {(c, c): Fraction(wt[a]) for c, wt in enumerate(weights) if wt[a] != 0}
+        if action[f"h{a + 1}"].entries != diag:
+            raise ValueError("subspace basis vector is not a weight vector")
     labels = [rep.basis_labels[piv] for piv in space.pivots]
     sub = Representation(rep.alg, name, d, labels, action, weights)
     sub.subspace = space
@@ -317,6 +318,19 @@ def verify_intertwiner(f: LinearMap):
         if lhs != rhs:
             violations.append(label)
     return not violations, violations
+
+
+def bracket_violations(rep: Representation) -> list:
+    """Basis pairs (x, y), x before y, with rho([x, y]) != [rho(x), rho(y)]."""
+    alg = rep.alg
+    out = []
+    for i, x in enumerate(alg.labels):
+        for y in alg.labels[i + 1:]:
+            coeffs = sp_decompose(bracket(alg.matrices[x], alg.matrices[y]), alg)
+            lhs = combine(coeffs, rep.action, rep.dim, rep.dim)
+            if lhs != bracket(rep.action[x], rep.action[y]):
+                out.append((x, y))
+    return out
 
 
 def wedge_matrix(N: int, k: int, a: int) -> SparseMatrix:

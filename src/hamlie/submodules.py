@@ -455,9 +455,13 @@ def _pair_count(box: Box, gens: GeneratorSet) -> int:
 
 
 def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
-                          max_failures: int = 20) -> dict:
+                          max_failures: int = 20, engine=None) -> dict:
+    """Pass count over every in-box (grade, generator) pair.  ``engine``, a
+    _ClosureEngine for the family's params and box and for ``gens``, lends
+    its action table and grade index; without one, a new one is built."""
     p, box = family.params, family.box
-    engine = _ClosureEngine(p, box, gens)
+    if engine is None:
+        engine = _ClosureEngine(p, box, gens)
     idx = engine.index
     dim = engine.dim
 
@@ -815,11 +819,7 @@ def _certificate_embedding(p: ModuleParams, k: int) -> bool:
     from .reps import exterior_power, natural_rep
 
     lam = exterior_power(natural_rep(alg), k)
-    kernel = rep.subspace
-    emb = SparseMatrix(
-        lam.dim, rep.dim,
-        {(i, c): v for c, row in enumerate(kernel.basis) for i, v in enumerate(row) if v != 0},
-    )
+    emb = rep.subspace.embedding()
     for label in alg.labels:
         if lam.action[label] @ emb != emb @ rep.action[label]:
             return False
@@ -951,24 +951,6 @@ def _alpha_integral(alpha) -> bool:
     return all(a.denominator == 1 for a in alpha)
 
 
-def _wedge_with_vector(u, k: int, N: int) -> list:
-    """Basis of u ^ Lambda^{k-1} inside Lambda^k, as raw vectors."""
-    wedges = [wedge_matrix(N, k - 1, a) for a in range(N)]
-    dim_km1 = comb(N, k - 1)
-    dim_k = comb(N, k)
-    out = []
-    for col in range(dim_km1):
-        vec = [ZERO] * dim_k
-        for a in range(N):
-            if u[a] == 0:
-                continue
-            for (i, j), v in wedges[a].entries.items():
-                if j == col:
-                    vec[i] += Fraction(u[a]) * v
-        out.append(vec)
-    return out
-
-
 def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
     rep = p.rep
     alg = rep.alg
@@ -1003,9 +985,11 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         k = int(rep.name.split(":")[1])
         if k < 2:
             raise ValueError("deltak requires k >= 2")
-        kernel = rep.subspace
         integral = _alpha_integral(p.alpha)
         neg_alpha = tuple(-a for a in p.alpha)
+        # (e_a wedge) E : Ker theta_k -> Lambda^{k+1}, E the kernel embedding
+        emb = rep.subspace.embedding()
+        wedge_emb = [(wedge_matrix(N, k, a) @ emb).entries for a in range(N)]
 
         def builder(grade):
             if integral and all(Fraction(g) == na for g, na in zip(grade, neg_alpha)):
@@ -1013,10 +997,18 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
             u = tuple(Fraction(g) + a for g, a in zip(grade, p.alpha))
             if vec_is_zero(u):
                 return Subspace.zero(rep.dim)
-            w = Subspace.from_vectors(_wedge_with_vector(u, k, N), comb(N, k))
-            inter = w.intersect(kernel)
-            coords = [kernel.coordinates(row) for row in inter.basis]
-            return Subspace.from_vectors(coords, rep.dim)
+            # Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
+            # Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
+            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E.  Scaling u by its
+            # common denominator keeps the kernel and the entries integral.
+            scale = lcm(*(x.denominator for x in u))
+            acc = {}
+            for a, x in enumerate(u):
+                if x:
+                    c = x * scale
+                    for pos, v in wedge_emb[a].items():
+                        acc[pos] = acc.get(pos, ZERO) + c * v
+            return nullspace(SparseMatrix(comb(N, k + 1), rep.dim, acc))
 
         return TruncatedModule(p, box, builder=builder, kind="deltak", k=k)
 
@@ -1162,7 +1154,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
             "max_inner_dim": max(vals) if vals else 0,
         }
         if proper:
-            inv = _enumerate_invariance(fam, gens)
+            inv = _enumerate_invariance(fam, gens, engine=engine)
             entry["invariant"] = not inv["failures"]
             entry["inner_dims"] = {
                 ",".join(str(x) for x in g): dims[g] for g in inner

@@ -56,6 +56,7 @@ class SpAlgebra:
         self.matrices = {b.label: b.matrix for b in basis}
         self.roots = {b.label: b.root for b in basis}
         self.simple_roots = simple_roots
+        self.readout = _readout_table(n)
 
     def positive_labels(self) -> list:
         """Labels of the positive-root basis elements (raising operators)."""
@@ -71,6 +72,21 @@ class SpAlgebra:
 
     def __repr__(self):
         return f"SpAlgebra(n={self.n}, dim={self.dim})"
+
+
+def _readout_table(n: int) -> dict:
+    """Matrix position -> (label, halved) from which sp_decompose reads a
+    coefficient; X_{2eps_k} and X_{-2eps_k} carry a 2 there, so they halve."""
+    table = {(a, a): (f"h{a + 1}", False) for a in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                table[(i, j)] = (f"X(e{i + 1}-e{j + 1})", False)
+    for k in range(n):
+        for l in range(k, n):
+            table[(k, n + l)] = (_plus_label(k, l), k == l)
+            table[(n + k, l)] = (_minus_label(k, l), k == l)
+    return table
 
 
 def _plus_label(k: int, l: int) -> str:
@@ -209,45 +225,36 @@ def sp_decompose(m: SparseMatrix, alg: SpAlgebra) -> dict:
 
     Uses the block structure [[A, B], [C, -A^t]]: the coefficient of h_a
     is A[a][a], of X_{eps_i-eps_j} is A[i][j], of X_{2eps_k} is B[k][k]/2,
-    of X_{eps_k+eps_l} (k<l) is B[k][l], and similarly for C.
+    of X_{eps_k+eps_l} (k<l) is B[k][l], and similarly for C.  Only the
+    nonzero entries of m are read; the rebuilt combination must equal m.
     """
-    n = alg.n
     N = alg.N
     if m.rows != N or m.cols != N:
         raise ValueError(f"expected a {N}x{N} matrix")
     coeffs = {}
-
-    def put(label, val):
-        if val != 0:
-            coeffs[label] = val
-
-    for a in range(n):
-        put(f"h{a + 1}", m.get(a, a))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                put(f"X(e{i + 1}-e{j + 1})", m.get(i, j))
-    for k in range(n):
-        put(_plus_label(k, k), m.get(k, n + k) / 2)
-        put(_minus_label(k, k), m.get(n + k, k) / 2)
-        for l in range(k + 1, n):
-            put(_plus_label(k, l), m.get(k, n + l))
-            put(_minus_label(k, l), m.get(n + k, l))
-
-    recon = SparseMatrix(N, N)
-    for label, c in coeffs.items():
-        recon = recon + alg.matrices[label].scale(c)
-    if recon != m:
+    readout = alg.readout
+    for pos, v in m.entries.items():
+        hit = readout.get(pos)
+        if hit is not None:
+            label, halved = hit
+            coeffs[label] = v / 2 if halved else v
+    if combine(coeffs, alg.matrices, N, N).entries != m.entries:
         raise ValueError("matrix is not in the span of the sp basis")
     return coeffs
 
 
 def combine(coeffs: dict, matrices: dict, rows: int, cols: int) -> SparseMatrix:
     """Linear combination sum coeffs[label] * matrices[label]."""
-    out = SparseMatrix(rows, cols)
+    acc = {}
     for label, c in coeffs.items():
-        out = out + matrices[label].scale(c)
-    return out
+        m = matrices[label]
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError(f"shape mismatch: {m.rows}x{m.cols} vs {rows}x{cols}")
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        for pos, v in m.entries.items():
+            acc[pos] = acc.get(pos, ZERO) + c * v
+    return SparseMatrix._trusted(rows, cols, {k: v for k, v in acc.items() if v})
 
 
 def positive_roots(n: int) -> list:

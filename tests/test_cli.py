@@ -5,7 +5,8 @@ import json
 import pytest
 
 from hamlie.cli import CHECKS, main
-from hamlie.reps import rep_from_obj
+from hamlie.reps import build_rep, rep_from_obj
+from hamlie.symplectic import build_sp
 
 
 def test_list_checks(capsys):
@@ -46,6 +47,16 @@ def test_rep_build_malformed_file(tmp_path):
     truncated = tmp_path / "trunc.json"
     truncated.write_text('{"n": 2, "dim":')
     assert main(["rep-build", "--n", "2", "--rep", f"file:{truncated}"]) == 2
+    # well formed, but h1 acts doubled, so rho([h1, X]) != [rho(h1), rho(X)]
+    obj = build_rep(build_sp(1, verify=False), "natural").to_obj()
+    for entry in obj["action"]["h1"]["entries"]:
+        entry[2] = str(2 * int(entry[2]))
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(obj))
+    head = ["--n", "1", "--rep", f"file:{doubled}"]
+    assert main(["rep-build"] + head) == 2
+    assert main(["g2-table"] + head) == 2
+    assert main(["probe"] + head + ["--alpha=1/3,0", "--box", "3", "--gens", "1"]) == 2
 
 
 def test_float_literals_rejected():

@@ -1,23 +1,35 @@
-"""Differential tests of the integer closure engine against Fraction oracles.
+"""Differential tests of the fast exact kernels against naive oracles.
 
-The engine works on L-scaled integer rows in int64 where every product is
-bounded and in unbounded Python integers otherwise.  These tests compare it
-with the plain rational path (``rho_rank_one``, ``act_H`` and
+The closure engine works on L-scaled integer rows in int64 where every
+product is bounded and in unbounded Python integers otherwise.  These tests
+compare it with the plain rational path (``rho_rank_one``, ``act_H`` and
 ``Subspace.add_vector``) on alpha denominators chosen so that every branch
 runs: 1, 2^31-1 (int64 throughout), 2^61-1 (int64 table, unbounded scalars
 and images) and 3^40 (L itself beyond int64).
+
+The sparse rep-layer kernels (restriction to Ker theta_k, the deltak grade
+spaces, ``sp_decompose``) are compared with the per-vector ``Subspace``
+solves and the dense readout they replace, kept here as oracles.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
-from hamlie.linalg import Subspace
-from hamlie.reps import build_rep
+from hamlie.linalg import SparseMatrix, Subspace, nullspace
+from hamlie.reps import (
+    build_rep,
+    contraction_theta,
+    exterior_power,
+    natural_rep,
+    subrepresentation,
+    wedge_matrix,
+)
 from hamlie.submodules import (
     Box,
     GeneratorSet,
@@ -27,9 +39,10 @@ from hamlie.submodules import (
     _IntEchelon,
     _annihilator,
     _enumerate_invariance,
+    build_submodule,
     closure,
 )
-from hamlie.symplectic import build_sp
+from hamlie.symplectic import build_sp, sp_decompose
 
 F = Fraction
 DENOMINATORS = (1, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
@@ -207,3 +220,163 @@ def test_closure_echelons_convert_to_canonical_spaces(data):
     # perfbench/spantrace.py sums these .dim values as closure.total_dim
     assert sum(e.dim for e in echelons.values()) == sum(
         family.space(g).dim for g in box.grades())
+
+
+# -- the sparse rep-layer kernels -----------------------------------------------
+
+
+def _naive_restriction(rep, space):
+    """{label: matrix} of rep on space by one coordinates() solve per basis
+    column, or None when some image leaves the space."""
+    action = {}
+    for label in rep.alg.labels:
+        entries = {}
+        for col, row in enumerate(space.basis):
+            coords = space.coordinates(rep.action[label].matvec(row))
+            if coords is None:
+                return None
+            entries.update({(i, col): v for i, v in enumerate(coords) if v})
+        action[label] = SparseMatrix(space.dim, space.dim, entries)
+    return action
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+def test_kernel_restriction_matches_coordinate_solves(n, k):
+    alg = build_sp(n, verify=False)
+    kernel = nullspace(contraction_theta(alg, k).matrix)
+    lam = exterior_power(natural_rep(alg), k)
+    sub = subrepresentation(lam, kernel, f"fundamental:{k}")
+    assert sub.action == _naive_restriction(lam, kernel)
+    assert sub.weights == [lam.weights[p] for p in kernel.pivots]
+    assert sub.subspace is kernel
+
+
+def test_restriction_confirms_recorded_weights():
+    alg = build_sp(2, verify=False)
+    lam = exterior_power(natural_rep(alg), 2)
+    kernel = nullspace(contraction_theta(alg, 2).matrix)
+    lam.weights = lam.weights[1:] + lam.weights[:1]  # each monomial takes the next one's
+    with pytest.raises(ValueError, match="not a weight vector"):
+        subrepresentation(lam, kernel, "fundamental:2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_raises_exactly_off_invariant_subspaces(data):
+    # exterior:2 at n=2 holds the invariant kernel of theta_2 (dim 5) and the
+    # symplectic form line; random spans, alone or joined to those, mostly
+    # are not invariant
+    alg = build_sp(2, verify=False)
+    lam = exterior_power(natural_rep(alg), 2)
+    kernel = nullspace(contraction_theta(alg, 2).matrix)
+    omega = Subspace.from_vectors([[0, 1, 0, 0, 1, 0]], 6)  # e1^e3 + e2^e4
+    base = data.draw(st.sampled_from([Subspace.zero(6), kernel, omega]))
+    extra = [[data.draw(st.integers(-2, 2)) for _ in range(6)]
+             for _ in range(data.draw(st.integers(0, 2)))]
+    space = base.sum_with(Subspace.from_vectors(extra, 6))
+    want = _naive_restriction(lam, space)
+    if want is None:
+        with pytest.raises(ValueError, match="not invariant"):
+            subrepresentation(lam, space, "sub")
+    else:
+        assert subrepresentation(lam, space, "sub").action == want
+
+
+def _wedge_with_vector(u, k: int, N: int) -> list:
+    """Basis of u ^ Lambda^{k-1} inside Lambda^k, as raw vectors."""
+    wedges = [wedge_matrix(N, k - 1, a) for a in range(N)]
+    out = []
+    for col in range(comb(N, k - 1)):
+        vec = [Fraction(0)] * comb(N, k)
+        for a in range(N):
+            if u[a] != 0:
+                for (i, j), v in wedges[a].entries.items():
+                    if j == col:
+                        vec[i] += Fraction(u[a]) * v
+        out.append(vec)
+    return out
+
+
+def _deltak_space_by_intersection(p, k, grade):
+    """The deltak grade space as Ker theta_k meet u ^ Lambda^{k-1}, by
+    Zassenhaus intersection and coordinates in the kernel basis."""
+    rep = p.rep
+    N = rep.alg.N
+    if all(a.denominator == 1 for a in p.alpha) and all(
+            g == -a for g, a in zip(grade, p.alpha)):
+        return Subspace.full(rep.dim)
+    u = tuple(g + a for g, a in zip(grade, p.alpha))
+    if not any(u):
+        return Subspace.zero(rep.dim)
+    w = Subspace.from_vectors(_wedge_with_vector(u, k, N), comb(N, k))
+    inter = w.intersect(rep.subspace)
+    return Subspace.from_vectors([rep.subspace.coordinates(r) for r in inter.basis], rep.dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_deltak_grade_spaces_match_intersection(data):
+    n, k = data.draw(st.sampled_from([(2, 2), (3, 2), (3, 3)]))
+    N = 2 * n
+    q = data.draw(st.sampled_from((1, 7, 2 ** 31 - 1, 2 ** 61 - 1)))
+    alpha = tuple(F(data.draw(st.integers(-2 * q, 2 * q)), q) for _ in range(N))
+    p = ModuleParams(alpha, (0,) * N, _rep(n, f"fundamental:{k}"))
+    family = build_submodule("deltak", p, Box(2, N))
+    grades = [tuple(data.draw(st.integers(-2, 2)) for _ in range(N)) for _ in range(3)]
+    if q == 1:
+        grades.append(tuple(-int(a) for a in alpha))  # u = 0: the whole kernel
+    for g in grades:
+        want = _deltak_space_by_intersection(p, k, g)
+        got = family.space(g)
+        assert got == want and got.pivots == want.pivots and got.to_obj() == want.to_obj()
+
+
+def _readout_by_position(m, alg):
+    """sp coefficients read position by position from the block structure,
+    then checked by summing the basis matrices one at a time."""
+    n = alg.n
+    coeffs = {}
+
+    def put(label, val):
+        if val != 0:
+            coeffs[label] = val
+
+    for a in range(n):
+        put(f"h{a + 1}", m.get(a, a))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                put(f"X(e{i + 1}-e{j + 1})", m.get(i, j))
+    for k in range(n):
+        put(f"X(2e{k + 1})", m.get(k, n + k) / 2)
+        put(f"X(-2e{k + 1})", m.get(n + k, k) / 2)
+        for l in range(k + 1, n):
+            put(f"X(e{k + 1}+e{l + 1})", m.get(k, n + l))
+            put(f"X(-e{k + 1}-e{l + 1})", m.get(n + k, l))
+    recon = SparseMatrix(alg.N, alg.N)
+    for label, c in coeffs.items():
+        recon = recon + alg.matrices[label].scale(c)
+    return coeffs if recon == m else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sp_decompose_matches_positional_readout(data):
+    n = data.draw(st.integers(1, 3))
+    alg = build_sp(n, verify=False)
+    N = alg.N
+    m = SparseMatrix(N, N)
+    for label in alg.labels:
+        c = F(data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 2, 3])))
+        m = m + alg.matrices[label].scale(c)
+    assert sp_decompose(m, alg) == _readout_by_position(m, alg)
+    # one entry changed: still in sp_N only on the diagonals of the B and C
+    # blocks, whose unit matrices are multiples of X_{2eps_k}, X_{-2eps_k}
+    i, j = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    bumped = m + SparseMatrix(N, N, {(i, j): data.draw(st.sampled_from([1, -1, F(1, 2)]))})
+    if abs(i - j) == n:
+        assert sp_decompose(bumped, alg) == _readout_by_position(bumped, alg)
+    else:
+        assert _readout_by_position(bumped, alg) is None
+        with pytest.raises(ValueError, match="not in the span"):
+            sp_decompose(bumped, alg)

@@ -184,6 +184,19 @@ def test_probe_trivial_integral_proper():
     assert len(nonzero) == 7 * 7 - 1
 
 
+def test_probe_rechecks_on_its_own_action_table(monkeypatch):
+    # the PROPER re-checks reuse the probe's closure engine: one table per probe
+    from hamlie import submodules
+
+    built = []
+    table = submodules._ActionTable
+    monkeypatch.setattr(submodules, "_ActionTable", lambda *a: built.append(a) or table(*a))
+    report = irreducibility_probe(_params(1, "trivial", alpha=(1, 1)), Box(3, 2),
+                                  GeneratorSet(2, 2))
+    assert report["verdict"] == "PROPER"
+    assert len(built) == 1
+
+
 def test_probe_deterministic():
     import json
 
