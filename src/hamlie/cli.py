@@ -360,8 +360,6 @@ def _add_common(sp, rep_default=None, samples_default=None):
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                     help="RNG seed (decimal or 0x hex)")
     sp.add_argument("--output", default=None, help="write the JSON report to this path")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored; every command runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("claim1-ineq", help=CHECKS["claim1-ineq"])
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--output", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_claim1_ineq)
 
     sp = sub.add_parser("probe", help=CHECKS["probe"])

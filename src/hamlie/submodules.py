@@ -173,12 +173,14 @@ def _rows_array(rows: list) -> np.ndarray:
 class _GradeIndex:
     """Lex enumeration of box grades with O(1) encode of shifted grades."""
 
-    def __init__(self, box: Box):
-        self.R = box.radius
-        self.N = box.N
-        self.side = 2 * box.radius + 1
-        self.count = self.side ** self.N
-        self.coords = np.array(list(box.grades()), dtype=np.int64)
+    def __init__(self, radius: int, N: int):
+        self.R = radius
+        self.N = N
+        self.side = 2 * radius + 1
+        self.count = self.side ** N
+        self.coords = np.array(
+            list(itertools.product(range(-radius, radius + 1), repeat=N)), dtype=np.int64
+        )
         self.weights = np.array(
             [self.side ** (self.N - 1 - i) for i in range(self.N)], dtype=np.int64
         )
@@ -352,13 +354,153 @@ def _annihilator(rows: list, pivots: list, ambient: int) -> list:
     return out
 
 
+def _seed_row(gv: GradedVector) -> tuple:
+    """The payload scaled to a primitive integer row (span-preserving)."""
+    den = lcm(*(x.denominator for x in gv.payload))
+    return _primitive([int(x * den) for x in gv.payload])
+
+
+# -- the mod-p FULL screen ------------------------------------------------
+
+# The largest prime below 2^27.  Reduced entries lie in [0, p), so an image
+# x @ pt + c x and a reduction v @ P stay below (dim+1)(p-1)^2 < 2^63 for
+# every dim up to _SCREEN_MAX_DIM.
+_SCREEN_PRIME = 134217689
+_SCREEN_MAX_DIM = (2 ** 63 - 1) // (_SCREEN_PRIME - 1) ** 2 - 1
+# int64 elements per transient batch of the spin
+_SCREEN_BATCH = 2 ** 15
+
+
+def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues, a^(p-2) mod p."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+class _ModpTable:
+    """The action table reduced mod p: generator matrices, L and L alpha."""
+
+    def __init__(self, table: _ActionTable, prime: int):
+        self.pt = np.array(np.mod(table.pt, prime), dtype=np.int64)
+        self.L = table.L % prime
+        self.l_alpha = np.array(np.mod(table.l_alpha, prime), dtype=np.int64)
+
+
 class _ClosureEngine:
     def __init__(self, p: ModuleParams, box: Box, gens: GeneratorSet):
         self.p = p
         self.box = box
-        self.index = _GradeIndex(box)
+        self.index = _GradeIndex(box.radius, box.N)
         self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
+        self._modp = None
+
+    def screen_full(self, seed: GradedVector, radius: int) -> bool:
+        """True when the closure of ``seed`` over F_p fills every grade of
+        the box of ``radius``; then so does its closure over Q in the
+        engine's box.
+
+        Let W be the closure over Q.  Each W_g meet Z^dim is a saturated
+        lattice, and the integer operator L H_r of the action table maps it
+        into the lattice at grade g + r.  So the lattice family mod p is
+        invariant, contains the reduced primitive seed and has dimension
+        dim W_g at grade g.  The spin steps only between grades of a box of
+        radius max(radius, 1), no larger than the engine's, so it stays
+        inside that family: FULL mod p implies FULL over Q, for every p.
+        (Radius 1 lets a spin judged on grade 0 alone leave it and come
+        back.)  False proves nothing; reps above _SCREEN_MAX_DIM and seeds
+        outside the box of ``radius`` are never screened.
+
+        Each grade keeps a reduction matrix P whose pivot rows hold its RREF
+        rows over F_p, so the residual of v is v - v @ P.
+        """
+        dim = self.dim
+        if dim > _SCREEN_MAX_DIM or any(abs(g) > radius for g in seed.grade):
+            return False
+        p = _SCREEN_PRIME
+        if self._modp is None:
+            self._modp = _ModpTable(self.table, p)
+        t = self._modp
+        bars, offsets = self.table.bars, self.table.offsets
+        n_gens, N = offsets.shape
+        idx = _GradeIndex(max(radius, 1), N)
+        judged = np.flatnonzero(np.all(np.abs(idx.coords) <= radius, axis=1))
+
+        P = np.zeros((idx.count, dim, dim), dtype=np.int64)
+        rank = np.zeros(idx.count, dtype=np.int64)
+        new_gids, new_rows = [], []
+
+        def insert(gids: np.ndarray, res: np.ndarray) -> np.ndarray:
+            """Assimilate one nonzero residual per grade of ``gids``; returns
+            the normalised new rows."""
+            k = np.arange(len(gids))
+            q = np.argmax(res != 0, axis=1)
+            w = res * _inv_mod(res[k, q], p)[:, None] % p
+            col = P[gids, :, q]
+            P[gids] = (P[gids] - col[:, :, None] * w[:, None, :]) % p
+            P[gids, q] = w
+            rank[gids] += 1
+            new_gids.append(gids)
+            new_rows.append(w)
+            return w
+
+        def absorb(tgt: np.ndarray, y: np.ndarray):
+            """Reduce candidate rows at their target grades and insert what
+            survives, one row per grade and pass."""
+            res = (y - np.einsum("cd,cde->ce", y, P[tgt])) % p
+            while True:
+                keep = res.any(axis=1)
+                tgt, res = tgt[keep], res[keep]
+                if not len(tgt):
+                    return
+                gids, first = np.unique(tgt, return_index=True)
+                w = insert(gids, res[first])
+                rest = np.ones(len(tgt), dtype=bool)
+                rest[first] = False
+                tgt, res = tgt[rest], res[rest]
+                w = w[np.searchsorted(gids, tgt)]
+                q = np.argmax(w != 0, axis=1)
+                res = (res - res[np.arange(len(res)), q][:, None] * w) % p
+
+        row = np.array([[v % p for v in _seed_row(seed)]], dtype=np.int64)
+        insert(np.array([idx.encode_one(seed.grade)]), row)
+        # a target's gid is its source's gid plus the generator's code
+        codes = offsets @ idx.weights
+        block = max(1, _SCREEN_BATCH // n_gens)
+        chunk = max(1, _SCREEN_BATCH // (dim * dim))
+        while new_gids:
+            if rank[judged].min() == dim:
+                return True
+            f_gids = np.concatenate(new_gids)
+            f_rows = np.concatenate(new_rows)
+            new_gids.clear()
+            new_rows.clear()
+            for b0 in range(0, len(f_gids), block):
+                src_gids = f_gids[b0:b0 + block]
+                src = idx.coords[src_gids]
+                live = np.ones((len(src), n_gens), dtype=bool)
+                for a in range(N):
+                    live &= np.abs(src[:, a, None] + offsets[None, :, a]) <= idx.R
+                ii, jj = np.nonzero(live)
+                tgt = src_gids[ii] + codes[jj]
+                open_tgt = rank[tgt] < dim
+                ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
+                for c0 in range(0, len(ii), chunk):
+                    i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
+                    x = f_rows[b0 + i]
+                    u = (src[i] * t.L + t.l_alpha) % p
+                    c = np.einsum("cn,cn->c", u, bars[j]) % p
+                    y = (np.einsum("cd,cde->ce", x, t.pt[j]) + c[:, None] * x) % p
+                    absorb(tgt[c0:c0 + chunk], y)
+                    if rank[judged].min() == dim:
+                        return True
+        return False
 
     def run(self, seeds: list) -> dict:
         """{grade: _IntEchelon} of the closure, nonzero grades only."""
@@ -397,10 +539,8 @@ class _ClosureEngine:
                 raise ValueError(f"seed grade {gv.grade} outside the box")
             if gv.is_zero():
                 continue
-            den = lcm(*(x.denominator for x in gv.payload))
-            ints = _primitive([int(x * den) for x in gv.payload])
             gid = idx.encode_one(gv.grade)
-            frontier.extend((gid, row) for row in insert(gid, [ints]))
+            frontier.extend((gid, row) for row in insert(gid, [_seed_row(gv)]))
 
         while frontier:
             x_rows = _rows_array([row for _, row in frontier])
@@ -994,9 +1134,9 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         def builder(grade):
             if integral and all(Fraction(g) == na for g, na in zip(grade, neg_alpha)):
                 return Subspace.full(rep.dim)
+            # u = s + alpha = 0 would force alpha integral and s = -alpha,
+            # the grade returned above, so u != 0 here
             u = tuple(Fraction(g) + a for g, a in zip(grade, p.alpha))
-            if vec_is_zero(u):
-                return Subspace.zero(rep.dim)
             # Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
             # Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
             # u ^ Lambda^{k-1} is the kernel of (u ^ .) E.  Scaling u by its
@@ -1107,6 +1247,17 @@ def _random_payload(rng, dim: int) -> tuple:
             return v
 
 
+def _probe_seeds(dim: int, rng_seed: int, extra_seeds: int) -> list:
+    """(name, payload) of the probe's seeds: the standard basis, then
+    ``extra_seeds`` random rational vectors."""
+    rng = random.Random(rng_seed)
+    seeds = [(f"basis:{i}", tuple(ONE if j == i else ZERO for j in range(dim)))
+             for i in range(dim)]
+    for i in range(extra_seeds):
+        seeds.append((f"random:{i}", _random_payload(rng, dim)))
+    return seeds
+
+
 def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
                          rng_seed: int = 0xC0FFEE, extra_seeds: int = 4) -> dict:
     """Closure from every standard basis seed plus random rational seeds;
@@ -1115,6 +1266,11 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     FULL is evidence only (the box truncation cannot certify
     irreducibility); PROPER re-verifies the detected family's invariance
     and is certificate grade within the modeled generators.
+
+    Each seed is first spun over F_p (``_ClosureEngine.screen_full``): a
+    seed whose spin fills the inner box is full there over Q as well, and
+    needs no exact closure.  Every other seed runs the exact integer
+    closure, whose echelons feed the re-check and the detected family.
     """
     if box.radius < gens.radius:
         # the inner box would be empty and every seed would count as FULL
@@ -1124,23 +1280,21 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     dim = p.rep.dim
     N = p.rep.alg.N
     zero = (0,) * N
-    rng = random.Random(rng_seed)
     engine = _ClosureEngine(p, box, gens)
     inner = _inner_grades(box, gens)
-
-    seeds = [(f"basis:{i}", tuple(ONE if j == i else ZERO for j in range(dim)))
-             for i in range(dim)]
-    for i in range(extra_seeds):
-        seeds.append((f"random:{i}", _random_payload(rng, dim)))
 
     seed_reports = []
     proper_families = []
     all_full = True
 
-    for name, payload in seeds:
-        echelons = engine.run([GradedVector(zero, payload)])
-        fam = TruncatedModule(p, box, echelons=echelons)
-        dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
+    for name, payload in _probe_seeds(dim, rng_seed, extra_seeds):
+        seed = GradedVector(zero, payload)
+        if engine.screen_full(seed, box.radius - gens.radius):
+            echelons = None
+            dims = dict.fromkeys(inner, dim)
+        else:
+            echelons = engine.run([seed])
+            dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
         vals = list(dims.values())
         full = all(d == dim for d in vals)
         proper = any(d > 0 for d in vals) and any(d < dim for d in vals)
@@ -1154,6 +1308,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
             "max_inner_dim": max(vals) if vals else 0,
         }
         if proper:
+            fam = TruncatedModule(p, box, echelons=echelons)
             inv = _enumerate_invariance(fam, gens, engine=engine)
             entry["invariant"] = not inv["failures"]
             entry["inner_dims"] = {

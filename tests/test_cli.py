@@ -122,15 +122,6 @@ def test_report_byte_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_flag_no_effect(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    base = ["sp-check", "--n", "2", "--samples", "30"]
-    assert main(base + ["--threads", "1", "--output", str(a)]) == 0
-    assert main(base + ["--threads", "4", "--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_cache_dir(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("HAMLIE_CACHE_DIR", str(cache))

@@ -10,15 +10,21 @@ and images) and 3^40 (L itself beyond int64).
 The sparse rep-layer kernels (restriction to Ker theta_k, the deltak grade
 spaces, ``sp_decompose``) are compared with the per-vector ``Subspace``
 solves and the dense readout they replace, kept here as oracles.
+
+The probe's mod-p FULL screen is compared with the exact closure engine:
+it may only say FULL where the exact closure is full on the inner box, and
+probe reports must not depend on it.
 """
 
+import itertools
+import json
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
 from hamlie.linalg import SparseMatrix, Subspace, nullspace
@@ -30,7 +36,10 @@ from hamlie.reps import (
     subrepresentation,
     wedge_matrix,
 )
+from hamlie import submodules
 from hamlie.submodules import (
+    _SCREEN_MAX_DIM,
+    _SCREEN_PRIME,
     Box,
     GeneratorSet,
     TruncatedModule,
@@ -39,8 +48,11 @@ from hamlie.submodules import (
     _IntEchelon,
     _annihilator,
     _enumerate_invariance,
+    _probe_seeds,
     build_submodule,
     closure,
+    invariance_check,
+    irreducibility_probe,
 )
 from hamlie.symplectic import build_sp, sp_decompose
 
@@ -380,3 +392,138 @@ def test_sp_decompose_matches_positional_readout(data):
         assert _readout_by_position(bumped, alg) is None
         with pytest.raises(ValueError, match="not in the span"):
             sp_decompose(bumped, alg)
+
+
+# -- the mod-p FULL screen -------------------------------------------------
+
+# 134217689 is the screen's own prime: there p divides L and the screen
+# must fall back to the exact engine
+SCREEN_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40, _SCREEN_PRIME)
+SCREEN_REPS = [(n, spec) for n in (1, 2) for spec in ("trivial", "natural", "sym:2")] + [
+    (2, "fundamental:2")]
+
+
+def _full_on_inner(engine, seed, inner) -> bool:
+    echelons = engine.run([seed])
+    grades = itertools.product(range(-inner, inner + 1), repeat=len(seed.grade))
+    return all(g in echelons and echelons[g].dim == engine.dim for g in grades)
+
+
+@pytest.mark.parametrize("n,spec", SCREEN_REPS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_screen_full_implies_exact_full(n, spec, data):
+    N = 2 * n
+    q = data.draw(st.sampled_from(SCREEN_DENOMINATORS))
+    alpha = tuple(F(data.draw(st.integers(-3 * q, 3 * q)), q) for _ in range(N))
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    gens = GeneratorSet(data.draw(st.integers(1, 3 - n)), N)
+    box = Box(data.draw(st.integers(gens.radius, gens.radius + 1)), N)
+    payload = tuple(F(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2, 3])))
+                    for _ in range(p.rep.dim))
+    assume(any(payload))
+    seed = GradedVector((0,) * N, payload)
+    engine = _ClosureEngine(p, box, gens)
+    inner = box.radius - gens.radius
+
+    screened = engine.screen_full(seed, inner)
+    if screened:
+        assert _full_on_inner(engine, seed, inner)
+    if engine.table.L % _SCREEN_PRIME == 0 and p.rep.dim > 1:
+        # every generator is a scalar mod p, so no grade passes rank 1
+        assert not screened
+
+
+# the probe's reducible cases: natural and Ker theta_2 off the integral
+# lattice, trivial on it
+NEVER_FULL = [
+    (1, "natural", (F(1, 3), 0)),
+    (2, "natural", (F(1, 3), 0, 0, 0)),
+    (2, "fundamental:2", (F(1, 3), 0, 0, 0)),
+    (1, "trivial", (1, 1)),
+    (2, "trivial", (1, 0, -1, 0)),
+]
+
+
+@pytest.mark.parametrize("n,spec,alpha", NEVER_FULL)
+def test_screen_never_fills_a_closure_that_is_not_full(n, spec, alpha):
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    box, gens = (Box(3, 2), GeneratorSet(2, 2)) if n == 1 else (Box(2, 4), GeneratorSet(1, 4))
+    engine = _ClosureEngine(p, box, gens)
+    inner = box.radius - gens.radius
+    not_full = 0
+    for _, payload in _probe_seeds(p.rep.dim, 0xC0FFEE, 4):
+        seed = GradedVector((0,) * N, payload)
+        if not _full_on_inner(engine, seed, inner):
+            not_full += 1
+            assert not engine.screen_full(seed, inner), payload
+    assert not_full
+
+
+def test_screen_fills_the_irreducible_cases():
+    # sym:2 and trivial with alpha off the lattice fill from every seed
+    for n, spec, alpha in [(1, "sym:2", (F(1, 3), 0)), (2, "sym:2", (F(1, 3), 0, 0, 0)),
+                           (2, "trivial", (F(1, 2), 0, 0, 0))]:
+        N = 2 * n
+        p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+        engine = _ClosureEngine(p, Box(2, N), GeneratorSet(1, N))
+        for _, payload in _probe_seeds(p.rep.dim, 0xC0FFEE, 2):
+            assert engine.screen_full(GradedVector((0,) * N, payload), 1), (spec, payload)
+
+
+def test_screen_bound_and_skip(monkeypatch):
+    P = _SCREEN_PRIME
+    assert all(P % d for d in range(2, 11586)) and not any(
+        all(c % d for d in range(2, 11586)) for c in range(P + 1, 2 ** 27))
+    # x @ pt + c x over dim reduced entries stays in int64 exactly up to the cap
+    assert (_SCREEN_MAX_DIM + 1) * (P - 1) ** 2 < 2 ** 63 <= (_SCREEN_MAX_DIM + 2) * (P - 1) ** 2
+    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "sym:2"))
+    engine = _ClosureEngine(p, Box(3, 2), GeneratorSet(2, 2))
+    seed = GradedVector((0, 0), (1, 0, 0))
+    assert engine.screen_full(seed, 1)
+    monkeypatch.setattr(submodules, "_SCREEN_MAX_DIM", 2)
+    assert not engine.screen_full(seed, 1)
+
+
+_ON_OFF_CASES = [
+    (1, "trivial", (F(1, 2), 0), 3, 2),
+    (1, "trivial", (1, 1), 2, 2),
+    (1, "natural", (F(1, 3), 0), 3, 2),
+    (1, "sym:2", (F(1, 3), 0), 3, 2),
+    (2, "natural", (F(2, 7), 0, F(1, 7), 0), 2, 1),
+    (2, "trivial", (1, 0, 0, 0), 2, 1),
+]
+
+
+def _probe_bytes() -> list:
+    out = []
+    for n, spec, alpha, box, gens in _ON_OFF_CASES:
+        p = ModuleParams(alpha, (0,) * (2 * n), _rep(n, spec))
+        report = irreducibility_probe(p, Box(box, 2 * n), GeneratorSet(gens, 2 * n))
+        out.append(json.dumps(report, indent=2).encode())
+    return out
+
+
+def test_probe_reports_do_not_depend_on_the_screen(monkeypatch):
+    verdicts = []
+    screen = _ClosureEngine.screen_full
+    monkeypatch.setattr(_ClosureEngine, "screen_full",
+                        lambda self, *a: verdicts.append(screen(self, *a)) or verdicts[-1])
+    with_screen = _probe_bytes()
+    assert any(verdicts) and not all(verdicts)
+    monkeypatch.setattr(_ClosureEngine, "screen_full", lambda self, *a: False)
+    assert _probe_bytes() == with_screen
+
+
+def test_mod_p_table_is_built_only_by_the_screen(monkeypatch):
+    built = []
+    table = submodules._ModpTable
+    monkeypatch.setattr(submodules, "_ModpTable", lambda *a: built.append(a) or table(*a))
+    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "natural"))
+    box, gens = Box(2, 2), GeneratorSet(1, 2)
+    closure([GradedVector((0, 0), (1, 0))], p, box, gens)
+    invariance_check(build_submodule("delta1", p, box), gens, method="enumerate")
+    assert built == []
+    irreducibility_probe(p, box, gens)
+    assert len(built) == 1
