@@ -48,6 +48,10 @@ from .submodules import (
 
 DEFAULT_SEED = 0xC0FFEE
 
+# Version of the HAMLIE_CACHE_DIR file format, part of every cache file
+# name, so a file written in another format is never read.
+CACHE_FORMAT = 1
+
 CHECKS = {
     "sp-check": "basis brackets close in the sp span; symplectic condition; r rbar^t membership",
     "rep-build": "representation construction and exact JSON round trip",
@@ -109,7 +113,7 @@ def _resolve_rep(alg, spec: str):
     cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        name = f"rep_n{alg.n}_{spec.replace(':', '_')}.json"
+        name = f"rep_v{CACHE_FORMAT}_n{alg.n}_{spec.replace(':', '_')}.json"
         cache_path = os.path.join(cache_dir, name)
         if os.path.exists(cache_path):
             return _load_rep(cache_path)
@@ -348,6 +352,18 @@ def _cmd_probe(args) -> int:
 # -- argument wiring -------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: a decimal integer no smaller than ``low``, so that
+    no count can make a check pass vacuously."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = f"integer >= {low}"
+    return parse
+
+
 def _add_common(sp, rep_default=None, samples_default=None):
     sp.add_argument("--n", type=int, required=True, help="rank of the symplectic algebra")
     if rep_default is not None:
@@ -356,7 +372,7 @@ def _add_common(sp, rep_default=None, samples_default=None):
         sp.add_argument("--alpha", default=None, help="rational vector p/q,... of length 2n")
         sp.add_argument("--beta", default=None, help="rational vector p/q,... of length 2n")
     if samples_default is not None:
-        sp.add_argument("--samples", type=int, default=samples_default)
+        sp.add_argument("--samples", type=_int_at_least(1), default=samples_default)
     sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                     help="RNG seed (decimal or 0x hex)")
     sp.add_argument("--output", default=None, help="write the JSON report to this path")
@@ -435,21 +451,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, rep_default="natural")
     sp.add_argument("--box", type=int, default=3)
     sp.add_argument("--gens", type=int, default=2)
-    sp.add_argument("--extra-seeds", type=int, default=4)
+    sp.add_argument("--extra-seeds", type=_int_at_least(0), default=4)
     sp.set_defaults(func=_cmd_probe)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call, not at import, and reused: parse_args starts
+    # every call from a fresh namespace, so no option outlives its call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.list_checks:
         for name, desc in CHECKS.items():
             print(f"{name}: {desc}")
         return 0
     if not getattr(args, "command", None):
-        parser.print_usage()
+        _parser.print_usage()
         return 2
     try:
         return args.func(args)

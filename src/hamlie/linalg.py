@@ -20,10 +20,12 @@ ONE = Fraction(1)
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a rational literal "p/q" or "p"."""
+    """Parse a rational literal "p/q" or "p"; ValueError on bad input."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

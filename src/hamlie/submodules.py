@@ -157,12 +157,11 @@ def _int_rows_of_subspace(s: Subspace) -> list:
 
 
 def _primitive(ints) -> tuple:
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(int(v)))
+    ints = [int(v) for v in ints]
+    g = gcd(*ints)
     if g <= 1:
-        return tuple(int(v) for v in ints)
-    return tuple(int(v) // g for v in ints)
+        return tuple(ints)
+    return tuple(v // g for v in ints)
 
 
 def _rows_array(rows: list) -> np.ndarray:
@@ -264,10 +263,12 @@ def _apply_generator(table: _ActionTable, ridx: int, x_rows: np.ndarray,
     return xo @ pt.astype(object) + c.astype(object)[:, None] * xo
 
 
-def _residuals(a_pad: np.ndarray, tgt_gids: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row annihilator residuals; nonzero residual means a new vector."""
+def _residuals(a_pad: np.ndarray, a_max: np.ndarray, tgt_gids: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """Per-row annihilator residuals; nonzero residual means a new vector.
+    ``a_max`` holds each grade's largest |entry| of ``a_pad``."""
     ann = a_pad[tgt_gids]
-    max_a = int(np.abs(ann).max()) if ann.size else 0
+    max_a = int(a_max[tgt_gids].max()) if ann.size else 0
     if y.dtype == np.int64:
         max_y = int(np.abs(y).max()) if y.size else 0
         if ann.shape[-1] * max_a * max_y < _INT64_SAFE:
@@ -309,9 +310,7 @@ class _IntEchelon:
         p = next((j for j, x in enumerate(v) if x), -1)
         if p < 0:
             return None
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         if v[p] < 0:
             g = -g
         v = [x // g for x in v]
@@ -321,9 +320,7 @@ class _IntEchelon:
                 g = gcd(v[p], c)
                 m1, m2 = v[p] // g, c // g
                 nr = [m1 * a - m2 * b for a, b in zip(row, v)]
-                gg = 0
-                for x in nr:
-                    gg = gcd(gg, x)
+                gg = gcd(*nr)
                 if nr[self.pivots[i]] < 0:
                     gg = -gg
                 self.rows[i] = [x // gg for x in nr]
@@ -358,6 +355,23 @@ def _seed_row(gv: GradedVector) -> tuple:
     """The payload scaled to a primitive integer row (span-preserving)."""
     den = lcm(*(x.denominator for x in gv.payload))
     return _primitive([int(x * den) for x in gv.payload])
+
+
+def _seed_key(gv: GradedVector) -> tuple:
+    """The grade and the primitive row with its first nonzero entry positive:
+    seeds that are nonzero rational multiples of each other share a key,
+    and c v spans the same line as v, so both have the same closure."""
+    row = _seed_row(gv)
+    if next((v for v in row if v), 0) < 0:
+        row = tuple(-v for v in row)
+    return tuple(gv.grade), row
+
+
+def _family_key(echelons: dict) -> tuple:
+    """The canonical echelon rows per grade: a fully reduced echelon of
+    primitive rows with positive pivots is unique to its span, so equal
+    keys mean equal families."""
+    return tuple(sorted((g, tuple(map(tuple, e.rows))) for g, e in echelons.items()))
 
 
 # -- the mod-p FULL screen ------------------------------------------------
@@ -510,6 +524,7 @@ class _ClosureEngine:
         a_pad = np.zeros((idx.count, dim, dim), dtype=np.int64)
         eye = np.eye(dim, dtype=np.int64)
         a_pad[:] = eye
+        a_max = np.ones(idx.count, dtype=np.int64)
         full = np.zeros(idx.count, dtype=bool)
         # grades whose annihilator overflows int64: residual screening is
         # skipped there and membership always re-tested exactly
@@ -524,11 +539,14 @@ class _ClosureEngine:
                 return []
             a_pad[gid] = 0
             try:
-                for i, row in enumerate(_annihilator(ech.rows, ech.pivots, dim)):
-                    a_pad[gid, i] = np.array(row, dtype=np.int64)
+                ann = _annihilator(ech.rows, ech.pivots, dim)
+                if ann:
+                    a_pad[gid, :len(ann)] = ann
+                a_max[gid] = max((abs(v) for row in ann for v in row), default=0)
                 exact[gid] = False
             except OverflowError:
                 a_pad[gid] = 0
+                a_max[gid] = 0
                 exact[gid] = True
             full[gid] = len(ech.rows) == dim
             return new_rows
@@ -559,7 +577,7 @@ class _ClosureEngine:
                 sel = np.flatnonzero(mask)[live]
                 tgt_sel = tgt_gids[live]
                 y = _apply_generator(self.table, ridx, x_rows[sel], src_coords[sel])
-                res = _residuals(a_pad, tgt_sel, y)
+                res = _residuals(a_pad, a_max, tgt_sel, y)
                 cand = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_sel])
                 by_grade: dict = {}
                 for i in cand:
@@ -616,13 +634,15 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
             continue
         a_pad[gid] = 0
         try:
-            for i, ann_row in enumerate(_annihilator(basis, pivots, dim)):
-                a_pad[gid, i] = np.array(ann_row, dtype=np.int64)
+            ann = _annihilator(basis, pivots, dim)
+            if ann:
+                a_pad[gid, :len(ann)] = ann
         except OverflowError:
             a_pad[gid] = 0
             exact[gid] = True
         rows.extend(basis)
         row_gids.extend([gid] * len(basis))
+    a_max = np.abs(a_pad).max(axis=(1, 2))
 
     failures = []
     bad_pairs = set()
@@ -638,7 +658,7 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
             sel = np.flatnonzero(mask)
             tgt_gids = idx.encode(tgt_coords[mask])
             y = _apply_generator(engine.table, ridx, x_rows[sel], src_coords[sel])
-            res = _residuals(a_pad, tgt_gids, y)
+            res = _residuals(a_pad, a_max, tgt_gids, y)
             suspect = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_gids])
             for i in suspect:
                 src = tuple(int(v) for v in src_coords[sel[i]])
@@ -1271,6 +1291,8 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     seed whose spin fills the inner box is full there over Q as well, and
     needs no exact closure.  Every other seed runs the exact integer
     closure, whose echelons feed the re-check and the detected family.
+    A seed that is a multiple of an earlier one reuses its outcome, and
+    each distinct PROPER family is re-checked once.
     """
     if box.radius < gens.radius:
         # the inner box would be empty and every seed would count as FULL
@@ -1286,14 +1308,21 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     seed_reports = []
     proper_families = []
     all_full = True
+    # seed key -> echelons of its closure, None when the screen filled the box
+    closures = {}
+    # family key -> (invariant, family) of its enumeration re-check
+    rechecks = {}
 
     for name, payload in _probe_seeds(dim, rng_seed, extra_seeds):
         seed = GradedVector(zero, payload)
-        if engine.screen_full(seed, box.radius - gens.radius):
-            echelons = None
+        key = _seed_key(seed)
+        if key not in closures:
+            screened = engine.screen_full(seed, box.radius - gens.radius)
+            closures[key] = None if screened else engine.run([seed])
+        echelons = closures[key]
+        if echelons is None:
             dims = dict.fromkeys(inner, dim)
         else:
-            echelons = engine.run([seed])
             dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
         vals = list(dims.values())
         full = all(d == dim for d in vals)
@@ -1308,9 +1337,12 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
             "max_inner_dim": max(vals) if vals else 0,
         }
         if proper:
-            fam = TruncatedModule(p, box, echelons=echelons)
-            inv = _enumerate_invariance(fam, gens, engine=engine)
-            entry["invariant"] = not inv["failures"]
+            fkey = _family_key(echelons)
+            if fkey not in rechecks:
+                fam = TruncatedModule(p, box, echelons=echelons)
+                inv = _enumerate_invariance(fam, gens, engine=engine)
+                rechecks[fkey] = (not inv["failures"], fam)
+            entry["invariant"], fam = rechecks[fkey]
             entry["inner_dims"] = {
                 ",".join(str(x) for x in g): dims[g] for g in inner
             }

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hamlie import cli
 from hamlie.cli import CHECKS, main
 from hamlie.reps import build_rep, rep_from_obj
 from hamlie.symplectic import build_sp
@@ -134,4 +135,63 @@ def test_cache_dir(tmp_path, monkeypatch):
     assert main(deltak) == 0
     assert main(deltak) == 0  # served from the cache
     assert sorted(p.name for p in cache.iterdir()) == [
-        "rep_n2_exterior_2.json", "rep_n2_fundamental_2.json"]
+        "rep_v1_n2_exterior_2.json", "rep_v1_n2_fundamental_2.json"]
+
+
+def test_cache_dir_ignores_unversioned_files(tmp_path, monkeypatch):
+    # a file under the old unversioned name is never read, even a broken one
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "rep_n1_natural.json").write_text('{"n": 1, "name": "broken"}')
+    monkeypatch.setenv("HAMLIE_CACHE_DIR", str(cache))
+    assert main(["rep-build", "--n", "1", "--rep", "natural"]) == 0
+    fresh = cache / f"rep_v{cli.CACHE_FORMAT}_n1_natural.json"
+    assert rep_from_obj(json.loads(fresh.read_text())).dim == 2
+    assert (cache / "rep_n1_natural.json").read_text() == '{"n": 1, "name": "broken"}'
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    boxes = []
+    probe = cli.irreducibility_probe
+    monkeypatch.setattr(cli, "irreducibility_probe",
+                        lambda p, box, *a, **k: boxes.append(box.radius) or probe(p, box, *a, **k))
+    out = tmp_path / "probe.json"
+    head = ["probe", "--n", "1", "--rep", "trivial", "--alpha", "1/2,0"]
+    assert main(head + ["--box", "2", "--output", str(out)]) == 0
+    out.unlink()
+    # the second call sees none of the first call's options
+    assert main(head) == 0
+    assert not out.exists()
+    assert boxes == [2, 3]
+    assert main(["sp-check", "--n", "1", "--samples", "5"]) == 0
+    assert len(built) == 1
+
+
+def test_zero_denominator_exits_2():
+    assert main(["probe", "--n", "1", "--alpha=1/0,0", "--box", "1", "--gens", "1"]) == 2
+    assert main(["ham-bracket", "--n", "1", "--alpha", "1/2,0", "--beta", "0,3/0",
+                 "--samples", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ham-bracket", "--n", "1", "--samples", "-1"],
+    ["sp-check", "--n", "1", "--samples", "0"],
+    ["named-actions", "--n", "1", "--samples", "0"],
+    ["shift-iso", "--n", "1", "--gamma", "1,0", "--samples", "0"],
+    ["g1-check", "--n", "1", "--samples", "0"],
+    ["probe", "--n", "1", "--rep", "trivial", "--alpha", "1/2,0", "--extra-seeds", "-1"],
+])
+def test_vacuous_counts_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_smallest_counts_accepted():
+    assert main(["sp-check", "--n", "1", "--samples", "1"]) == 0
+    assert main(["probe", "--n", "1", "--rep", "trivial", "--alpha", "1/2,0",
+                 "--extra-seeds", "0"]) == 0

@@ -13,7 +13,9 @@ solves and the dense readout they replace, kept here as oracles.
 
 The probe's mod-p FULL screen is compared with the exact closure engine:
 it may only say FULL where the exact closure is full on the inner box, and
-probe reports must not depend on it.
+probe reports must not depend on it.  Nor may they depend on the probe's
+reuse of a closure for a repeated seed line or of a re-check for a
+repeated family.
 """
 
 import itertools
@@ -527,3 +529,52 @@ def test_mod_p_table_is_built_only_by_the_screen(monkeypatch):
     assert built == []
     irreducibility_probe(p, box, gens)
     assert len(built) == 1
+
+
+# (n, rep, alpha, box, gens, seeds or None for the probe's own).  The
+# crafted seeds put multiples of the grade-0 line of the delta1 family, which
+# fill only that line, next to a seed of the same support that fills V.
+_CACHE_CASES = [
+    (1, "natural", (F(-3, 7), 0), 6, 2, None),
+    (1, "natural", (F(1, 3), F(1, 3)), 3, 2,
+     [(1, 1), (1, 2), (-2, -2), (F(1, 2), F(1, 2)), (2, 1), (1, 0)]),
+    (2, "natural", (F(1, 3), 0, 0, 0), 2, 1, None),
+    (2, "fundamental:2", (F(1, 3), 0, 0, 0), 2, 1, None),
+    (1, "trivial", (1, 1), 3, 2, None),
+    (2, "trivial", (1, 0, -1, 0), 2, 1, None),
+    (1, "sym:2", (F(1, 3), 0), 3, 2, None),
+    (2, "sym:2", (F(1, 3), 0, 0, 0), 2, 1, None),
+]
+
+
+def _cached_probe_bytes(monkeypatch) -> list:
+    out = []
+    for n, spec, alpha, box, gens, seeds in _CACHE_CASES:
+        p = ModuleParams(alpha, (0,) * (2 * n), _rep(n, spec))
+        with monkeypatch.context() as m:
+            if seeds is not None:
+                named = [(f"crafted:{i}", tuple(F(x) for x in v)) for i, v in enumerate(seeds)]
+                m.setattr(submodules, "_probe_seeds", lambda *a: named)
+            report = irreducibility_probe(p, Box(box, 2 * n), GeneratorSet(gens, 2 * n))
+        out.append(json.dumps(report, sort_keys=True, indent=2).encode())
+    return out
+
+
+def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
+    counts = {"run": 0, "recheck": 0}
+    run = _ClosureEngine.run
+    recheck = submodules._enumerate_invariance
+    monkeypatch.setattr(_ClosureEngine, "run",
+                        lambda self, *a: counts.update(run=counts["run"] + 1) or run(self, *a))
+    monkeypatch.setattr(submodules, "_enumerate_invariance",
+                        lambda *a, **k: counts.update(recheck=counts["recheck"] + 1)
+                        or recheck(*a, **k))
+    cached = _cached_probe_bytes(monkeypatch)
+    with_caches = dict(counts)
+    counts.update(run=0, recheck=0)
+    # a fresh key on every call: no seed and no family is ever reused
+    monkeypatch.setattr(submodules, "_seed_key", lambda gv: object())
+    monkeypatch.setattr(submodules, "_family_key", lambda echelons: object())
+    assert _cached_probe_bytes(monkeypatch) == cached
+    assert with_caches["run"] < counts["run"]
+    assert with_caches["recheck"] < counts["recheck"]

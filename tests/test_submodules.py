@@ -197,6 +197,86 @@ def test_probe_rechecks_on_its_own_action_table(monkeypatch):
     assert len(built) == 1
 
 
+def _spy_probe_work(monkeypatch) -> dict:
+    """Counts of exact closure runs and enumeration re-checks."""
+    from hamlie import submodules
+
+    counts = {"run": 0, "recheck": 0}
+    run = submodules._ClosureEngine.run
+    recheck = submodules._enumerate_invariance
+
+    def run_spy(self, *a, **k):
+        counts["run"] += 1
+        return run(self, *a, **k)
+
+    def recheck_spy(*a, **k):
+        counts["recheck"] += 1
+        return recheck(*a, **k)
+
+    monkeypatch.setattr(submodules._ClosureEngine, "run", run_spy)
+    monkeypatch.setattr(submodules, "_enumerate_invariance", recheck_spy)
+    return counts
+
+
+def test_probe_closes_a_line_once(monkeypatch):
+    # trivial V has dimension 1, so every seed is a multiple of every other
+    counts = _spy_probe_work(monkeypatch)
+    for n, alpha in [(1, (1, 1)), (2, (1, 0, -1, 0))]:
+        counts.update(run=0, recheck=0)
+        report = irreducibility_probe(_params(n, "trivial", alpha=alpha), Box(2, 2 * n),
+                                      GeneratorSet(1, 2 * n))
+        assert report["verdict"] == "PROPER"
+        assert len(report["seeds"]) == 5
+        assert counts == {"run": 1, "recheck": 1}
+
+
+def test_probe_rechecks_each_family_once(monkeypatch):
+    counts = _spy_probe_work(monkeypatch)
+    p = _params(1, "natural", alpha=(F(-3, 7), 0))
+    report = irreducibility_probe(p, Box(6, 2), GeneratorSet(2, 2))
+    assert report["verdict"] == "PROPER"
+    not_full = [e for e in report["seeds"] if not e["full_on_inner"]]
+    assert [e["seed"] for e in not_full] == ["basis:0", "random:1"]
+    assert all(e["invariant"] for e in not_full)
+    assert not_full[0]["inner_dims"] == not_full[1]["inner_dims"]
+    assert counts == {"run": 1, "recheck": 1}
+    # distinct seeds whose closures coincide share one re-check
+    counts.update(run=0, recheck=0)
+    p = _params(2, "natural", alpha=(F(1, 3), 0, 0, 0))
+    report = irreducibility_probe(p, Box(2, 4), GeneratorSet(1, 4))
+    assert report["verdict"] == "PROPER"
+    assert sum(not e["full_on_inner"] for e in report["seeds"]) == 3
+    assert counts == {"run": 3, "recheck": 2}
+
+
+def test_seed_key_is_the_line():
+    from hamlie.submodules import _seed_key
+
+    def key(*payload):
+        return _seed_key(GradedVector((0, 0), tuple(F(x) for x in payload)))
+
+    assert key(1, 1) == key(3, 3) == key(-1, -1) == key(F(1, 2), F(1, 2))
+    assert key(0, -2) == key(0, 5)
+    # the same support, another line
+    assert key(1, 1) != key(1, 2) != key(1, -2)
+    assert _seed_key(GradedVector((1, 0), (F(1), F(1)))) != key(1, 1)
+
+
+def test_family_key_is_the_family():
+    from hamlie.submodules import _IntEchelon, _family_key
+
+    def family(*rows):
+        ech = _IntEchelon(2)
+        for row in rows:
+            ech.insert(row)
+        return {(0, 0): ech}
+
+    assert _family_key(family((1, 0))) == _family_key(family((-3, 0)))
+    assert _family_key(family((1, 1), (1, 2))) == _family_key(family((0, 5), (2, 0)))
+    # equal dimensions, another family
+    assert _family_key(family((1, 0))) != _family_key(family((0, 1)))
+
+
 def test_probe_deterministic():
     import json
 
