@@ -4,7 +4,8 @@ Builds and caches algebras and representations, runs the verification
 suites, and emits JSON reports.  All rational literals use "p/q" with
 comma-separated vectors; floats are rejected.  Exit code 0 means every
 check passed (probe verdicts FULL and PROPER both count as successful
-runs; INCONCLUSIVE exits nonzero).
+runs; INCONCLUSIVE exits nonzero), 1 that a check failed, 2 a usage or
+input error and 3 an internal error, any other exception.
 """
 
 from __future__ import annotations
@@ -479,6 +480,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed check (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

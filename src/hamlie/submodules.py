@@ -79,10 +79,12 @@ class GeneratorSet:
 class TruncatedModule:
     """Grade-indexed family of subspaces of V inside a box.
 
-    Spaces may be built lazily: grades never asked for are never
-    materialized, which matters for the larger certificate-checked
-    families.  A closure keeps its integer echelons, and a grade's
-    Fraction basis is made from them only when ``space`` asks for it.
+    Every grade is held as an integer echelon (``_IntEchelon``).  A built
+    family makes them lazily from its ``builder``, so grades never asked
+    for are never materialized, which matters for the larger
+    certificate-checked families; a closure hands over its echelons, and
+    ``spaces`` given as Subspaces are converted once.  A grade's Fraction
+    basis is made from its echelon only when ``space`` asks for it.
     """
 
     def __init__(self, params: ModuleParams, box: Box, spaces=None, builder=None,
@@ -91,38 +93,42 @@ class TruncatedModule:
         self.box = box
         self.kind = kind
         self.k = k
-        self._spaces = {tuple(g): s for g, s in (spaces or {}).items()}
         self._echelons = {tuple(g): e for g, e in (echelons or {}).items()}
+        for g, s in (spaces or {}).items():
+            self._echelons[tuple(g)] = _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis))
+        self._spaces = {}
         self._builder = builder
 
     @property
     def dim_v(self) -> int:
         return self.params.rep.dim
 
-    def space(self, grade) -> Subspace:
+    def nonzero_grades(self) -> list:
+        """In-box grades that may hold a nonzero space, in lex order: the
+        whole box for a built family, the stored grades otherwise."""
+        if self._builder:
+            return list(self.box.grades())
+        return sorted(g for g in self._echelons if self.box.contains(g))
+
+    def int_basis(self, grade) -> "_IntEchelon":
+        """The space at ``grade`` as a fully reduced echelon of primitive
+        integer rows with positive pivot entries (empty for a zero space)."""
         grade = tuple(int(g) for g in grade)
         if not self.box.contains(grade):
             raise ValueError(f"grade {grade} outside the box")
+        ech = self._echelons.get(grade)
+        if ech is None:
+            if not self._builder:
+                return _IntEchelon(self.dim_v)
+            ech = self._echelons[grade] = self._builder(grade)
+        return ech
+
+    def space(self, grade) -> Subspace:
+        grade = tuple(int(g) for g in grade)
         s = self._spaces.get(grade)
         if s is None:
-            ech = self._echelons.get(grade)
-            if ech is not None:
-                s = ech.subspace()
-            elif self._builder:
-                s = self._builder(grade)
-            else:
-                s = Subspace.zero(self.dim_v)
-            self._spaces[grade] = s
+            s = self._spaces[grade] = self.int_basis(grade).subspace()
         return s
-
-    def int_basis(self, grade) -> tuple:
-        """(rows, pivots): the space at ``grade`` as a fully reduced echelon
-        of primitive integer rows with positive pivot entries."""
-        ech = self._echelons.get(tuple(int(g) for g in grade))
-        if ech is not None:
-            return ech.rows, ech.pivots
-        s = self.space(grade)
-        return _int_rows_of_subspace(s), list(s.pivots)
 
     def to_obj(self) -> dict:
         spaces = {}
@@ -145,17 +151,6 @@ class TruncatedModule:
 _INT64_SAFE = 2 ** 62
 
 
-def _int_rows_of_subspace(s: Subspace) -> list:
-    """Basis rows scaled to primitive integer tuples (span-preserving)."""
-    out = []
-    for row in s.basis:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * den) for x in row]
-        g = gcd(*(abs(v) for v in ints)) if any(ints) else 1
-        out.append(tuple(v // (g or 1) for v in ints))
-    return out
-
-
 def _primitive(ints) -> tuple:
     ints = [int(v) for v in ints]
     g = gcd(*ints)
@@ -164,13 +159,20 @@ def _primitive(ints) -> tuple:
     return tuple(v // g for v in ints)
 
 
+def _int_row(vec) -> tuple:
+    """A rational vector scaled to a primitive integer row (span-preserving)."""
+    den = lcm(*(x.denominator for x in vec))
+    return _primitive([int(x * den) for x in vec])
+
+
 def _rows_array(rows: list) -> np.ndarray:
     big = any(abs(v) >= _INT64_SAFE for row in rows for v in row)
     return np.array(rows, dtype=object if big else np.int64)
 
 
 class _GradeIndex:
-    """Lex enumeration of box grades with O(1) encode of shifted grades."""
+    """Lex enumeration of box grades; a grade's index (gid) is
+    (grade + R) . weights, so shifting a grade by r adds r . weights."""
 
     def __init__(self, radius: int, N: int):
         self.R = radius
@@ -183,9 +185,6 @@ class _GradeIndex:
         self.weights = np.array(
             [self.side ** (self.N - 1 - i) for i in range(self.N)], dtype=np.int64
         )
-
-    def encode(self, coords: np.ndarray) -> np.ndarray:
-        return (coords + self.R) @ self.weights
 
     def encode_one(self, grade) -> int:
         return int(sum((g + self.R) * w for g, w in zip(grade, self.weights)))
@@ -227,7 +226,8 @@ class _ActionTable:
             T[k, i, j] = t
         coef = np.array([[r[a] * r[b] for a, b in pairs] for r in self.gens], dtype=dtype)
         self.pt = np.einsum("gk,kij->gji", coef, T)
-        self.max_p = np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist()
+        self.max_p = np.array(
+            np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist(), dtype=object)
 
         l_alpha = [int(a * L) for a in p.alpha]
         self.l_alpha = np.array(
@@ -237,30 +237,73 @@ class _ActionTable:
         self.offsets = np.array(self.gens, dtype=np.int64)
         # |(s*L + l_alpha) . bar r| <= (R*L + max|l_alpha|) * sum|bar r|
         scale = box_radius * L + max(map(abs, l_alpha))
-        self.c_small = [scale * s < _INT64_SAFE for s in np.abs(self.bars).sum(axis=1).tolist()]
+        self.c_small = np.array(
+            [scale * s < _INT64_SAFE for s in np.abs(self.bars).sum(axis=1).tolist()])
 
 
-def _apply_generator(table: _ActionTable, ridx: int, x_rows: np.ndarray,
-                     src_coords: np.ndarray) -> np.ndarray:
-    """Images of integer rows under L*((bar r, s+alpha)I + rho(r bar r^t)).
+# elements per transient array of a sweep chunk
+_SWEEP_BATCH = 2 ** 13
+
+
+def _images(table: _ActionTable, src: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Images of integer rows ``x`` at grades ``src`` under the generators
+    ``j``: L*((bar r, s+alpha)I + rho(r bar r^t)) x, row by row.
 
     Exact integer arithmetic: int64 where every product is bounded below
     2^62, unbounded Python integers otherwise.
     """
-    bars = table.bars[ridx]
-    if table.c_small[ridx]:
-        c = (src_coords * table.L + table.l_alpha) @ bars
+    bars = table.bars[j]
+    if table.c_small[j].all():
+        c = np.einsum("cn,cn->c", src * table.L + table.l_alpha, bars)
     else:
-        s_l = src_coords.astype(object) * table.L + table.l_alpha.astype(object)
-        c = s_l @ bars.astype(object)
-    pt = table.pt[ridx]
-    max_x = int(np.abs(x_rows).max()) if x_rows.size else 0
-    max_c = int(np.abs(c).max()) if c.size else 0
-    bound = pt.shape[0] * table.max_p[ridx] * max_x + max_c * max_x
-    if bound < _INT64_SAFE and x_rows.dtype == c.dtype == pt.dtype == np.int64:
-        return x_rows @ pt + c[:, None] * x_rows
-    xo = x_rows.astype(object)
-    return xo @ pt.astype(object) + c.astype(object)[:, None] * xo
+        s_l = src.astype(object) * table.L + table.l_alpha.astype(object)
+        c = (s_l * bars.astype(object)).sum(axis=1)
+    pt = table.pt[j]
+    max_x = int(np.abs(x).max())
+    max_c = int(np.abs(c).max())
+    bound = x.shape[1] * int(table.max_p[j].max()) * max_x + max_c * max_x
+    if bound < _INT64_SAFE and x.dtype == c.dtype == pt.dtype == np.int64:
+        return np.einsum("cd,cde->ce", x, pt) + c[:, None] * x
+    xo = x.astype(object)
+    return np.einsum("cd,cde->ce", xo, pt.astype(object)) + c.astype(object)[:, None] * xo
+
+
+def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
+           x_rows: np.ndarray, closed: np.ndarray):
+    """Every (row, generator) pair whose target grade is in the box and not
+    ``closed``, generator-major and then in row order, as chunks
+    (i, j, tgt, y): row indices, generator indices, target gids and the
+    exact images (``_images``) of the rows at their source grades.
+
+    ``closed`` is read as each chunk is formed, so a target the consumer
+    closes meanwhile is skipped from the next chunk on.  Generators go in
+    blocks whose in-box mask has at most about _SWEEP_BATCH elements, and
+    a chunk holds at most _SWEEP_BATCH // max(dim^2, N) pairs, so its
+    gathered generator matrices stay within _SWEEP_BATCH elements too.
+    """
+    n_rows, dim = x_rows.shape
+    n_gens, N = table.offsets.shape
+    src = idx.coords[src_gids]
+    # a target's gid is its source's gid plus the generator's code
+    codes = table.offsets @ idx.weights
+    block = max(1, _SWEEP_BATCH // n_rows)
+    chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
+    for j0 in range(0, n_gens, block):
+        offs = table.offsets[j0:j0 + block]
+        live = np.ones((len(offs), n_rows), dtype=bool)
+        for a in range(N):
+            live &= np.abs(src[:, a] + offs[:, a, None]) <= idx.R
+        jj, ii = np.nonzero(live)
+        jj += j0
+        tt = src_gids[ii] + codes[jj]
+        for c0 in range(0, len(ii), chunk):
+            i, j, tgt = ii[c0:c0 + chunk], jj[c0:c0 + chunk], tt[c0:c0 + chunk]
+            keep = ~closed[tgt]
+            if not keep.all():
+                i, j, tgt = i[keep], j[keep], tgt[keep]
+                if not len(i):
+                    continue
+            yield i, j, tgt, _images(table, src[i], x_rows[i], j)
 
 
 def _residuals(a_pad: np.ndarray, a_max: np.ndarray, tgt_gids: np.ndarray,
@@ -288,9 +331,32 @@ class _IntEchelon:
         self.rows: list = []
         self.pivots: list = []
 
+    @classmethod
+    def of_rows(cls, ambient: int, rows) -> "_IntEchelon":
+        """The echelon of the span of integer ``rows``."""
+        ech = cls(ambient)
+        for row in rows:
+            ech.insert(row)
+        return ech
+
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def _reduce(self, cand) -> list:
+        """An integer multiple of ``cand`` minus its part in the span,
+        cleared at every pivot."""
+        v = [int(x) for x in cand]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                g = gcd(row[p], c)
+                m1, m2 = row[p] // g, c // g
+                v = [m1 * a - m2 * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, cand) -> bool:
+        return not any(self._reduce(cand))
 
     def subspace(self) -> Subspace:
         """The canonical RREF basis: each row divided by its pivot entry."""
@@ -300,13 +366,7 @@ class _IntEchelon:
 
     def insert(self, cand) -> tuple | None:
         """Assimilate one integer row; the reduced new row, or None."""
-        v = [int(x) for x in cand]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                g = gcd(row[p], c)
-                m1, m2 = row[p] // g, c // g
-                v = [m1 * a - m2 * b for a, b in zip(v, row)]
+        v = self._reduce(cand)
         p = next((j for j, x in enumerate(v) if x), -1)
         if p < 0:
             return None
@@ -351,17 +411,11 @@ def _annihilator(rows: list, pivots: list, ambient: int) -> list:
     return out
 
 
-def _seed_row(gv: GradedVector) -> tuple:
-    """The payload scaled to a primitive integer row (span-preserving)."""
-    den = lcm(*(x.denominator for x in gv.payload))
-    return _primitive([int(x * den) for x in gv.payload])
-
-
 def _seed_key(gv: GradedVector) -> tuple:
     """The grade and the primitive row with its first nonzero entry positive:
     seeds that are nonzero rational multiples of each other share a key,
     and c v spans the same line as v, so both have the same closure."""
-    row = _seed_row(gv)
+    row = _int_row(gv.payload)
     if next((v for v in row if v), 0) < 0:
         row = tuple(-v for v in row)
     return tuple(gv.grade), row
@@ -482,7 +536,7 @@ class _ClosureEngine:
                 q = np.argmax(w != 0, axis=1)
                 res = (res - res[np.arange(len(res)), q][:, None] * w) % p
 
-        row = np.array([[v % p for v in _seed_row(seed)]], dtype=np.int64)
+        row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
         insert(np.array([idx.encode_one(seed.grade)]), row)
         # a target's gid is its source's gid plus the generator's code
         codes = offsets @ idx.weights
@@ -558,34 +612,20 @@ class _ClosureEngine:
             if gv.is_zero():
                 continue
             gid = idx.encode_one(gv.grade)
-            frontier.extend((gid, row) for row in insert(gid, [_seed_row(gv)]))
+            frontier.extend((gid, row) for row in insert(gid, [_int_row(gv.payload)]))
 
         while frontier:
             x_rows = _rows_array([row for _, row in frontier])
             src_gids = np.array([g for g, _ in frontier], dtype=np.int64)
-            src_coords = idx.coords[src_gids]
-            next_frontier = []
-            for ridx in range(len(self.table.gens)):
-                tgt_coords = src_coords + self.table.offsets[ridx]
-                mask = np.all(np.abs(tgt_coords) <= self.box.radius, axis=1)
-                if not mask.any():
-                    continue
-                tgt_gids = idx.encode(tgt_coords[mask])
-                live = ~full[tgt_gids]
-                if not live.any():
-                    continue
-                sel = np.flatnonzero(mask)[live]
-                tgt_sel = tgt_gids[live]
-                y = _apply_generator(self.table, ridx, x_rows[sel], src_coords[sel])
-                res = _residuals(a_pad, a_max, tgt_sel, y)
-                cand = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_sel])
+            frontier = []
+            for _, _, tgt, y in _sweep(self.table, idx, src_gids, x_rows, closed=full):
+                res = _residuals(a_pad, a_max, tgt, y)
+                cand = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt])
                 by_grade: dict = {}
-                for i in cand:
-                    by_grade.setdefault(int(tgt_sel[i]), []).append(_primitive(y[i]))
+                for c in cand:
+                    by_grade.setdefault(int(tgt[c]), []).append(_primitive(y[c]))
                 for gid, cand_rows in by_grade.items():
-                    for row in insert(gid, cand_rows):
-                        next_frontier.append((gid, row))
-            frontier = next_frontier
+                    frontier.extend((gid, row) for row in insert(gid, cand_rows))
 
         return {
             tuple(int(v) for v in idx.coords[gid]): ech
@@ -616,32 +656,43 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
                           max_failures: int = 20, engine=None) -> dict:
     """Pass count over every in-box (grade, generator) pair.  ``engine``, a
     _ClosureEngine for the family's params and box and for ``gens``, lends
-    its action table and grade index; without one, a new one is built."""
+    its action table and grade index; without one, a new one is built.
+
+    Failures are listed generator-major and then by grade, each pair at its
+    first row whose image leaves the target space."""
     p, box = family.params, family.box
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
     idx = engine.index
     dim = engine.dim
+    table = engine.table
 
     a_pad = np.zeros((idx.count, dim, dim), dtype=np.int64)
     a_pad[:] = np.eye(dim, dtype=np.int64)
+    # a full target holds every image; an int64-overflowing annihilator
+    # leaves its grade to the exact re-test
+    full = np.zeros(idx.count, dtype=bool)
     exact = np.zeros(idx.count, dtype=bool)
+    echelons = {}
     rows = []
     row_gids = []
-    for gid in range(idx.count):
-        basis, pivots = family.int_basis(tuple(int(v) for v in idx.coords[gid]))
-        if not basis:
+    for g in family.nonzero_grades():
+        ech = family.int_basis(g)
+        if not ech.rows:
             continue
+        gid = idx.encode_one(g)
+        echelons[gid] = ech
+        full[gid] = ech.dim == dim
         a_pad[gid] = 0
         try:
-            ann = _annihilator(basis, pivots, dim)
+            ann = _annihilator(ech.rows, ech.pivots, dim)
             if ann:
                 a_pad[gid, :len(ann)] = ann
         except OverflowError:
             a_pad[gid] = 0
             exact[gid] = True
-        rows.extend(basis)
-        row_gids.extend([gid] * len(basis))
+        rows.extend(ech.rows)
+        row_gids.extend([gid] * ech.dim)
     a_max = np.abs(a_pad).max(axis=(1, 2))
 
     failures = []
@@ -649,33 +700,21 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     if rows:
         x_rows = _rows_array(rows)
         src_gids = np.array(row_gids, dtype=np.int64)
-        src_coords = idx.coords[src_gids]
-        for ridx, r in enumerate(engine.table.gens):
-            tgt_coords = src_coords + engine.table.offsets[ridx]
-            mask = np.all(np.abs(tgt_coords) <= box.radius, axis=1)
-            if not mask.any():
-                continue
-            sel = np.flatnonzero(mask)
-            tgt_gids = idx.encode(tgt_coords[mask])
-            y = _apply_generator(engine.table, ridx, x_rows[sel], src_coords[sel])
-            res = _residuals(a_pad, a_max, tgt_gids, y)
-            suspect = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt_gids])
-            for i in suspect:
-                src = tuple(int(v) for v in src_coords[sel[i]])
-                pair = (src, r)
+        for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=full):
+            res = _residuals(a_pad, a_max, tgt, y)
+            for c in np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt]):
+                row, ridx, gid = int(i[c]), int(j[c]), int(tgt[c])
+                pair = (row_gids[row], ridx)
                 if pair in bad_pairs:
                     continue
-                if exact[tgt_gids[i]]:
-                    # screened residual unavailable there, re-test exactly
-                    tgt = tuple(int(v) for v in tgt_coords[mask][i])
-                    if family.space(tgt).contains([Fraction(int(v)) for v in y[i]]):
-                        continue
+                if exact[gid] and echelons[gid].contains(y[c]):
+                    continue
                 bad_pairs.add(pair)
                 if len(failures) < max_failures:
                     failures.append({
-                        "grade": list(src),
-                        "generator": list(r),
-                        "witness": [str(int(v)) for v in x_rows[sel[i]]],
+                        "grade": [int(v) for v in idx.coords[row_gids[row]]],
+                        "generator": list(table.gens[ridx]),
+                        "witness": [str(int(v)) for v in rows[row]],
                     })
 
     pairs = _pair_count(box, gens)
@@ -1122,20 +1161,24 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         if not _alpha_integral(p.alpha):
             raise ValueError("trivial_line requires integral alpha")
         neg_alpha = tuple(-int(a) for a in p.alpha)
-        spaces = {}
-        if box.contains(neg_alpha):
-            spaces[neg_alpha] = Subspace.full(1)
-        return TruncatedModule(p, box, spaces=spaces, kind="trivial_line")
+        echelons = {neg_alpha: _IntEchelon.of_rows(1, [[1]])} if box.contains(neg_alpha) else {}
+        return TruncatedModule(p, box, echelons=echelons, kind="trivial_line")
+
+    # u = L (s + alpha), an integer vector, with L the lcm of the alpha
+    # denominators: it spans the line of s + alpha, and u = 0 exactly when
+    # alpha is integral and s = -alpha
+    L = lcm(*(a.denominator for a in p.alpha))
+    l_alpha = [int(a * L) for a in p.alpha]
+
+    def scaled_u(grade) -> list:
+        return [g * L + la for g, la in zip(grade, l_alpha)]
 
     if kind == "delta1":
         if rep.name != "natural":
             raise ValueError("delta1 requires the natural representation")
 
         def builder(grade):
-            vec = tuple(Fraction(g) + a for g, a in zip(grade, p.alpha))
-            if vec_is_zero(vec):
-                return Subspace.zero(N)
-            return Subspace.from_vectors([vec], N)
+            return _IntEchelon.of_rows(N, [scaled_u(grade)])
 
         return TruncatedModule(p, box, builder=builder, kind="delta1")
 
@@ -1145,30 +1188,29 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         k = int(rep.name.split(":")[1])
         if k < 2:
             raise ValueError("deltak requires k >= 2")
-        integral = _alpha_integral(p.alpha)
-        neg_alpha = tuple(-a for a in p.alpha)
+        dim = rep.dim
         # (e_a wedge) E : Ker theta_k -> Lambda^{k+1}, E the kernel embedding
+        # scaled by the lcm of its entry denominators, as integer entries
         emb = rep.subspace.embedding()
-        wedge_emb = [(wedge_matrix(N, k, a) @ emb).entries for a in range(N)]
+        e_scale = lcm(*(v.denominator for v in emb.entries.values()))
+        wedge_emb = [[(i, j, int(v * e_scale))
+                      for (i, j), v in (wedge_matrix(N, k, a) @ emb).entries.items()]
+                     for a in range(N)]
+        n_rows = comb(N, k + 1)
 
         def builder(grade):
-            if integral and all(Fraction(g) == na for g, na in zip(grade, neg_alpha)):
-                return Subspace.full(rep.dim)
-            # u = s + alpha = 0 would force alpha integral and s = -alpha,
-            # the grade returned above, so u != 0 here
-            u = tuple(Fraction(g) + a for g, a in zip(grade, p.alpha))
             # Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
             # Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
-            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E.  Scaling u by its
-            # common denominator keeps the kernel and the entries integral.
-            scale = lcm(*(x.denominator for x in u))
-            acc = {}
-            for a, x in enumerate(u):
-                if x:
-                    c = x * scale
-                    for pos, v in wedge_emb[a].items():
-                        acc[pos] = acc.get(pos, ZERO) + c * v
-            return nullspace(SparseMatrix(comb(N, k + 1), rep.dim, acc))
+            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E: the annihilator
+            # of its row space, put in canonical echelon form.  At u = 0 the
+            # matrix is zero and the space is the whole kernel, as it must be
+            m = [[0] * dim for _ in range(n_rows)]
+            for a, c in enumerate(scaled_u(grade)):
+                if c:
+                    for i, j, v in wedge_emb[a]:
+                        m[i][j] += c * v
+            span = _IntEchelon.of_rows(dim, m)
+            return _IntEchelon.of_rows(dim, _annihilator(span.rows, span.pivots, dim))
 
         return TruncatedModule(p, box, builder=builder, kind="deltak", k=k)
 

@@ -194,15 +194,22 @@ def rank_one(r: Sequence) -> SparseMatrix:
 
 
 def sym_outer(u: Sequence, v: Sequence) -> SparseMatrix:
-    """u bar(v)^t + v bar(u)^t, the polarization of r bar(r)^t; always in sp_N."""
-    ub, vb = bar(u), bar(v)
+    """u bar(v)^t + v bar(u)^t, the polarization of r bar(r)^t; always in sp_N.
+
+    Only products over the nonzero supports of u, bar v, v and bar u are
+    formed; entries come out row by row in column order."""
     N = len(u)
+    ub = [(j, Fraction(x)) for j, x in enumerate(bar(u)) if x]
+    vb = [(j, Fraction(x)) for j, x in enumerate(bar(v)) if x]
     entries = {}
     for i in range(N):
-        for j in range(N):
-            val = Fraction(u[i]) * Fraction(vb[j]) + Fraction(v[i]) * Fraction(ub[j])
-            if val != 0:
-                entries[(i, j)] = val
+        row: dict = {}
+        for x, other in ((u[i], vb), (v[i], ub)):
+            if x:
+                x = Fraction(x)
+                for j, y in other:
+                    row[j] = row.get(j, ZERO) + x * y
+        entries.update(((i, j), row[j]) for j in sorted(row) if row[j])
     return SparseMatrix(N, N, entries)
 
 

@@ -195,3 +195,26 @@ def test_smallest_counts_accepted():
     assert main(["sp-check", "--n", "1", "--samples", "1"]) == 0
     assert main(["probe", "--n", "1", "--rep", "trivial", "--alpha", "1/2,0",
                  "--extra-seeds", "0"]) == 0
+
+
+@pytest.mark.parametrize("exc,code", [
+    (OverflowError("int too large"), 3),
+    (AssertionError("witness wedge vanished"), 3),
+    (KeyError("h1"), 3),
+    (ZeroDivisionError("division by zero"), 3),
+    (ValueError("bad input"), 2),
+    (OSError("no such file"), 2),
+    (json.JSONDecodeError("Expecting value", "{", 1), 2),
+])
+def test_internal_errors_exit_3(monkeypatch, capsys, exc, code):
+    # an exception that is not an input error must not read as a failed check
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "claim1_inequality", boom)
+    assert main(["claim1-ineq", "--n-max", "3"]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    else:
+        assert err.startswith("error: ")

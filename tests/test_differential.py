@@ -18,11 +18,12 @@ reuse of a closure for a repeated seed line or of a re-check for a
 repeated family.
 """
 
+import functools
 import itertools
 import json
+import random
 from fractions import Fraction
-from functools import cache
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -65,12 +66,12 @@ TABLE_REPS = [(1, spec) for spec in ("trivial", "natural", "sym:2", "sym:3", "ex
 ]
 
 
-@cache
+@functools.cache
 def _rep(n, spec):
     return build_rep(build_sp(n, verify=False), spec)
 
 
-@cache
+@functools.cache
 def _rho_dense(n, spec, r):
     """rho(r bar(r)^t) through sp_decompose, as a Fraction array."""
     p = ModuleParams((0,) * (2 * n), (0,) * (2 * n), _rep(n, spec))
@@ -132,6 +133,33 @@ def _naive_passes(family, gens) -> int:
     return passes
 
 
+def _primitive_row(row) -> list:
+    """A rational row scaled to primitive integers, signs kept."""
+    den = lcm(*(F(x).denominator for x in row))
+    ints = [int(x * den) for x in row]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
+def _naive_failures(family, gens, cap: int = 20) -> list:
+    """The enumeration's failure list straight from act_H: generator-major,
+    then grade in lex order, each pair at its first basis row whose image
+    leaves the target space, witnessed by that row as primitive integers."""
+    box, p = family.box, family.params
+    out = []
+    for r in sorted(gens.vectors()):
+        for s in box.grades():
+            t = tuple(a + b for a, b in zip(s, r))
+            if not box.contains(t):
+                continue
+            for row in family.space(s).basis:
+                if not family.space(t).contains(act_H(r, GradedVector(s, row), p).payload):
+                    out.append({"grade": list(s), "generator": list(r),
+                                "witness": [str(v) for v in _primitive_row(row)]})
+                    break
+    return out[:cap]
+
+
 def _closure_case(data):
     """An n=1 module, box, generator set and one seed vector."""
     spec = data.draw(st.sampled_from(["trivial", "natural", "sym:2"]))
@@ -161,7 +189,9 @@ def test_closure_and_enumeration_match_naive_oracle(data):
     assert _enumerate_invariance(closed, gens)["failures"] == []
     assert _enumerate_invariance(got, gens)["failures"] == []  # from the echelons
     seed_only = TruncatedModule(p, box, spaces={grade: Subspace.from_vectors([payload], p.rep.dim)})
-    assert _enumerate_invariance(seed_only, gens)["passes"] == _naive_passes(seed_only, gens)
+    report = _enumerate_invariance(seed_only, gens)
+    assert report["passes"] == _naive_passes(seed_only, gens)
+    assert report["failures"] == _naive_failures(seed_only, gens)
 
 
 @pytest.mark.parametrize("q", [2 ** 61 - 1, 3 ** 40])
@@ -218,7 +248,9 @@ def test_enumeration_of_big_integer_family_matches_naive(data):
         elif kind == "big":
             spaces[g] = Subspace.from_vectors(_int_matrix(data, 2), 2)
     family = TruncatedModule(p, box, spaces=spaces)
-    assert _enumerate_invariance(family, gens)["passes"] == _naive_passes(family, gens)
+    report = _enumerate_invariance(family, gens)
+    assert report["passes"] == _naive_passes(family, gens)
+    assert report["failures"] == _naive_failures(family, gens)
 
 
 @settings(max_examples=8, deadline=None)
@@ -327,22 +359,101 @@ def _deltak_space_by_intersection(p, k, grade):
     return Subspace.from_vectors([rep.subspace.coordinates(r) for r in inter.basis], rep.dim)
 
 
+def _delta1_space_by_fractions(p, grade):
+    """The delta1 grade space span{s + alpha}, built in Fractions."""
+    N = p.rep.alg.N
+    vec = tuple(F(g) + a for g, a in zip(grade, p.alpha))
+    if not any(vec):
+        return Subspace.zero(N)
+    return Subspace.from_vectors([vec], N)
+
+
+def _deltak_builder_by_fractions(p, k):
+    """The deltak grade spaces as Fraction kernels of (u ^ .) E, E the
+    kernel embedding and u = s + alpha scaled by its common denominator;
+    the whole kernel at the integral grade -alpha."""
+    rep = p.rep
+    N = rep.alg.N
+    emb = rep.subspace.embedding()
+    wedge_emb = [(wedge_matrix(N, k, a) @ emb).entries for a in range(N)]
+
+    def builder(grade):
+        if all(a.denominator == 1 for a in p.alpha) and all(
+                g == -a for g, a in zip(grade, p.alpha)):
+            return Subspace.full(rep.dim)
+        u = tuple(F(g) + a for g, a in zip(grade, p.alpha))
+        scale = lcm(*(x.denominator for x in u))
+        acc = {}
+        for a, x in enumerate(u):
+            if x:
+                for pos, v in wedge_emb[a].items():
+                    acc[pos] = acc.get(pos, F(0)) + x * scale * v
+        return nullspace(SparseMatrix(comb(N, k + 1), rep.dim, acc))
+
+    return builder
+
+
+def _assert_grade_matches(family, g, want):
+    got = family.space(g)
+    assert got == want and got.pivots == want.pivots and got.to_obj() == want.to_obj(), g
+    ech = family.int_basis(g)
+    assert [list(r) for r in ech.rows] == [_primitive_row(r) for r in want.basis], g
+    assert list(ech.pivots) == list(want.pivots), g
+
+
+BUILDER_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_deltak_grade_spaces_match_intersection(data):
     n, k = data.draw(st.sampled_from([(2, 2), (3, 2), (3, 3)]))
     N = 2 * n
-    q = data.draw(st.sampled_from((1, 7, 2 ** 31 - 1, 2 ** 61 - 1)))
+    q = data.draw(st.sampled_from(BUILDER_DENOMINATORS))
     alpha = tuple(F(data.draw(st.integers(-2 * q, 2 * q)), q) for _ in range(N))
     p = ModuleParams(alpha, (0,) * N, _rep(n, f"fundamental:{k}"))
     family = build_submodule("deltak", p, Box(2, N))
     grades = [tuple(data.draw(st.integers(-2, 2)) for _ in range(N)) for _ in range(3)]
     if q == 1:
         grades.append(tuple(-int(a) for a in alpha))  # u = 0: the whole kernel
+    by_fractions = _deltak_builder_by_fractions(p, k)
     for g in grades:
         want = _deltak_space_by_intersection(p, k, g)
-        got = family.space(g)
-        assert got == want and got.pivots == want.pivots and got.to_obj() == want.to_obj()
+        assert want == by_fractions(g)
+        _assert_grade_matches(family, g, want)
+
+
+def _builder_alpha(q: int, N: int) -> tuple:
+    """alpha with numerators near q/2 (entries of u far beyond int64 for
+    the large q); at q = 1, integral with -alpha inside the radius-1 box."""
+    if q == 1:
+        return tuple(F((-1) ** i * (i % 2)) for i in range(N))
+    return tuple(F(q // 2 - 3 * i, q) if i % 3 else F(0) for i in range(N))
+
+
+@pytest.mark.parametrize("q", BUILDER_DENOMINATORS)
+@pytest.mark.parametrize("kind,n,k", [("delta1", 2, None), ("delta1", 3, None),
+                                      ("deltak", 2, 2), ("deltak", 3, 2), ("deltak", 3, 3)])
+def test_built_families_match_fraction_builders(kind, n, k, q):
+    # every grade of the radius-1 box at n = 2; at n = 3, where one Fraction
+    # kernel takes ~10 ms, 40 of its 729 grades; the integral -alpha grade
+    # in both
+    N = 2 * n
+    spec = "natural" if kind == "delta1" else f"fundamental:{k}"
+    p = ModuleParams(_builder_alpha(q, N), (0,) * N, _rep(n, spec))
+    box = Box(1, N)
+    family = build_submodule(kind, p, box)
+    grades = list(box.grades())
+    if n == 3:
+        grades = random.Random(q).sample(grades, 40)
+    if q == 1:
+        grades.append(tuple(-int(a) for a in p.alpha))
+    if kind == "delta1":
+        oracle = functools.partial(_delta1_space_by_fractions, p)
+    else:
+        oracle = _deltak_builder_by_fractions(p, k)
+    for g in grades:
+        _assert_grade_matches(family, g, oracle(g))
 
 
 def _readout_by_position(m, alg):

@@ -18,6 +18,7 @@ from hamlie.symplectic import (
     rank_one,
     root_height,
     sp_decompose,
+    sym_outer,
 )
 
 F = Fraction
@@ -125,3 +126,32 @@ def test_root_height_closed_forms():
                 idxs = [i + 1 for i, c in enumerate(root) for _ in range(c)]
                 i, j = idxs[0], idxs[-1]
                 assert datum.height == 2 * n - (i + j) + 1
+
+
+def _sym_outer_dense(u, v):
+    """u bar(v)^t + v bar(u)^t entry by entry over all N^2 positions."""
+    ub, vb = bar(u), bar(v)
+    N = len(u)
+    entries = {}
+    for i in range(N):
+        for j in range(N):
+            val = F(u[i]) * F(vb[j]) + F(v[i]) * F(ub[j])
+            if val != 0:
+                entries[(i, j)] = val
+    return SparseMatrix(N, N, entries)
+
+
+_rationals = st.one_of(
+    st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sym_outer_matches_dense_formula(data):
+    n = data.draw(st.integers(1, 3))
+    u = [data.draw(_rationals) for _ in range(2 * n)]
+    v = [data.draw(_rationals) for _ in range(2 * n)]
+    got = sym_outer(u, v)
+    want = _sym_outer_dense(u, v)
+    assert got == want and list(got.entries) == list(want.entries)
+    assert all(type(x) is F for x in got.entries.values())
