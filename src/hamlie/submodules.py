@@ -469,6 +469,117 @@ class _ClosureEngine:
         self.dim = p.rep.dim
         self._modp = None
 
+    def _spin(self, seed: GradedVector, idx: _GradeIndex, judged=None):
+        """Spin ``seed`` over F_p between the grades of ``idx``, a box no
+        larger than the engine's.
+
+        None once every grade of ``judged`` (gids) is full.  Otherwise the
+        spin's rows in insertion order, as arrays (gids, parents, gens), and
+        the bounds of its rounds, round t being rows rounds[t]:rounds[t+1]:
+        row 0 is the seed, and row k > 0 was the residual at grade gids[k]
+        of the image of row parents[k], of the round before, under
+        generator gens[k].
+
+        Each grade keeps a reduction matrix P whose pivot rows hold its RREF
+        rows over F_p, so the residual of v is v - v @ P.  Transients stay
+        within _SCREEN_BATCH elements per batch.
+        """
+        dim = self.dim
+        p = _SCREEN_PRIME
+        if self._modp is None:
+            self._modp = _ModpTable(self.table, p)
+        t = self._modp
+        bars, offsets = self.table.bars, self.table.offsets
+        n_gens, N = offsets.shape
+
+        P = np.zeros((idx.count, dim, dim), dtype=np.int64)
+        rank = np.zeros(idx.count, dtype=np.int64)
+        new_gids, new_rows, new_parents, new_gens = [], [], [], []
+        rounds = [0]
+
+        def insert(gids: np.ndarray, res: np.ndarray, par: np.ndarray,
+                   gen: np.ndarray) -> np.ndarray:
+            """Assimilate one nonzero residual per grade of ``gids``; returns
+            the normalised new rows."""
+            k = np.arange(len(gids))
+            q = np.argmax(res != 0, axis=1)
+            w = res * _inv_mod(res[k, q], p)[:, None] % p
+            col = P[gids, :, q]
+            P[gids] = (P[gids] - col[:, :, None] * w[:, None, :]) % p
+            P[gids, q] = w
+            rank[gids] += 1
+            new_gids.append(gids)
+            new_rows.append(w)
+            new_parents.append(par)
+            new_gens.append(gen)
+            return w
+
+        def absorb(tgt: np.ndarray, y: np.ndarray, par: np.ndarray, gen: np.ndarray):
+            """Reduce candidate rows at their target grades and insert what
+            survives, one row per grade and pass, first candidate first."""
+            res = (y - np.einsum("cd,cde->ce", y, P[tgt])) % p
+            while True:
+                keep = res.any(axis=1)
+                tgt, res, par, gen = tgt[keep], res[keep], par[keep], gen[keep]
+                if not len(tgt):
+                    return
+                gids, first = np.unique(tgt, return_index=True)
+                w = insert(gids, res[first], par[first], gen[first])
+                rest = np.ones(len(tgt), dtype=bool)
+                rest[first] = False
+                tgt, res, par, gen = tgt[rest], res[rest], par[rest], gen[rest]
+                w = w[np.searchsorted(gids, tgt)]
+                q = np.argmax(w != 0, axis=1)
+                res = (res - res[np.arange(len(res)), q][:, None] * w) % p
+
+        def filled() -> bool:
+            return judged is not None and rank[judged].min() == dim
+
+        row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
+        none = np.array([-1])
+        insert(np.array([idx.encode_one(seed.grade)]), row, none, none)
+        all_gids, all_parents, all_gens = [], [], []
+        # a target's gid is its source's gid plus the generator's code;
+        # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
+        codes = offsets @ idx.weights
+        side = np.arange(-idx.R, idx.R + 1)[:, None]
+        in_box = [np.abs(side + offsets[:, a]) <= idx.R for a in range(N)]
+        block = max(1, _SCREEN_BATCH // n_gens)
+        chunk = max(1, _SCREEN_BATCH // (dim * dim))
+        while new_gids:
+            if filled():
+                return None
+            f_gids = np.concatenate(new_gids)
+            f_rows = np.concatenate(new_rows)
+            all_gids.append(f_gids)
+            all_parents.extend(new_parents)
+            all_gens.extend(new_gens)
+            base = rounds[-1]
+            rounds.append(base + len(f_gids))
+            for new in (new_gids, new_rows, new_parents, new_gens):
+                new.clear()
+            for b0 in range(0, len(f_gids), block):
+                src_gids = f_gids[b0:b0 + block]
+                src = idx.coords[src_gids]
+                live = in_box[0][src[:, 0] + idx.R]
+                for a in range(1, N):
+                    live &= in_box[a][src[:, a] + idx.R]
+                ii, jj = np.divmod(np.flatnonzero(live), n_gens)
+                tgt = src_gids[ii] + codes[jj]
+                open_tgt = rank[tgt] < dim
+                ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
+                for c0 in range(0, len(ii), chunk):
+                    i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
+                    x = f_rows[b0 + i]
+                    u = (src[i] * t.L + t.l_alpha) % p
+                    c = np.einsum("cn,cn->c", u, bars[j]) % p
+                    y = (np.einsum("cd,cde->ce", x, t.pt[j]) + c[:, None] * x) % p
+                    absorb(tgt[c0:c0 + chunk], y, base + b0 + i, j)
+                    if filled():
+                        return None
+        return (np.concatenate(all_gids), np.concatenate(all_parents),
+                np.concatenate(all_gens), rounds)
+
     def screen_full(self, seed: GradedVector, radius: int) -> bool:
         """True when the closure of ``seed`` over F_p fills every grade of
         the box of ``radius``; then so does its closure over Q in the
@@ -484,91 +595,56 @@ class _ClosureEngine:
         (Radius 1 lets a spin judged on grade 0 alone leave it and come
         back.)  False proves nothing; reps above _SCREEN_MAX_DIM and seeds
         outside the box of ``radius`` are never screened.
-
-        Each grade keeps a reduction matrix P whose pivot rows hold its RREF
-        rows over F_p, so the residual of v is v - v @ P.
         """
-        dim = self.dim
-        if dim > _SCREEN_MAX_DIM or any(abs(g) > radius for g in seed.grade):
+        if self.dim > _SCREEN_MAX_DIM or any(abs(g) > radius for g in seed.grade):
             return False
-        p = _SCREEN_PRIME
-        if self._modp is None:
-            self._modp = _ModpTable(self.table, p)
-        t = self._modp
-        bars, offsets = self.table.bars, self.table.offsets
-        n_gens, N = offsets.shape
-        idx = _GradeIndex(max(radius, 1), N)
+        idx = _GradeIndex(max(radius, 1), self.box.N)
         judged = np.flatnonzero(np.all(np.abs(idx.coords) <= radius, axis=1))
+        return self._spin(seed, idx, judged) is None
 
-        P = np.zeros((idx.count, dim, dim), dtype=np.int64)
-        rank = np.zeros(idx.count, dtype=np.int64)
-        new_gids, new_rows = [], []
+    def guided_run(self, seed: GradedVector) -> dict | None:
+        """{grade: _IntEchelon} of a family W' inside the closure W of
+        ``seed``, nonzero grades only, or None where the spin is skipped.
 
-        def insert(gids: np.ndarray, res: np.ndarray) -> np.ndarray:
-            """Assimilate one nonzero residual per grade of ``gids``; returns
-            the normalised new rows."""
-            k = np.arange(len(gids))
-            q = np.argmax(res != 0, axis=1)
-            w = res * _inv_mod(res[k, q], p)[:, None] % p
-            col = P[gids, :, q]
-            P[gids] = (P[gids] - col[:, :, None] * w[:, None, :]) % p
-            P[gids, q] = w
-            rank[gids] += 1
-            new_gids.append(gids)
-            new_rows.append(w)
-            return w
+        An F_p spin over the engine's box (``_spin``) picks the steps, and
+        an exact integer replay takes only those: the image of the parent's
+        exact row under the step's generator, made primitive and inserted
+        into its grade's echelon.  The row a step inserts, reduced against
+        its grade's earlier rows, is what later steps take images of, as in
+        the spin.  Every row of W' is thus an exact image of a row already
+        in W', the first being the seed, so W' lies in W.  For a good prime
+        W' = W, but only an invariance check of W' (which, holding the seed,
+        then contains W) or a W' that is full where W must be proves it.
+        When p divides L every generator is a scalar mod p, so the spin
+        finds at most a line per grade: it is skipped for reps of dimension
+        above 1, as it is for reps above _SCREEN_MAX_DIM.
+        """
+        if self.dim > _SCREEN_MAX_DIM or (self.dim > 1 and self.table.L % _SCREEN_PRIME == 0):
+            return None
+        idx = self.index
+        gids, parents, gens, rounds = self._spin(seed, idx)
+        echelons: dict = {}
 
-        def absorb(tgt: np.ndarray, y: np.ndarray):
-            """Reduce candidate rows at their target grades and insert what
-            survives, one row per grade and pass."""
-            res = (y - np.einsum("cd,cde->ce", y, P[tgt])) % p
-            while True:
-                keep = res.any(axis=1)
-                tgt, res = tgt[keep], res[keep]
-                if not len(tgt):
-                    return
-                gids, first = np.unique(tgt, return_index=True)
-                w = insert(gids, res[first])
-                rest = np.ones(len(tgt), dtype=bool)
-                rest[first] = False
-                tgt, res = tgt[rest], res[rest]
-                w = w[np.searchsorted(gids, tgt)]
-                q = np.argmax(w != 0, axis=1)
-                res = (res - res[np.arange(len(res)), q][:, None] * w) % p
+        def insert(gid: int, row: tuple) -> tuple:
+            ech = echelons.get(gid)
+            if ech is None:
+                ech = echelons[gid] = _IntEchelon(self.dim)
+            reduced = ech.insert(row)
+            return row if reduced is None else reduced
 
-        row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
-        insert(np.array([idx.encode_one(seed.grade)]), row)
-        # a target's gid is its source's gid plus the generator's code
-        codes = offsets @ idx.weights
-        block = max(1, _SCREEN_BATCH // n_gens)
-        chunk = max(1, _SCREEN_BATCH // (dim * dim))
-        while new_gids:
-            if rank[judged].min() == dim:
-                return True
-            f_gids = np.concatenate(new_gids)
-            f_rows = np.concatenate(new_rows)
-            new_gids.clear()
-            new_rows.clear()
-            for b0 in range(0, len(f_gids), block):
-                src_gids = f_gids[b0:b0 + block]
-                src = idx.coords[src_gids]
-                live = np.ones((len(src), n_gens), dtype=bool)
-                for a in range(N):
-                    live &= np.abs(src[:, a, None] + offsets[None, :, a]) <= idx.R
-                ii, jj = np.nonzero(live)
-                tgt = src_gids[ii] + codes[jj]
-                open_tgt = rank[tgt] < dim
-                ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
-                for c0 in range(0, len(ii), chunk):
-                    i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
-                    x = f_rows[b0 + i]
-                    u = (src[i] * t.L + t.l_alpha) % p
-                    c = np.einsum("cn,cn->c", u, bars[j]) % p
-                    y = (np.einsum("cd,cde->ce", x, t.pt[j]) + c[:, None] * x) % p
-                    absorb(tgt[c0:c0 + chunk], y)
-                    if rank[judged].min() == dim:
-                        return True
-        return False
+        rows = [insert(int(gids[0]), _int_row(seed.payload))]
+        chunk = max(1, _SWEEP_BATCH // max(self.dim * self.dim, self.box.N))
+        for lo, hi in zip(rounds[1:], rounds[2:]):
+            for c0 in range(lo, hi, chunk):
+                c1 = min(hi, c0 + chunk)
+                par = parents[c0:c1]
+                x = _rows_array([rows[q] for q in par])
+                y = _images(self.table, idx.coords[gids[par]], x, gens[c0:c1])
+                rows.extend(insert(int(g), _primitive(v)) for g, v in zip(gids[c0:c1], y))
+        return {
+            tuple(int(v) for v in idx.coords[gid]): ech
+            for gid, ech in echelons.items() if ech.rows
+        }
 
     def run(self, seeds: list) -> dict:
         """{grade: _IntEchelon} of the closure, nonzero grades only."""
@@ -1320,6 +1396,41 @@ def _probe_seeds(dim: int, rng_seed: int, extra_seeds: int) -> list:
     return seeds
 
 
+def _recheck(p: ModuleParams, box: Box, gens: GeneratorSet, echelons: dict,
+             engine: _ClosureEngine) -> tuple:
+    """(invariant, family) of the enumeration re-check of ``echelons``."""
+    fam = TruncatedModule(p, box, echelons=echelons)
+    return not _enumerate_invariance(fam, gens, engine=engine)["failures"], fam
+
+
+def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
+                inner: list, rechecks: dict) -> dict | None:
+    """Echelons of the closure W of ``seed`` over Q, or None when W fills
+    the inner box.
+
+    The mod-p screen decides first.  Then the guided family W' of
+    ``_ClosureEngine.guided_run``, which lies in W, is taken when it fills
+    the inner box (so does W) or when it passes the enumeration re-check
+    (invariant and holding the seed, W' contains W).  That re-check is the
+    one a PROPER seed's family gets anyway, and its outcome is kept in
+    ``rechecks``.  Otherwise, or for reps the spin skips, the exact engine
+    closes the seed.
+    """
+    p, box, dim = engine.p, engine.box, engine.dim
+    if engine.screen_full(seed, box.radius - gens.radius):
+        return None
+    echelons = engine.guided_run(seed)
+    if echelons is not None:
+        if all(g in echelons and echelons[g].dim == dim for g in inner):
+            return None
+        fkey = _family_key(echelons)
+        if fkey not in rechecks:
+            rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
+        if rechecks[fkey][0]:
+            return echelons
+    return engine.run([seed])
+
+
 def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
                          rng_seed: int = 0xC0FFEE, extra_seeds: int = 4) -> dict:
     """Closure from every standard basis seed plus random rational seeds;
@@ -1331,10 +1442,15 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
 
     Each seed is first spun over F_p (``_ClosureEngine.screen_full``): a
     seed whose spin fills the inner box is full there over Q as well, and
-    needs no exact closure.  Every other seed runs the exact integer
-    closure, whose echelons feed the re-check and the detected family.
-    A seed that is a multiple of an earlier one reuses its outcome, and
-    each distinct PROPER family is re-checked once.
+    needs no exact closure.  Every other seed is closed by an exact replay
+    of the steps of a spin over the whole box
+    (``_ClosureEngine.guided_run``), which gives a family inside the
+    closure; the enumeration re-check of that family proves it is the
+    closure, and a family that fails it falls back to the exact engine
+    (``_ClosureEngine.run``).  Either way the echelons are exact, and they
+    feed the re-check and the detected family.  A seed that is a multiple
+    of an earlier one reuses its outcome, and each distinct family is
+    re-checked once.
     """
     if box.radius < gens.radius:
         # the inner box would be empty and every seed would count as FULL
@@ -1350,7 +1466,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     seed_reports = []
     proper_families = []
     all_full = True
-    # seed key -> echelons of its closure, None when the screen filled the box
+    # seed key -> echelons of its closure, None when it fills the inner box
     closures = {}
     # family key -> (invariant, family) of its enumeration re-check
     rechecks = {}
@@ -1359,8 +1475,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
         seed = GradedVector(zero, payload)
         key = _seed_key(seed)
         if key not in closures:
-            screened = engine.screen_full(seed, box.radius - gens.radius)
-            closures[key] = None if screened else engine.run([seed])
+            closures[key] = _close_seed(engine, seed, gens, inner, rechecks)
         echelons = closures[key]
         if echelons is None:
             dims = dict.fromkeys(inner, dim)
@@ -1381,9 +1496,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
         if proper:
             fkey = _family_key(echelons)
             if fkey not in rechecks:
-                fam = TruncatedModule(p, box, echelons=echelons)
-                inv = _enumerate_invariance(fam, gens, engine=engine)
-                rechecks[fkey] = (not inv["failures"], fam)
+                rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
             entry["invariant"], fam = rechecks[fkey]
             entry["inner_dims"] = {
                 ",".join(str(x) for x in g): dims[g] for g in inner

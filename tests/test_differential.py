@@ -13,9 +13,11 @@ solves and the dense readout they replace, kept here as oracles.
 
 The probe's mod-p FULL screen is compared with the exact closure engine:
 it may only say FULL where the exact closure is full on the inner box, and
-probe reports must not depend on it.  Nor may they depend on the probe's
-reuse of a closure for a repeated seed line or of a re-check for a
-repeated family.
+probe reports must not depend on it.  The same holds for the mod-p-guided
+exact closure: its family must be the exact engine's wherever the probe
+takes it, and a family it gets wrong must send the probe to the exact
+engine.  Nor may reports depend on the probe's reuse of a closure for a
+repeated seed line or of a re-check for a repeated family.
 """
 
 import functools
@@ -24,6 +26,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +53,10 @@ from hamlie.submodules import (
     _ClosureEngine,
     _IntEchelon,
     _annihilator,
+    _close_seed,
     _enumerate_invariance,
+    _family_key,
+    _inner_grades,
     _probe_seeds,
     build_submodule,
     closure,
@@ -642,6 +648,107 @@ def test_mod_p_table_is_built_only_by_the_screen(monkeypatch):
     assert len(built) == 1
 
 
+# -- the mod-p-guided exact closure ---------------------------------------
+
+
+def _count_runs(counter: list):
+    """A patch of ``_ClosureEngine.run`` that counts its calls."""
+    run = _ClosureEngine.run
+    return mock.patch.object(_ClosureEngine, "run",
+                             lambda self, *a: counter.append(1) or run(self, *a))
+
+
+@pytest.mark.parametrize("n,spec", SCREEN_REPS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_guided_closure_matches_exact_engine(n, spec, data):
+    N = 2 * n
+    q = data.draw(st.sampled_from(SCREEN_DENOMINATORS))
+    alpha = tuple(F(data.draw(st.integers(-3 * q, 3 * q)), q) for _ in range(N))
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    gens = GeneratorSet(data.draw(st.integers(1, 3 - n)), N)
+    box = Box(data.draw(st.integers(gens.radius, gens.radius + 1)), N)
+    payload = tuple(F(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2, 3])))
+                    for _ in range(p.rep.dim))
+    assume(any(payload))
+    seed = GradedVector((0,) * N, payload)
+    engine = _ClosureEngine(p, box, gens)
+
+    exact = engine.run([seed])
+    guided = engine.guided_run(seed)
+    # p divides L: every generator is a scalar mod p, the spin would find at
+    # most a line per grade, and the guide is skipped
+    blind = q == _SCREEN_PRIME and engine.dim > 1
+    assert (guided is None) == blind
+    if not blind:
+        # every replayed row is an exact image inside the closure, and the
+        # guided family is the closure, as its re-check proves
+        assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
+                   for g, ech in guided.items())
+        family = TruncatedModule(p, box, echelons=guided)
+        assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
+        assert _family_key(guided) == _family_key(exact)
+
+    # the probe's step: the closure itself, through the guide or the fallback
+    inner = _inner_grades(box, gens)
+    runs = []
+    with _count_runs(runs):
+        closed = _close_seed(engine, seed, gens, inner, {})
+    if closed is None:
+        assert all(g in exact and exact[g].dim == engine.dim for g in inner)
+    else:
+        assert _family_key(closed) == _family_key(exact)
+    if blind:
+        assert runs == [1]
+        return
+
+    # and the probe's report is the one the exact engine alone gives
+    rng_seed = data.draw(st.integers(0, 2 ** 16))
+    with_guide = irreducibility_probe(p, box, gens, rng_seed=rng_seed, extra_seeds=1)
+    with mock.patch.object(_ClosureEngine, "guided_run", lambda self, seed: None):
+        without = irreducibility_probe(p, box, gens, rng_seed=rng_seed, extra_seeds=1)
+    assert json.dumps(with_guide, indent=2) == json.dumps(without, indent=2)
+
+
+def test_probe_closes_exactly_where_p_divides_L():
+    # alpha's denominator is the spin's prime, so the guide is skipped and
+    # every seed the screen leaves goes to the exact engine
+    p = ModuleParams((F(1, _SCREEN_PRIME), 0), (0, 0), _rep(1, "natural"))
+    box, gens = Box(3, 2), GeneratorSet(2, 2)
+    engine = _ClosureEngine(p, box, gens)
+    seed = GradedVector((0, 0), (F(1), F(0)))
+    assert engine.guided_run(seed) is None
+    runs = []
+    with _count_runs(runs):
+        closed = _close_seed(engine, seed, gens, _inner_grades(box, gens), {})
+        report = irreducibility_probe(p, box, gens)
+    assert _family_key(closed) == _family_key(engine.run([seed]))
+    assert report["verdict"] == "PROPER"
+    # the screen never fills there either: one exact run per distinct line
+    lines = {submodules._seed_key(GradedVector((0, 0), v)) for _, v in _probe_seeds(2, 0xC0FFEE, 4)}
+    assert len(runs) == 1 + len(lines)
+
+
+def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
+    expected = _probe_bytes()
+    spin = _ClosureEngine._spin
+
+    def short_spin(self, *a):
+        # the spin without its last round: a guided family missing rows
+        out = spin(self, *a)
+        if out is None or len(out[3]) <= 2:
+            return out
+        gids, parents, gens, rounds = out
+        cut = rounds[-2]
+        return gids[:cut], parents[:cut], gens[:cut], rounds[:-1]
+
+    monkeypatch.setattr(_ClosureEngine, "_spin", short_spin)
+    runs = []
+    with _count_runs(runs):
+        assert _probe_bytes() == expected
+    assert runs
+
+
 # (n, rep, alpha, box, gens, seeds or None for the probe's own).  The
 # crafted seeds put multiples of the grade-0 line of the delta1 family, which
 # fill only that line, next to a seed of the same support that fills V.
@@ -672,20 +779,27 @@ def _cached_probe_bytes(monkeypatch) -> list:
 
 
 def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
-    counts = {"run": 0, "recheck": 0}
+    counts = {"closures": 0, "recheck": 0}
+    guided = _ClosureEngine.guided_run
     run = _ClosureEngine.run
+
+    def count_closure(out):
+        counts["closures"] += out is not None
+        return out
+
+    monkeypatch.setattr(_ClosureEngine, "guided_run",
+                        lambda self, *a: count_closure(guided(self, *a)))
+    monkeypatch.setattr(_ClosureEngine, "run", lambda self, *a: count_closure(run(self, *a)))
     recheck = submodules._enumerate_invariance
-    monkeypatch.setattr(_ClosureEngine, "run",
-                        lambda self, *a: counts.update(run=counts["run"] + 1) or run(self, *a))
     monkeypatch.setattr(submodules, "_enumerate_invariance",
                         lambda *a, **k: counts.update(recheck=counts["recheck"] + 1)
                         or recheck(*a, **k))
     cached = _cached_probe_bytes(monkeypatch)
     with_caches = dict(counts)
-    counts.update(run=0, recheck=0)
+    counts.update(closures=0, recheck=0)
     # a fresh key on every call: no seed and no family is ever reused
     monkeypatch.setattr(submodules, "_seed_key", lambda gv: object())
     monkeypatch.setattr(submodules, "_family_key", lambda echelons: object())
     assert _cached_probe_bytes(monkeypatch) == cached
-    assert with_caches["run"] < counts["run"]
+    assert with_caches["closures"] < counts["closures"]
     assert with_caches["recheck"] < counts["recheck"]

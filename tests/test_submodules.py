@@ -198,21 +198,29 @@ def test_probe_rechecks_on_its_own_action_table(monkeypatch):
 
 
 def _spy_probe_work(monkeypatch) -> dict:
-    """Counts of exact closure runs and enumeration re-checks."""
+    """Counts of closures (guided replays and exact runs) and enumeration
+    re-checks."""
     from hamlie import submodules
 
-    counts = {"run": 0, "recheck": 0}
+    counts = {"closures": 0, "recheck": 0}
+    guided = submodules._ClosureEngine.guided_run
     run = submodules._ClosureEngine.run
     recheck = submodules._enumerate_invariance
 
+    def guided_spy(self, *a, **k):
+        out = guided(self, *a, **k)
+        counts["closures"] += out is not None
+        return out
+
     def run_spy(self, *a, **k):
-        counts["run"] += 1
+        counts["closures"] += 1
         return run(self, *a, **k)
 
     def recheck_spy(*a, **k):
         counts["recheck"] += 1
         return recheck(*a, **k)
 
+    monkeypatch.setattr(submodules._ClosureEngine, "guided_run", guided_spy)
     monkeypatch.setattr(submodules._ClosureEngine, "run", run_spy)
     monkeypatch.setattr(submodules, "_enumerate_invariance", recheck_spy)
     return counts
@@ -222,12 +230,12 @@ def test_probe_closes_a_line_once(monkeypatch):
     # trivial V has dimension 1, so every seed is a multiple of every other
     counts = _spy_probe_work(monkeypatch)
     for n, alpha in [(1, (1, 1)), (2, (1, 0, -1, 0))]:
-        counts.update(run=0, recheck=0)
+        counts.update(closures=0, recheck=0)
         report = irreducibility_probe(_params(n, "trivial", alpha=alpha), Box(2, 2 * n),
                                       GeneratorSet(1, 2 * n))
         assert report["verdict"] == "PROPER"
         assert len(report["seeds"]) == 5
-        assert counts == {"run": 1, "recheck": 1}
+        assert counts == {"closures": 1, "recheck": 1}
 
 
 def test_probe_rechecks_each_family_once(monkeypatch):
@@ -239,14 +247,14 @@ def test_probe_rechecks_each_family_once(monkeypatch):
     assert [e["seed"] for e in not_full] == ["basis:0", "random:1"]
     assert all(e["invariant"] for e in not_full)
     assert not_full[0]["inner_dims"] == not_full[1]["inner_dims"]
-    assert counts == {"run": 1, "recheck": 1}
+    assert counts == {"closures": 1, "recheck": 1}
     # distinct seeds whose closures coincide share one re-check
-    counts.update(run=0, recheck=0)
+    counts.update(closures=0, recheck=0)
     p = _params(2, "natural", alpha=(F(1, 3), 0, 0, 0))
     report = irreducibility_probe(p, Box(2, 4), GeneratorSet(1, 4))
     assert report["verdict"] == "PROPER"
     assert sum(not e["full_on_inner"] for e in report["seeds"]) == 3
-    assert counts == {"run": 3, "recheck": 2}
+    assert counts == {"closures": 3, "recheck": 2}
 
 
 def test_seed_key_is_the_line():
