@@ -494,7 +494,9 @@ class _ClosureEngine:
 
         P = np.zeros((idx.count, dim, dim), dtype=np.int64)
         rank = np.zeros(idx.count, dtype=np.int64)
-        new_gids, new_rows, new_parents, new_gens = [], [], [], []
+        new_gids, new_rows = [], []
+        # every inserted row's grade, parent row and generator, in order
+        log_gids, log_parents, log_gens = [], [], []
         rounds = [0]
 
         def insert(gids: np.ndarray, res: np.ndarray, par: np.ndarray,
@@ -510,8 +512,9 @@ class _ClosureEngine:
             rank[gids] += 1
             new_gids.append(gids)
             new_rows.append(w)
-            new_parents.append(par)
-            new_gens.append(gen)
+            log_gids.append(gids)
+            log_parents.append(par)
+            log_gens.append(gen)
             return w
 
         def absorb(tgt: np.ndarray, y: np.ndarray, par: np.ndarray, gen: np.ndarray):
@@ -538,7 +541,6 @@ class _ClosureEngine:
         row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
         none = np.array([-1])
         insert(np.array([idx.encode_one(seed.grade)]), row, none, none)
-        all_gids, all_parents, all_gens = [], [], []
         # a target's gid is its source's gid plus the generator's code;
         # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
         codes = offsets @ idx.weights
@@ -551,13 +553,10 @@ class _ClosureEngine:
                 return None
             f_gids = np.concatenate(new_gids)
             f_rows = np.concatenate(new_rows)
-            all_gids.append(f_gids)
-            all_parents.extend(new_parents)
-            all_gens.extend(new_gens)
+            new_gids.clear()
+            new_rows.clear()
             base = rounds[-1]
             rounds.append(base + len(f_gids))
-            for new in (new_gids, new_rows, new_parents, new_gens):
-                new.clear()
             for b0 in range(0, len(f_gids), block):
                 src_gids = f_gids[b0:b0 + block]
                 src = idx.coords[src_gids]
@@ -577,8 +576,8 @@ class _ClosureEngine:
                     absorb(tgt[c0:c0 + chunk], y, base + b0 + i, j)
                     if filled():
                         return None
-        return (np.concatenate(all_gids), np.concatenate(all_parents),
-                np.concatenate(all_gens), rounds)
+        return (np.concatenate(log_gids), np.concatenate(log_parents),
+                np.concatenate(log_gens), rounds)
 
     def screen_full(self, seed: GradedVector, radius: int) -> bool:
         """True when the closure of ``seed`` over F_p fills every grade of
