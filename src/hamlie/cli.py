@@ -252,7 +252,7 @@ def _cmd_ham_bracket(args) -> int:
         r = tuple(rng.randint(-3, 3) for _ in range(N))
         s = tuple(rng.randint(-3, 3) for _ in range(N))
         grade = tuple(rng.randint(-3, 3) for _ in range(N))
-        payload = tuple(Fraction(rng.randint(-5, 5)) for _ in range(dim))
+        payload = tuple(rng.randint(-5, 5) for _ in range(dim))
         x = GradedVector(grade, payload)
         res = verify_ham_bracket(r, s, x, p)
         if res is None:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseMatrix, Vector, ZERO, ONE, format_scalar, vec_is_zero
+from .linalg import SparseMatrix, canon, format_scalar, vec_is_zero
 from .reps import Representation
 from .symplectic import bar, combine, pairing, rank_one, sp_decompose, sym_outer
 
@@ -23,7 +23,7 @@ class GradedVector:
 
     def __post_init__(self):
         object.__setattr__(self, "grade", tuple(int(x) for x in self.grade))
-        object.__setattr__(self, "payload", tuple(Fraction(x) for x in self.payload))
+        object.__setattr__(self, "payload", tuple(canon(x) for x in self.payload))
 
     def is_zero(self) -> bool:
         return vec_is_zero(self.payload)
@@ -34,8 +34,8 @@ class ModuleParams:
 
     def __init__(self, alpha, beta, rep: Representation):
         N = rep.alg.N
-        self.alpha = tuple(Fraction(a) for a in alpha)
-        self.beta = tuple(Fraction(b) for b in beta)
+        self.alpha = tuple(canon(a) for a in alpha)
+        self.beta = tuple(canon(b) for b in beta)
         if len(self.alpha) != N or len(self.beta) != N:
             raise ValueError(f"alpha and beta must have length {N}")
         self.rep = rep
@@ -78,7 +78,7 @@ def act_H(r, x: GradedVector, p: ModuleParams) -> GradedVector:
     r = tuple(int(v) for v in r)
     if all(v == 0 for v in r):
         raise ValueError("H_0 is not a generator of the Hamiltonian algebra")
-    s_alpha = tuple(Fraction(a) + b for a, b in zip(x.grade, p.alpha))
+    s_alpha = tuple(g + a for g, a in zip(x.grade, p.alpha))
     c = pairing(bar(r), s_alpha)
     rho = p.rho_rank_one(r)
     out = list(rho.matvec(x.payload))
@@ -90,7 +90,7 @@ def act_H(r, x: GradedVector, p: ModuleParams) -> GradedVector:
 def act_d(i: int, x: GradedVector, p: ModuleParams) -> GradedVector:
     if not (1 <= i <= p.rep.alg.N):
         raise ValueError(f"derivation index {i} out of range 1..{p.rep.alg.N}")
-    c = Fraction(x.grade[i - 1]) + p.beta[i - 1]
+    c = canon(x.grade[i - 1] + p.beta[i - 1])
     return GradedVector(x.grade, tuple(c * v for v in x.payload))
 
 
@@ -160,10 +160,10 @@ class MatrixPolynomial:
         return MatrixPolynomial(self.nvars, self.dim, terms)
 
     def evaluate(self, s) -> SparseMatrix:
-        s = [Fraction(v) for v in s]
+        s = [canon(v) for v in s]
         out = SparseMatrix(self.dim, self.dim)
         for e, m in self.terms.items():
-            c = ONE
+            c = 1
             for exp, val in zip(e, s):
                 c *= val ** exp
             out = out + m.scale(c)
@@ -182,7 +182,7 @@ def _bar_linear_terms(c, N: int) -> dict:
     n = N // 2
     out = {}
     for j in range(N):
-        coeff = -Fraction(c[n + j]) if j < n else Fraction(c[j - n])
+        coeff = -canon(c[n + j]) if j < n else canon(c[j - n])
         if coeff != 0:
             out[_mono(N, j)] = coeff
     return out
@@ -206,7 +206,7 @@ def _rho_quadratic(p: ModuleParams) -> MatrixPolynomial:
 def g1_polynomial(r, p: ModuleParams) -> MatrixPolynomial:
     """(bar s, r+alpha) I + rho(s bar(s)^t), a degree-2 polynomial in s."""
     N = p.rep.alg.N
-    c = tuple(Fraction(a) + b for a, b in zip(r, p.alpha))
+    c = tuple(a + b for a, b in zip(r, p.alpha))
     lin = _scalar_times_identity(_bar_linear_terms(c, N), p.rep.dim, N)
     return lin + _rho_quadratic(p)
 
@@ -216,25 +216,25 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
     N = p.rep.alg.N
     dim = p.rep.dim
     r = tuple(int(v) for v in r)
-    k_alpha = tuple(Fraction(a) + b for a, b in zip(k, p.alpha))
+    k_alpha = tuple(a + b for a, b in zip(k, p.alpha))
 
     # scalar part of factor 1: (bar r - bar s, k + s + alpha), expanded
     scalars: dict = {}
 
     def bump(e, c):
         if c != 0:
-            scalars[e] = scalars.get(e, ZERO) + c
+            scalars[e] = scalars.get(e, 0) + c
 
     bump(_mono(N), pairing(bar(r), k_alpha))
     rb = bar(r)
     for j in range(N):
-        bump(_mono(N, j), Fraction(rb[j]))
+        bump(_mono(N, j), rb[j])
     for e, c in _bar_linear_terms(k_alpha, N).items():
         bump(e, -c)
     n = N // 2
     for i in range(N):
         # -(bar s, s): the two halves cancel monomial by monomial
-        coeff = -ONE if i < n else ONE
+        coeff = -1 if i < n else 1
         bump(_mono(N, i, (i + n) % N if i < n else i - n), coeff)
     scalars = {e: c for e, c in scalars.items() if c != 0}
     factor1 = _scalar_times_identity(scalars, dim, N)
@@ -248,9 +248,9 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
     for a in range(N):
         for b in range(a, N):
             m = p.rho_sym_pair(a, b)
-            add_term(_mono(N), m.scale(Fraction(r[a] * r[b])))
-            add_term(_mono(N, b), m.scale(Fraction(-r[a])))
-            add_term(_mono(N, a), m.scale(Fraction(-r[b])))
+            add_term(_mono(N), m.scale(r[a] * r[b]))
+            add_term(_mono(N, b), m.scale(-r[a]))
+            add_term(_mono(N, a), m.scale(-r[b]))
             add_term(_mono(N, a, b), m)
     factor1 = factor1 + MatrixPolynomial(N, dim, terms)
 
@@ -299,7 +299,7 @@ def verify_g1(p: ModuleParams, r, samples: int, rng) -> dict:
         if g1.coefficient(exponent) != mat:
             failures.append({"kind": "coefficient", "exponent": list(exponent)})
 
-    c_vec = tuple(Fraction(a) + b for a, b in zip(r, p.alpha))
+    c_vec = tuple(a + b for a, b in zip(r, p.alpha))
     eye = SparseMatrix.identity(p.rep.dim)
     for _ in range(samples):
         total += 1
@@ -346,14 +346,14 @@ def verify_g2_table(p: ModuleParams) -> dict:
                 (f"s{i}^2*s{j}^2", _mono(N, i - 1, i - 1, j - 1, j - 1),
                  rho(f"X(e{i}+e{j})") @ rho(f"X(e{i}+e{j})")
                  + (rho(f"X(2e{i})") @ rho(f"X(2e{j})")).scale(Fraction(1, 2)),
-                 ONE, (i, j))
+                 1, (i, j))
             )
             rows.append(
                 (f"s{n + i}^2*s{n + j}^2",
                  _mono(N, n + i - 1, n + i - 1, n + j - 1, n + j - 1),
                  rho(f"X(-e{i}-e{j})") @ rho(f"X(-e{i}-e{j})")
                  + (rho(f"X(-2e{j})") @ rho(f"X(-2e{i})")).scale(Fraction(1, 2)),
-                 ONE, (i, j))
+                 1, (i, j))
             )
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -363,12 +363,12 @@ def verify_g2_table(p: ModuleParams) -> dict:
                 (f"s{i}^2*s{n + j}^2", _mono(N, i - 1, i - 1, n + j - 1, n + j - 1),
                  rho(f"X(e{i}-e{j})") @ rho(f"X(e{i}-e{j})")
                  - (rho(f"X(-2e{j})") @ rho(f"X(2e{i})")).scale(Fraction(1, 2)),
-                 ONE, (i, j))
+                 1, (i, j))
             )
             rows.append(
                 (f"s{i}^3*s{n + j}", _mono(N, i - 1, i - 1, i - 1, n + j - 1),
                  (rho(f"X(e{i}-e{j})") @ rho(f"X(2e{i})")).scale(-1),
-                 ONE, (i, j))
+                 1, (i, j))
             )
 
     failures = []
@@ -401,7 +401,7 @@ def verify_named_actions(p: ModuleParams, samples: int, rng) -> dict:
 
     def rand_gv():
         grade = tuple(rng.randint(-4, 4) for _ in range(N))
-        payload = tuple(Fraction(rng.randint(-5, 5)) for _ in range(dim))
+        payload = tuple(rng.randint(-5, 5) for _ in range(dim))
         return GradedVector(grade, payload)
 
     def apply(mat, scale, v):
@@ -415,7 +415,7 @@ def verify_named_actions(p: ModuleParams, samples: int, rng) -> dict:
 
         total += 1
         got = act_H(_unit(N, i - 1), x, p)
-        c = -(Fraction(k[n + i - 1]) + p.alpha[n + i - 1])
+        c = -(k[n + i - 1] + p.alpha[n + i - 1])
         want = tuple(
             c * v + w
             for v, w in zip(x.payload, apply(p.rep.action[f"X(2e{i})"], Fraction(-1, 2), x.payload))
@@ -425,7 +425,7 @@ def verify_named_actions(p: ModuleParams, samples: int, rng) -> dict:
 
         total += 1
         got = act_H(_unit(N, n + i - 1), x, p)
-        c = Fraction(k[i - 1]) + p.alpha[i - 1]
+        c = k[i - 1] + p.alpha[i - 1]
         want = tuple(
             c * v + w
             for v, w in zip(x.payload, apply(p.rep.action[f"X(-2e{i})"], Fraction(1, 2), x.payload))
@@ -437,11 +437,10 @@ def verify_named_actions(p: ModuleParams, samples: int, rng) -> dict:
             total += 1
             r = _vec_add(_unit(N, i - 1), _unit(N, n + j - 1))
             got = act_H(r, x, p)
-            c = (Fraction(k[j - 1]) + p.alpha[j - 1]
-                 - Fraction(k[n + i - 1]) - p.alpha[n + i - 1])
+            c = k[j - 1] + p.alpha[j - 1] - k[n + i - 1] - p.alpha[n + i - 1]
             term = [c * v for v in x.payload]
             for mat, scale in (
-                (p.rep.action[f"X(e{i}-e{j})"], ONE),
+                (p.rep.action[f"X(e{i}-e{j})"], 1),
                 (p.rep.action[f"X(-2e{j})"], Fraction(1, 2)),
                 (p.rep.action[f"X(2e{i})"], Fraction(-1, 2)),
             ):
@@ -477,7 +476,7 @@ def verify_shift_isomorphism(gamma, p: ModuleParams, samples: int, rng) -> dict:
     failures = []
     for _ in range(samples):
         grade = tuple(rng.randint(-4, 4) for _ in range(N))
-        payload = tuple(Fraction(rng.randint(-5, 5)) for _ in range(dim))
+        payload = tuple(rng.randint(-5, 5) for _ in range(dim))
         x = GradedVector(grade, payload)
         r = tuple(rng.randint(-3, 3) for _ in range(N))
         if any(v != 0 for v in r):

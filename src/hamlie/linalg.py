@@ -1,10 +1,14 @@
 """Exact rational sparse matrices and canonical subspaces.
 
-Scalars are ``fractions.Fraction`` throughout: always in lowest terms,
-positive denominator, no floating point anywhere.  Subspaces are kept in
-a canonical reduced row-echelon basis (pivot = first nonzero column,
-leading entry 1), so equal subspaces compare equal bit-for-bit and every
-operation is deterministic.
+Matrix entries and vector payloads hold one scalar form (see ``canon``):
+an integral value is a Python ``int``, any other value a
+``fractions.Fraction`` in lowest terms with positive denominator, and no
+value is ever a ``float``.  Integer data (sp_2n, its reps, integer
+grades) so never pays for ``Fraction`` arithmetic, and an int and the
+equal ``Fraction`` compare, hash and format the same.  Subspaces are kept
+in a canonical reduced row-echelon basis of ``Fraction`` rows (pivot =
+first nonzero column, leading entry 1), so equal subspaces compare equal
+bit-for-bit and every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +23,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def canon(x):
+    """The canonical form of an exact scalar: an int when it is integral,
+    else a Fraction.  TypeError on a float or any other kind of number,
+    which would carry a rounded value into exact arithmetic."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a rational literal "p/q" or "p"; ValueError on bad input."""
     text = text.strip()
@@ -30,8 +45,8 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_scalar(x: Fraction) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
+def format_scalar(x) -> str:
+    """Render an int or Fraction as "p/q", or "p" when the denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -48,7 +63,8 @@ def vec_is_zero(v: Vector) -> bool:
 class SparseMatrix:
     """Immutable sparse rational matrix keyed by (row, col).
 
-    Zero entries are never stored.  All arithmetic is exact.
+    Zero entries are never stored and stored entries are canonical
+    (``canon``).  All arithmetic is exact.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -58,13 +74,13 @@ class SparseMatrix:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
-                v = Fraction(v)
-                if v != 0:
+                v = canon(v)
+                if v:
                     clean[(i, j)] = v
         self.entries = clean
 
@@ -79,15 +95,15 @@ class SparseMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                v = Fraction(v)
-                if v != 0:
+                v = canon(v)
+                if v:
                     entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        return cls._trusted(rows, cols, entries)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
-        """Wrap entries that are already nonzero in-bounds Fractions, as the
-        results of arithmetic on validated matrices are; no re-coercion."""
+        """Wrap entries that are already nonzero, in bounds and canonical, as
+        the results of arithmetic on validated matrices are; no re-coercion."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
@@ -96,7 +112,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
@@ -104,11 +120,11 @@ class SparseMatrix:
 
     # -- access ------------------------------------------------------
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), ZERO)
+    def get(self, i: int, j: int):
+        return self.entries.get((i, j), 0)
 
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
+    def to_rows(self) -> list[list]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -128,22 +144,22 @@ class SparseMatrix:
         self._check_same_shape(other)
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            entries[k] = entries.get(k, ZERO) + v
+            entries[k] = entries.get(k, 0) + v
         return SparseMatrix._trusted(self.rows, self.cols, _nonzero(entries))
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_same_shape(other)
         entries = dict(self.entries)
         for k, v in other.entries.items():
-            entries[k] = entries.get(k, ZERO) - v
+            entries[k] = entries.get(k, 0) - v
         return SparseMatrix._trusted(self.rows, self.cols, _nonzero(entries))
 
     def scale(self, c) -> "SparseMatrix":
-        c = Fraction(c)
+        c = canon(c)
         if c == 0:
             return SparseMatrix(self.rows, self.cols)
         return SparseMatrix._trusted(
-            self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
+            self.rows, self.cols, {k: canon(c * v) for k, v in self.entries.items()}
         )
 
     def __neg__(self) -> "SparseMatrix":
@@ -155,17 +171,17 @@ class SparseMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # row-indexed view of other for sparse row combination
-        other_rows: dict[int, list[tuple[int, Fraction]]] = {}
+        other_rows: dict[int, list[tuple]] = {}
         for (k, j), v in other.entries.items():
             other_rows.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int | Fraction] = {}
         for (i, k), a in self.entries.items():
             hits = other_rows.get(k)
             if not hits:
                 continue
             for j, b in hits:
                 key = (i, j)
-                acc[key] = acc.get(key, ZERO) + a * b
+                acc[key] = acc.get(key, 0) + a * b
         return SparseMatrix._trusted(self.rows, other.cols, _nonzero(acc))
 
     def transpose(self) -> "SparseMatrix":
@@ -176,11 +192,12 @@ class SparseMatrix:
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = [ZERO] * self.rows
+        v = [canon(x) for x in v]
+        out = [0] * self.rows
         for (i, j), a in self.entries.items():
             if v[j]:
-                out[i] += a * Fraction(v[j])
-        return tuple(out)
+                out[i] += a * v[j]
+        return tuple(canon(x) for x in out)
 
     def stack(self, other: "SparseMatrix") -> "SparseMatrix":
         """Vertical concatenation."""
@@ -235,7 +252,7 @@ class SparseMatrix:
 
 
 def _nonzero(entries: dict) -> dict:
-    return {k: v for k, v in entries.items() if v}
+    return {k: canon(v) for k, v in entries.items() if v}
 
 
 def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -256,7 +273,7 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if sel < 0:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = 1 / rows[pr][pc]
+        inv = ONE / rows[pr][pc]
         if inv != 1:
             rows[pr] = [inv * x for x in rows[pr]]
         prow = rows[pr]
@@ -400,7 +417,8 @@ class Subspace:
         """The ambient x dim matrix whose columns are the basis rows."""
         return SparseMatrix._trusted(
             self.ambient_dim, len(self.basis),
-            {(i, c): v for c, row in enumerate(self.basis) for i, v in enumerate(row) if v},
+            {(i, c): canon(v) for c, row in enumerate(self.basis)
+             for i, v in enumerate(row) if v},
         )
 
     def annihilator(self) -> "Subspace":

@@ -15,9 +15,7 @@ from fractions import Fraction
 from .linalg import (
     SparseMatrix,
     Subspace,
-    Vector,
-    ZERO,
-    ONE,
+    canon,
     format_scalar,
     nullspace,
     parse_scalar,
@@ -47,7 +45,7 @@ class Representation:
             "name": self.name,
             "dim": self.dim,
             "labels": [list(t) for t in self.basis_labels],
-            "weights": [[format_scalar(Fraction(w)) for w in wt] for wt in self.weights],
+            "weights": [[format_scalar(w) for w in wt] for wt in self.weights],
             "action": {label: self.action[label].to_obj() for label in self.alg.labels},
         }
 
@@ -138,7 +136,7 @@ def _derivation_matrix(m: SparseMatrix, basis: list, index: dict, alternating: b
                     sorted_tup = tuple(sorted(new))
                     coeff = v
                 key = (index[sorted_tup], col)
-                entries[key] = entries.get(key, ZERO) + coeff
+                entries[key] = entries.get(key, 0) + coeff
     return SparseMatrix(dim, dim, entries)
 
 
@@ -198,7 +196,7 @@ def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
                 sign = 1 if (r + s) % 2 != 0 else -1  # (-1)^{(r+1)+(s+1)-1}
                 rest = tuple(x for p, x in enumerate(tup) if p not in (r, s))
                 key = (tgt_index[rest], col)
-                entries[key] = entries.get(key, ZERO) + Fraction(sign * pair)
+                entries[key] = entries.get(key, 0) + sign * pair
     return LinearMap(source, target, SparseMatrix(target.dim, source.dim, entries))
 
 
@@ -230,7 +228,7 @@ def subrepresentation(rep: Representation, space: Subspace, name: str) -> Repres
     # weight vector of weight wt iff column c of R is wt[a] e_c
     weights = [rep.weights[piv] for piv in space.pivots]
     for a in range(rep.alg.n):
-        diag = {(c, c): Fraction(wt[a]) for c, wt in enumerate(weights) if wt[a] != 0}
+        diag = {(c, c): wt[a] for c, wt in enumerate(weights) if wt[a] != 0}
         if action[f"h{a + 1}"].entries != diag:
             raise ValueError("subspace basis vector is not a weight vector")
     labels = [rep.basis_labels[piv] for piv in space.pivots]
@@ -267,7 +265,7 @@ def highest_weight_vectors(rep: Representation) -> list:
         for a in range(rep.alg.n):
             hv = rep.action[f"h{a + 1}"].matvec(row)
             piv = next(i for i, x in enumerate(row) if x != 0)
-            mu = hv[piv] / row[piv]
+            mu = canon(Fraction(hv[piv]) / row[piv])
             if hv != tuple(mu * x for x in row):
                 raise ValueError("highest weight vector is not a weight vector")
             wt.append(mu)
@@ -277,7 +275,7 @@ def highest_weight_vectors(rep: Representation) -> list:
 
 def cyclic_span(rep: Representation, v) -> Subspace:
     """Smallest subspace containing v and stable under every basis action."""
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(canon(x) for x in v)
     if len(v) != rep.dim:
         raise ValueError("vector length does not match rep dimension")
     if vec_is_zero(v):
@@ -343,7 +341,7 @@ def wedge_matrix(N: int, k: int, a: int) -> SparseMatrix:
             continue
         pos = sum(1 for x in tup if x < a)
         new = tuple(sorted(tup + (a,)))
-        entries[(tgt_index[new], col)] = Fraction(-1 if pos % 2 else 1)
+        entries[(tgt_index[new], col)] = -1 if pos % 2 else 1
     return SparseMatrix(len(tgt_index), len(src), entries)
 
 
@@ -357,7 +355,7 @@ def interior_matrix(N: int, k: int, b: int) -> SparseMatrix:
             continue
         pos = tup.index(b)
         rest = tup[:pos] + tup[pos + 1:]
-        entries[(tgt_index[rest], col)] = Fraction(-1 if pos % 2 else 1)
+        entries[(tgt_index[rest], col)] = -1 if pos % 2 else 1
     return SparseMatrix(len(tgt_index), len(src), entries)
 
 
@@ -367,7 +365,7 @@ def rep_from_obj(obj: dict) -> Representation:
         name = str(obj["name"])
         dim = int(obj["dim"])
         labels = [tuple(t) for t in obj["labels"]]
-        weights = [tuple(parse_scalar(w) for w in wt) for wt in obj["weights"]]
+        weights = [tuple(canon(parse_scalar(w)) for w in wt) for wt in obj["weights"]]
         action_obj = obj["action"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed representation object: {exc}") from exc

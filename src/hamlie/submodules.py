@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     ZERO,
     ONE,
+    canon,
     format_scalar,
     nullspace,
     vec_is_zero,
@@ -819,34 +820,35 @@ def _family_params(family: TruncatedModule, gens: GeneratorSet) -> dict:
 
 
 class _Poly:
-    """Multivariate polynomial over Q, exponent tuple keyed."""
+    """Multivariate polynomial over Q, exponent tuple keyed; coefficients
+    are canonical scalars (``canon``)."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self.terms = {e: canon(c) for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def const(cls, nvars, c) -> "_Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars, i) -> "_Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
+        return cls(nvars, {tuple(e): 1})
 
     def __add__(self, other):
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
+            terms[e] = terms.get(e, 0) + c
         return _Poly(self.nvars, terms)
 
     def __sub__(self, other):
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) - c
+            terms[e] = terms.get(e, 0) - c
         return _Poly(self.nvars, terms)
 
     def __mul__(self, other):
@@ -854,11 +856,11 @@ class _Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return _Poly(self.nvars, terms)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = canon(c)
         return _Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -1140,7 +1142,7 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         # scalar coefficient at the only populated grade -alpha is
         # (bar r, -alpha + alpha) = (bar r, 0) = 0 for every r
         checks["scalar_vanishes"] = all(
-            pairing(bar(r), (ZERO,) * alg.N) == 0 for r in gens.vectors()
+            pairing(bar(r), (0,) * alg.N) == 0 for r in gens.vectors()
         )
     elif family.kind == "delta1":
         # ((bar r, u) I + r bar(r)^t) u = (bar r, u) (u + r), symbolically

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import SparseMatrix, ZERO, ONE, Vector, format_scalar
+from .linalg import SparseMatrix, canon
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def build_sp(n: int, verify: bool = True) -> SpAlgebra:
     basis = []
 
     def mat(entries):
-        return SparseMatrix(N, N, {k: Fraction(v) for k, v in entries.items()})
+        return SparseMatrix(N, N, entries)
 
     for i in range(n):
         basis.append(
@@ -171,11 +171,11 @@ def bar(r: Sequence) -> tuple:
     return tuple(r[n:]) + tuple(-x for x in r[:n])
 
 
-def pairing(u: Sequence, v: Sequence) -> Fraction:
-    """Standard bilinear form sum(u_i v_i)."""
+def pairing(u: Sequence, v: Sequence):
+    """Standard bilinear form sum(u_i v_i), as a canonical scalar."""
     if len(u) != len(v):
         raise ValueError("pairing requires equal-length vectors")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), ZERO)
+    return canon(sum(canon(a) * canon(b) for a, b in zip(u, v)))
 
 
 def rank_one(r: Sequence) -> SparseMatrix:
@@ -189,7 +189,7 @@ def rank_one(r: Sequence) -> SparseMatrix:
         for j in range(N):
             if rb[j] == 0:
                 continue
-            entries[(i, j)] = Fraction(r[i]) * Fraction(rb[j])
+            entries[(i, j)] = r[i] * rb[j]
     return SparseMatrix(N, N, entries)
 
 
@@ -199,16 +199,16 @@ def sym_outer(u: Sequence, v: Sequence) -> SparseMatrix:
     Only products over the nonzero supports of u, bar v, v and bar u are
     formed; entries come out row by row in column order."""
     N = len(u)
-    ub = [(j, Fraction(x)) for j, x in enumerate(bar(u)) if x]
-    vb = [(j, Fraction(x)) for j, x in enumerate(bar(v)) if x]
+    ub = [(j, canon(x)) for j, x in enumerate(bar(u)) if x]
+    vb = [(j, canon(x)) for j, x in enumerate(bar(v)) if x]
     entries = {}
     for i in range(N):
         row: dict = {}
         for x, other in ((u[i], vb), (v[i], ub)):
             if x:
-                x = Fraction(x)
+                x = canon(x)
                 for j, y in other:
-                    row[j] = row.get(j, ZERO) + x * y
+                    row[j] = row.get(j, 0) + x * y
         entries.update(((i, j), row[j]) for j in sorted(row) if row[j])
     return SparseMatrix(N, N, entries)
 
@@ -217,8 +217,8 @@ def symplectic_form_matrix(n: int) -> SparseMatrix:
     """J with J v = bar(v)."""
     entries = {}
     for i in range(n):
-        entries[(i, n + i)] = ONE
-        entries[(n + i, i)] = -ONE
+        entries[(i, n + i)] = 1
+        entries[(n + i, i)] = -1
     return SparseMatrix(2 * n, 2 * n, entries)
 
 
@@ -244,7 +244,7 @@ def sp_decompose(m: SparseMatrix, alg: SpAlgebra) -> dict:
         hit = readout.get(pos)
         if hit is not None:
             label, halved = hit
-            coeffs[label] = v / 2 if halved else v
+            coeffs[label] = canon(Fraction(v) / 2) if halved else v
     if combine(coeffs, alg.matrices, N, N).entries != m.entries:
         raise ValueError("matrix is not in the span of the sp basis")
     return coeffs
@@ -257,11 +257,10 @@ def combine(coeffs: dict, matrices: dict, rows: int, cols: int) -> SparseMatrix:
         m = matrices[label]
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError(f"shape mismatch: {m.rows}x{m.cols} vs {rows}x{cols}")
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = canon(c)
         for pos, v in m.entries.items():
-            acc[pos] = acc.get(pos, ZERO) + c * v
-    return SparseMatrix._trusted(rows, cols, {k: v for k, v in acc.items() if v})
+            acc[pos] = acc.get(pos, 0) + c * v
+    return SparseMatrix._trusted(rows, cols, {k: canon(v) for k, v in acc.items() if v})
 
 
 def positive_roots(n: int) -> list:

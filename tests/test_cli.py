@@ -218,3 +218,25 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code):
         assert err.startswith(f"internal error: {type(exc).__name__}: ")
     else:
         assert err.startswith("error: ")
+
+
+def _typed(rep):
+    """Action entries and weights with each scalar's type beside its value."""
+    action = {label: {pos: (type(v), v) for pos, v in m.entries.items()}
+              for label, m in rep.action.items()}
+    return action, [[(type(w), w) for w in wt] for wt in rep.weights]
+
+
+@pytest.mark.parametrize("spec", ["natural", "sym:2", "exterior:2", "fundamental:2"])
+def test_loaded_reps_equal_fresh_ones_types_included(spec, tmp_path, monkeypatch):
+    alg = build_sp(2, verify=False)
+    fresh = build_rep(alg, spec)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(fresh.to_obj()))
+    monkeypatch.setenv("HAMLIE_CACHE_DIR", str(tmp_path / "cache"))
+    cli._resolve_rep(alg, spec)  # builds the rep and writes the cache file
+    monkeypatch.setattr(cli, "build_rep", None)  # so the next one must be read
+    loaded = [rep_from_obj(fresh.to_obj()), cli._resolve_rep(alg, f"file:{path}"),
+              cli._resolve_rep(alg, spec)]
+    for rep in loaded:
+        assert _typed(rep) == _typed(fresh)

@@ -18,6 +18,12 @@ exact closure: its family must be the exact engine's wherever the probe
 takes it, and a family it gets wrong must send the probe to the exact
 engine.  Nor may reports depend on the probe's reuse of a closure for a
 repeated seed line or of a re-check for a repeated family.
+
+The sparse layer keeps integral scalars as ``int`` and the rest as
+``Fraction``.  Its arithmetic, ``combine``, ``sp_decompose``, ``act_H``
+and the certificate's polynomials are compared with the same operations
+done in ``Fraction`` throughout, and every result must hold canonical
+scalars only.
 """
 
 import functools
@@ -33,11 +39,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
-from hamlie.linalg import SparseMatrix, Subspace, nullspace
+from hamlie.linalg import SparseMatrix, Subspace, nullspace, rref
 from hamlie.reps import (
     build_rep,
     contraction_theta,
     exterior_power,
+    highest_weight_vectors,
     natural_rep,
     subrepresentation,
     wedge_matrix,
@@ -52,6 +59,7 @@ from hamlie.submodules import (
     _ActionTable,
     _ClosureEngine,
     _IntEchelon,
+    _Poly,
     _annihilator,
     _close_seed,
     _enumerate_invariance,
@@ -63,7 +71,7 @@ from hamlie.submodules import (
     invariance_check,
     irreducibility_probe,
 )
-from hamlie.symplectic import build_sp, sp_decompose
+from hamlie.symplectic import build_sp, combine, pairing, sp_decompose
 
 F = Fraction
 DENOMINATORS = (1, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
@@ -479,8 +487,8 @@ def _readout_by_position(m, alg):
             if i != j:
                 put(f"X(e{i + 1}-e{j + 1})", m.get(i, j))
     for k in range(n):
-        put(f"X(2e{k + 1})", m.get(k, n + k) / 2)
-        put(f"X(-2e{k + 1})", m.get(n + k, k) / 2)
+        put(f"X(2e{k + 1})", F(m.get(k, n + k)) / 2)
+        put(f"X(-2e{k + 1})", F(m.get(n + k, k)) / 2)
         for l in range(k + 1, n):
             put(f"X(e{k + 1}+e{l + 1})", m.get(k, n + l))
             put(f"X(-e{k + 1}-e{l + 1})", m.get(n + k, l))
@@ -803,3 +811,156 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     assert _cached_probe_bytes(monkeypatch) == cached
     assert with_caches["closures"] < counts["closures"]
     assert with_caches["recheck"] < counts["recheck"]
+
+
+# -- canonical scalars against a pure-Fraction oracle ----------------------
+
+CANON_DENOMINATORS = (1, 2, 7, 2 ** 61 - 1, 3 ** 40)
+# ints, and Fractions that may or may not reduce to an integer
+_scalar = st.one_of(
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-4, 4), st.sampled_from(CANON_DENOMINATORS)),
+)
+
+
+def _canonical(x) -> bool:
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
+def _assert_matrix(m: SparseMatrix, want: list):
+    assert all(_canonical(v) and v != 0 for v in m.entries.values())
+    assert m.to_rows() == want
+
+
+def _assert_vector(got: tuple, want: tuple):
+    assert all(_canonical(x) for x in got)
+    assert got == want
+
+
+def _dense(data, rows, cols) -> list:
+    return [[data.draw(_scalar) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse(rows: list) -> SparseMatrix:
+    return SparseMatrix(len(rows), len(rows[0]),
+                        {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+def _fsum(terms):
+    return sum(terms, F(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_arithmetic_matches_fraction_oracle(data):
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b, d = _dense(data, r, k), _dense(data, r, k), _dense(data, k, c)
+    fa, fb, fd = ([[F(x) for x in row] for row in m] for m in (a, b, d))
+    ma, mb, md = _sparse(a), _sparse(b), _sparse(d)
+    _assert_matrix(ma + mb, [[x + y for x, y in zip(u, v)] for u, v in zip(fa, fb)])
+    _assert_matrix(ma - mb, [[x - y for x, y in zip(u, v)] for u, v in zip(fa, fb)])
+    _assert_matrix(ma @ md, [[_fsum(fa[i][t] * fd[t][j] for t in range(k)) for j in range(c)]
+                             for i in range(r)])
+    s = data.draw(_scalar)
+    _assert_matrix(ma.scale(s), [[F(s) * x for x in row] for row in fa])
+    u = [data.draw(_scalar) for _ in range(k)]
+    v = [data.draw(_scalar) for _ in range(k)]
+    _assert_vector(ma.matvec(v), tuple(_fsum(fa[i][t] * F(v[t]) for t in range(k))
+                                       for i in range(r)))
+    _assert_vector((pairing(u, v),), (_fsum(F(x) * F(y) for x, y in zip(u, v)),))
+
+
+def _sp_coeffs_oracle(m: list, n: int) -> dict:
+    """sp basis coefficients of a dense Fraction matrix, read by block position."""
+    coeffs = {f"h{a + 1}": m[a][a] for a in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                coeffs[f"X(e{i + 1}-e{j + 1})"] = m[i][j]
+    for k in range(n):
+        coeffs[f"X(2e{k + 1})"] = m[k][n + k] / 2
+        coeffs[f"X(-2e{k + 1})"] = m[n + k][k] / 2
+        for l in range(k + 1, n):
+            coeffs[f"X(e{k + 1}+e{l + 1})"] = m[k][n + l]
+            coeffs[f"X(-e{k + 1}-e{l + 1})"] = m[n + k][l]
+    return {label: c for label, c in coeffs.items() if c}
+
+
+def _combine_oracle(coeffs: dict, matrices: dict, dim: int) -> list:
+    out = [[F(0)] * dim for _ in range(dim)]
+    for label, c in coeffs.items():
+        for (i, j), v in matrices[label].entries.items():
+            out[i][j] += F(c) * F(v)
+    return out
+
+
+CANON_REPS = [(1, "natural"), (1, "sym:2"), (2, "natural"), (2, "fundamental:2")]
+
+
+@pytest.mark.parametrize("n,spec", CANON_REPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_combine_and_sp_decompose_match_fraction_oracle(n, spec, data):
+    rep = _rep(n, spec)
+    alg = rep.alg
+    coeffs = {label: data.draw(_scalar) for label in alg.labels if data.draw(st.booleans())}
+    want = _combine_oracle(coeffs, alg.matrices, alg.N)
+    m = combine(coeffs, alg.matrices, alg.N, alg.N)
+    _assert_matrix(m, want)
+    got = sp_decompose(m, alg)
+    assert all(_canonical(c) for c in got.values())
+    assert got == _sp_coeffs_oracle(want, n) == {k: v for k, v in coeffs.items() if v}
+    _assert_matrix(combine(coeffs, rep.action, rep.dim, rep.dim),
+                   _combine_oracle(coeffs, rep.action, rep.dim))
+
+
+@pytest.mark.parametrize("n,spec", CANON_REPS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_act_H_matches_fraction_oracle(n, spec, data):
+    rep = _rep(n, spec)
+    N = rep.alg.N
+    q = data.draw(st.sampled_from(CANON_DENOMINATORS))
+    alpha = tuple(F(data.draw(st.integers(-2 * q, 2 * q)), q) for _ in range(N))
+    p = ModuleParams(alpha, (0,) * N, rep)
+    grade = tuple(data.draw(st.integers(-3, 3)) for _ in range(N))
+    payload = tuple(data.draw(_scalar) for _ in range(rep.dim))
+    r = tuple(data.draw(st.integers(-2, 2)) for _ in range(N))
+    assume(any(r))
+    got = act_H(r, GradedVector(grade, payload), p)
+    # ((bar r, s + alpha) I + rho(r bar(r)^t)) v, all in Fraction
+    rb = r[n:] + tuple(-x for x in r[:n])
+    c = _fsum(F(rb[i]) * (F(grade[i]) + alpha[i]) for i in range(N))
+    rr = [[F(r[i]) * F(rb[j]) for j in range(N)] for i in range(N)]
+    rho = _combine_oracle(_sp_coeffs_oracle(rr, n), rep.action, rep.dim)
+    want = tuple(_fsum(rho[i][j] * F(payload[j]) for j in range(rep.dim)) + c * F(payload[i])
+                 for i in range(rep.dim))
+    assert got.grade == tuple(g + x for g, x in zip(grade, r))
+    _assert_vector(got.payload, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_poly_product_matches_fraction_oracle(data):
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    a, b = (data.draw(st.dictionaries(monos, _scalar, max_size=4)) for _ in range(2))
+    want: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            want[e] = want.get(e, F(0)) + F(c1) * F(c2)
+    got = (_Poly(2, a) * _Poly(2, b)).terms
+    assert all(_canonical(c) for c in got.values())
+    assert got == {e: c for e, c in want.items() if c}
+
+
+def test_division_sites_stay_exact_on_integer_input():
+    # the three true divisions get all-int input: none may give a float
+    red, rank = rref(SparseMatrix.from_rows([[2, 1]]))
+    assert rank == 1 and red.entries == {(0, 0): 1, (0, 1): F(1, 2)}
+    assert [type(v) for v in red.entries.values()] == [int, F]
+    ((_, weight),) = highest_weight_vectors(_rep(1, "sym:2"))
+    assert weight == (2,) and type(weight[0]) is int
+    alg = build_sp(2, verify=False)
+    coeffs = sp_decompose(alg.matrices["X(2e1)"], alg)
+    assert coeffs == {"X(2e1)": 1} and type(coeffs["X(2e1)"]) is int

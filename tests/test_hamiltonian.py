@@ -35,6 +35,19 @@ def _params(n, spec, alpha=None, beta=None):
     return ModuleParams(alpha, beta, rep)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, 1.0])
+def test_graded_vector_rejects_floats(bad):
+    with pytest.raises(TypeError):
+        GradedVector((0,), (bad,))
+    with pytest.raises(TypeError):
+        _params(1, "natural", alpha=(bad, 0))
+
+
+def test_graded_vector_payload_is_canonical():
+    x = GradedVector((0, 0), (F(4, 2), F(1, 2), 3))
+    assert [type(v) for v in x.payload] == [int, F, int]
+
+
 def test_act_H_natural_n1():
     p = _params(1, "natural")
     out = act_H((0, 1), GradedVector((0, 0), (1, 0)), p)

@@ -1,7 +1,9 @@
 """Exact linear algebra kernel tests."""
 
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hamlie.linalg import (
     SparseMatrix,
     Subspace,
+    canon,
     format_scalar,
     nullspace,
     parse_scalar,
@@ -111,3 +114,30 @@ def test_subspace_canonical_equality():
     a = Subspace.from_vectors([(1, 1), (2, 0)], 2)
     b = Subspace.from_vectors([(3, 5), (0, 7)], 2)
     assert a == b and a.is_full()
+
+
+def test_canon_keeps_ints_and_proper_fractions():
+    assert canon(3) == 3 and type(canon(3)) is int
+    assert canon(F(4, 2)) == 2 and type(canon(F(4, 2))) is int
+    assert canon(F(1, 2)) == F(1, 2) and type(canon(F(1, 2))) is F
+    m = SparseMatrix(2, 2, {(0, 0): F(6, 3), (1, 1): F(1, 3)})
+    assert [type(m.get(0, 0)), type(m.get(1, 1))] == [int, F]
+    assert type(m.scale(3).get(1, 1)) is int
+    assert type(m.scale(F(1, 2)).get(0, 0)) is int
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, 2.0, np.float64(0.5), np.int64(1), True,
+                                 complex(1, 0), Decimal("0.5"), "1/2"])
+def test_sparse_matrix_rejects_inexact_scalars(bad):
+    # a float would carry a rounded value into exact arithmetic: 0.1 used
+    # to be stored as Fraction(3602879701896397, 36028797018963968)
+    with pytest.raises(TypeError):
+        canon(bad)
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, {(0, 0): bad})
+    with pytest.raises(TypeError):
+        SparseMatrix.from_rows([[1, bad]])
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(1).scale(bad)
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(1).matvec((bad,))

@@ -154,4 +154,7 @@ def test_sym_outer_matches_dense_formula(data):
     got = sym_outer(u, v)
     want = _sym_outer_dense(u, v)
     assert got == want and list(got.entries) == list(want.entries)
-    assert all(type(x) is F for x in got.entries.values())
+    # canonical scalars: an int exactly when the value is integral, else a
+    # Fraction, never a float
+    assert all(type(x) is (int if F(x).denominator == 1 else F)
+               for x in got.entries.values())
