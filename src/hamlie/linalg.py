@@ -1,20 +1,26 @@
-"""Exact rational sparse matrices and canonical subspaces.
+"""Exact rational sparse matrices, the integer echelon and canonical subspaces.
 
 Matrix entries and vector payloads hold one scalar form (see ``canon``):
 an integral value is a Python ``int``, any other value a
 ``fractions.Fraction`` in lowest terms with positive denominator, and no
 value is ever a ``float``.  Integer data (sp_2n, its reps, integer
 grades) so never pays for ``Fraction`` arithmetic, and an int and the
-equal ``Fraction`` compare, hash and format the same.  Subspaces are kept
-in a canonical reduced row-echelon basis of ``Fraction`` rows (pivot =
-first nonzero column, leading entry 1), so equal subspaces compare equal
-bit-for-bit and every operation is deterministic.
+equal ``Fraction`` compare, hash and format the same.
+
+One fraction-free integer echelon (``_IntEchelon``) makes every kernel
+and every family grade: ``nullspace`` scales each row to a primitive
+integer row, takes the echelon of the rows and then its kernel echelon
+(``_IntEchelon.kernel``, the echelon of its annihilator).  A ``Subspace``
+is the canonical form of an echelon, made for reports and the API: a
+reduced row-echelon basis of ``Fraction`` rows (pivot = first nonzero
+column, leading entry 1), so equal subspaces compare equal bit-for-bit
+and every operation is deterministic.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -243,13 +249,6 @@ class SparseMatrix:
             raise ValueError(f"malformed matrix object: {exc}") from exc
         return cls(rows, cols, entries)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseMatrix":
-        return cls.from_obj(json.loads(text))
-
 
 def _nonzero(entries: dict) -> dict:
     return {k: canon(v) for k, v in entries.items() if v}
@@ -289,12 +288,6 @@ def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if pr == nrows:
             break
     return rows, pivots
-
-
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, int]:
-    """Reduced row echelon form and rank.  Idempotent and deterministic."""
-    rows, pivots = _rref_rows(m.to_rows())
-    return SparseMatrix.from_rows(rows) if rows else m, len(pivots)
 
 
 class Subspace:
@@ -460,14 +453,121 @@ class Subspace:
 
 def nullspace(m: SparseMatrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    rows, pivots = _rref_rows(m.to_rows()) if m.rows else ([], [])
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        vectors.append(v)
-    return Subspace.from_vectors(vectors, m.cols)
+    return _IntEchelon.of_rows(m.cols, map(_int_row, m.to_rows())).kernel().subspace()
+
+
+# -- the fraction-free integer echelon ----------------------------------
+
+
+def _primitive(ints) -> tuple:
+    ints = [int(v) for v in ints]
+    g = gcd(*ints)
+    if g <= 1:
+        return tuple(ints)
+    return tuple(v // g for v in ints)
+
+
+def _int_row(vec) -> tuple:
+    """A rational vector scaled to a primitive integer row (span-preserving)."""
+    den = lcm(*(x.denominator for x in vec))
+    return _primitive([int(x * den) for x in vec])
+
+
+class _IntEchelon:
+    """Fully reduced integer echelon basis: primitive rows, positive
+    leading entry, zeros above and below every pivot.  Fraction-free
+    elimination, with each row kept primitive by dividing out its gcd,
+    keeps entries small and, in the closure hot loop, machine-sized.
+    A fully reduced echelon is unique to its span."""
+
+    __slots__ = ("ambient", "rows", "pivots")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: list = []
+        self.pivots: list = []
+
+    @classmethod
+    def of_rows(cls, ambient: int, rows) -> "_IntEchelon":
+        """The echelon of the span of integer ``rows``."""
+        ech = cls(ambient)
+        for row in rows:
+            ech.insert(row)
+        return ech
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, cand) -> list:
+        """An integer multiple of ``cand`` minus its part in the span,
+        cleared at every pivot."""
+        v = [int(x) for x in cand]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                g = gcd(row[p], c)
+                m1, m2 = row[p] // g, c // g
+                v = [m1 * a - m2 * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, cand) -> bool:
+        return not any(self._reduce(cand))
+
+    def subspace(self) -> Subspace:
+        """The canonical RREF basis: each row divided by its pivot entry."""
+        basis = tuple(tuple(Fraction(x, row[p]) for x in row)
+                      for row, p in zip(self.rows, self.pivots))
+        return Subspace(self.ambient, basis, tuple(self.pivots))
+
+    def kernel(self) -> "_IntEchelon":
+        """The echelon of the annihilator: {v : row . v = 0 for every row}."""
+        ann = _annihilator(self.rows, self.pivots, self.ambient)
+        return _IntEchelon.of_rows(self.ambient, ann)
+
+    def insert(self, cand) -> tuple | None:
+        """Assimilate one integer row; the reduced new row, or None."""
+        v = self._reduce(cand)
+        p = next((j for j, x in enumerate(v) if x), -1)
+        if p < 0:
+            return None
+        g = gcd(*v)
+        if v[p] < 0:
+            g = -g
+        v = [x // g for x in v]
+        for i, row in enumerate(self.rows):
+            c = row[p]
+            if c:
+                g = gcd(v[p], c)
+                m1, m2 = v[p] // g, c // g
+                nr = [m1 * a - m2 * b for a, b in zip(row, v)]
+                gg = gcd(*nr)
+                if nr[self.pivots[i]] < 0:
+                    gg = -gg
+                self.rows[i] = [x // gg for x in nr]
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < p:
+            pos += 1
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, p)
+        return tuple(v)
+
+
+def _annihilator(rows: list, pivots: list, ambient: int) -> list:
+    """Primitive integer functionals spanning the annihilator of the span
+    of a fully reduced integer echelon (zeros above and below each pivot):
+    one per free column j, e_j minus the pivot entries that cancel it."""
+    piv = set(pivots)
+    scale = 1
+    for row, p in zip(rows, pivots):
+        scale = lcm(scale, row[p])
+    out = []
+    for j in range(ambient):
+        if j in piv:
+            continue
+        w = [0] * ambient
+        w[j] = scale
+        for row, p in zip(rows, pivots):
+            w[p] = -row[j] * (scale // row[p])
+        out.append(_primitive(w))
+    return out

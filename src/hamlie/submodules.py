@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .linalg import (
     Subspace,
     ZERO,
     ONE,
+    _IntEchelon,
+    _annihilator,
+    _int_row,
+    _primitive,
     canon,
     format_scalar,
     nullspace,
@@ -147,23 +151,9 @@ class TruncatedModule:
         }
 
 
-# -- integer scaling helpers --------------------------------------------
+# -- int64 bounds for integer rows ----------------------------------------
 
 _INT64_SAFE = 2 ** 62
-
-
-def _primitive(ints) -> tuple:
-    ints = [int(v) for v in ints]
-    g = gcd(*ints)
-    if g <= 1:
-        return tuple(ints)
-    return tuple(v // g for v in ints)
-
-
-def _int_row(vec) -> tuple:
-    """A rational vector scaled to a primitive integer row (span-preserving)."""
-    den = lcm(*(x.denominator for x in vec))
-    return _primitive([int(x * den) for x in vec])
 
 
 def _rows_array(rows: list) -> np.ndarray:
@@ -307,109 +297,49 @@ def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
             yield i, j, tgt, _images(table, src[i], x_rows[i], j)
 
 
-def _residuals(a_pad: np.ndarray, a_max: np.ndarray, tgt_gids: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """Per-row annihilator residuals; nonzero residual means a new vector.
-    ``a_max`` holds each grade's largest |entry| of ``a_pad``."""
-    ann = a_pad[tgt_gids]
-    max_a = int(a_max[tgt_gids].max()) if ann.size else 0
-    if y.dtype == np.int64:
-        max_y = int(np.abs(y).max()) if y.size else 0
-        if ann.shape[-1] * max_a * max_y < _INT64_SAFE:
-            return np.einsum("rad,rd->ra", ann, y)
-    return np.einsum("rad,rd->ra", ann.astype(object), y.astype(object))
+class _GradeState:
+    """The echelons of a family on a box's grades (by gid), and what a
+    sweep screens images with: each grade's annihilator rows, zero-padded
+    to dim x dim in int64 (the identity at a grade never set), which
+    grades are ``full``, and which are ``exact``: there the annihilator
+    overflows int64, so the screen is skipped and every image is a
+    candidate to re-test on the echelon."""
 
+    def __init__(self, count: int, dim: int):
+        self.dim = dim
+        self.echelons: dict = {}
+        self.a_pad = np.zeros((count, dim, dim), dtype=np.int64)
+        self.a_pad[:] = np.eye(dim, dtype=np.int64)
+        self.full = np.zeros(count, dtype=bool)
+        self.exact = np.zeros(count, dtype=bool)
 
-class _IntEchelon:
-    """Fully reduced integer echelon basis: primitive rows, positive
-    leading entry, zeros above and below every pivot.  Fraction-free
-    elimination keeps the closure hot loop on machine-sized integers."""
+    def set(self, gid: int, echelon: _IntEchelon):
+        """Make ``echelon`` the space at grade ``gid``."""
+        self.echelons[gid] = echelon
+        self.a_pad[gid] = 0
+        try:
+            ann = _annihilator(echelon.rows, echelon.pivots, self.dim)
+            if ann:
+                self.a_pad[gid, :len(ann)] = ann
+            self.exact[gid] = False
+        except OverflowError:
+            self.a_pad[gid] = 0
+            self.exact[gid] = True
+        self.full[gid] = echelon.dim == self.dim
 
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list = []
-        self.pivots: list = []
-
-    @classmethod
-    def of_rows(cls, ambient: int, rows) -> "_IntEchelon":
-        """The echelon of the span of integer ``rows``."""
-        ech = cls(ambient)
-        for row in rows:
-            ech.insert(row)
-        return ech
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, cand) -> list:
-        """An integer multiple of ``cand`` minus its part in the span,
-        cleared at every pivot."""
-        v = [int(x) for x in cand]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                g = gcd(row[p], c)
-                m1, m2 = row[p] // g, c // g
-                v = [m1 * a - m2 * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, cand) -> bool:
-        return not any(self._reduce(cand))
-
-    def subspace(self) -> Subspace:
-        """The canonical RREF basis: each row divided by its pivot entry."""
-        basis = tuple(tuple(Fraction(x, row[p]) for x in row)
-                      for row, p in zip(self.rows, self.pivots))
-        return Subspace(self.ambient, basis, tuple(self.pivots))
-
-    def insert(self, cand) -> tuple | None:
-        """Assimilate one integer row; the reduced new row, or None."""
-        v = self._reduce(cand)
-        p = next((j for j, x in enumerate(v) if x), -1)
-        if p < 0:
-            return None
-        g = gcd(*v)
-        if v[p] < 0:
-            g = -g
-        v = [x // g for x in v]
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c:
-                g = gcd(v[p], c)
-                m1, m2 = v[p] // g, c // g
-                nr = [m1 * a - m2 * b for a, b in zip(row, v)]
-                gg = gcd(*nr)
-                if nr[self.pivots[i]] < 0:
-                    gg = -gg
-                self.rows[i] = [x // gg for x in nr]
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < p:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, p)
-        return tuple(v)
-
-
-def _annihilator(rows: list, pivots: list, ambient: int) -> list:
-    """Primitive integer functionals spanning the annihilator of the span
-    of a fully reduced integer echelon (zeros above and below each pivot)."""
-    piv = set(pivots)
-    scale = 1
-    for row, p in zip(rows, pivots):
-        scale = lcm(scale, row[p])
-    out = []
-    for j in range(ambient):
-        if j in piv:
-            continue
-        w = [0] * ambient
-        w[j] = scale
-        for row, p in zip(rows, pivots):
-            w[p] = -row[j] * (scale // row[p])
-        out.append(_primitive(w))
-    return out
+    def candidates(self, tgt: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Indices of the images ``y`` that may lie outside the spaces at
+        their target gids ``tgt``: a nonzero annihilator residual, or an
+        exact target."""
+        ann = self.a_pad[tgt]
+        # in Python ints: an entry -2^63 has no int64 absolute value
+        max_a = max(int(ann.max()), -int(ann.min())) if ann.size else 0
+        max_y = int(np.abs(y).max()) if y.dtype == np.int64 and y.size else 0
+        if y.dtype == np.int64 and ann.shape[-1] * max_a * max_y < _INT64_SAFE:
+            res = np.einsum("rad,rd->ra", ann, y)
+        else:
+            res = np.einsum("rad,rd->ra", ann.astype(object), y.astype(object))
+        return np.flatnonzero(np.any(res != 0, axis=1) | self.exact[tgt])
 
 
 def _seed_key(gv: GradedVector) -> tuple:
@@ -648,37 +578,14 @@ class _ClosureEngine:
 
     def run(self, seeds: list) -> dict:
         """{grade: _IntEchelon} of the closure, nonzero grades only."""
-        dim = self.dim
         idx = self.index
-        echelons = [None] * idx.count
-        a_pad = np.zeros((idx.count, dim, dim), dtype=np.int64)
-        eye = np.eye(dim, dtype=np.int64)
-        a_pad[:] = eye
-        a_max = np.ones(idx.count, dtype=np.int64)
-        full = np.zeros(idx.count, dtype=bool)
-        # grades whose annihilator overflows int64: residual screening is
-        # skipped there and membership always re-tested exactly
-        exact = np.zeros(idx.count, dtype=bool)
+        state = _GradeState(idx.count, self.dim)
 
         def insert(gid: int, rows) -> list:
-            ech = echelons[gid]
-            if ech is None:
-                ech = echelons[gid] = _IntEchelon(dim)
+            ech = state.echelons.get(gid) or _IntEchelon(self.dim)
             new_rows = [r for r in (ech.insert(row) for row in rows) if r is not None]
-            if not new_rows:
-                return []
-            a_pad[gid] = 0
-            try:
-                ann = _annihilator(ech.rows, ech.pivots, dim)
-                if ann:
-                    a_pad[gid, :len(ann)] = ann
-                a_max[gid] = max((abs(v) for row in ann for v in row), default=0)
-                exact[gid] = False
-            except OverflowError:
-                a_pad[gid] = 0
-                a_max[gid] = 0
-                exact[gid] = True
-            full[gid] = len(ech.rows) == dim
+            if new_rows:
+                state.set(gid, ech)
             return new_rows
 
         frontier = []
@@ -694,18 +601,16 @@ class _ClosureEngine:
             x_rows = _rows_array([row for _, row in frontier])
             src_gids = np.array([g for g, _ in frontier], dtype=np.int64)
             frontier = []
-            for _, _, tgt, y in _sweep(self.table, idx, src_gids, x_rows, closed=full):
-                res = _residuals(a_pad, a_max, tgt, y)
-                cand = np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt])
+            for _, _, tgt, y in _sweep(self.table, idx, src_gids, x_rows, closed=state.full):
                 by_grade: dict = {}
-                for c in cand:
+                for c in state.candidates(tgt, y):
                     by_grade.setdefault(int(tgt[c]), []).append(_primitive(y[c]))
                 for gid, cand_rows in by_grade.items():
                     frontier.extend((gid, row) for row in insert(gid, cand_rows))
 
         return {
             tuple(int(v) for v in idx.coords[gid]): ech
-            for gid, ech in enumerate(echelons) if ech is not None and ech.rows
+            for gid, ech in sorted(state.echelons.items())
         }
 
 
@@ -740,50 +645,30 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
     idx = engine.index
-    dim = engine.dim
     table = engine.table
-
-    a_pad = np.zeros((idx.count, dim, dim), dtype=np.int64)
-    a_pad[:] = np.eye(dim, dtype=np.int64)
-    # a full target holds every image; an int64-overflowing annihilator
-    # leaves its grade to the exact re-test
-    full = np.zeros(idx.count, dtype=bool)
-    exact = np.zeros(idx.count, dtype=bool)
-    echelons = {}
+    state = _GradeState(idx.count, engine.dim)
     rows = []
     row_gids = []
     for g in family.nonzero_grades():
         ech = family.int_basis(g)
-        if not ech.rows:
-            continue
-        gid = idx.encode_one(g)
-        echelons[gid] = ech
-        full[gid] = ech.dim == dim
-        a_pad[gid] = 0
-        try:
-            ann = _annihilator(ech.rows, ech.pivots, dim)
-            if ann:
-                a_pad[gid, :len(ann)] = ann
-        except OverflowError:
-            a_pad[gid] = 0
-            exact[gid] = True
-        rows.extend(ech.rows)
-        row_gids.extend([gid] * ech.dim)
-    a_max = np.abs(a_pad).max(axis=(1, 2))
+        if ech.rows:
+            gid = idx.encode_one(g)
+            state.set(gid, ech)
+            rows.extend(ech.rows)
+            row_gids.extend([gid] * ech.dim)
 
     failures = []
     bad_pairs = set()
     if rows:
         x_rows = _rows_array(rows)
         src_gids = np.array(row_gids, dtype=np.int64)
-        for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=full):
-            res = _residuals(a_pad, a_max, tgt, y)
-            for c in np.flatnonzero(np.any(res != 0, axis=1) | exact[tgt]):
+        for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=state.full):
+            for c in state.candidates(tgt, y):
                 row, ridx, gid = int(i[c]), int(j[c]), int(tgt[c])
                 pair = (row_gids[row], ridx)
                 if pair in bad_pairs:
                     continue
-                if exact[gid] and echelons[gid].contains(y[c]):
+                if state.exact[gid] and state.echelons[gid].contains(y[c]):
                     continue
                 bad_pairs.add(pair)
                 if len(failures) < max_failures:
@@ -1117,11 +1002,10 @@ def _spot_check_family(family: TruncatedModule, gens: GeneratorSet, rng,
         if not box.contains(tgt):
             continue
         tried += 1
-        src = family.space(grade)
-        dst = family.space(tgt)
-        for row in src.basis:
+        dst = family.int_basis(tgt)
+        for row in family.int_basis(grade).rows:
             img = act_H(r, GradedVector(grade, row), p)
-            if not dst.contains(img.payload):
+            if not dst.contains(_int_row(img.payload)):
                 failures.append({"grade": list(grade), "generator": list(r)})
                 break
     return failures
@@ -1238,8 +1122,12 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         if not _alpha_integral(p.alpha):
             raise ValueError("trivial_line requires integral alpha")
         neg_alpha = tuple(-int(a) for a in p.alpha)
-        echelons = {neg_alpha: _IntEchelon.of_rows(1, [[1]])} if box.contains(neg_alpha) else {}
-        return TruncatedModule(p, box, echelons=echelons, kind="trivial_line")
+        if not box.contains(neg_alpha):
+            # the family would be empty and pass every check vacuously
+            raise ValueError(f"trivial_line lives at grade -alpha = {neg_alpha}, "
+                             f"outside the box of radius {box.radius}")
+        return TruncatedModule(p, box, echelons={neg_alpha: _IntEchelon.of_rows(1, [[1]])},
+                               kind="trivial_line")
 
     # u = L (s + alpha), an integer vector, with L the lcm of the alpha
     # denominators: it spans the line of s + alpha, and u = 0 exactly when
@@ -1278,16 +1166,15 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         def builder(grade):
             # Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
             # Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
-            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E: the annihilator
-            # of its row space, put in canonical echelon form.  At u = 0 the
-            # matrix is zero and the space is the whole kernel, as it must be
+            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E, the kernel echelon
+            # of its row echelon.  At u = 0 the matrix is zero and the space
+            # is the whole kernel, as it must be
             m = [[0] * dim for _ in range(n_rows)]
             for a, c in enumerate(scaled_u(grade)):
                 if c:
                     for i, j, v in wedge_emb[a]:
                         m[i][j] += c * v
-            span = _IntEchelon.of_rows(dim, m)
-            return _IntEchelon.of_rows(dim, _annihilator(span.rows, span.pivots, dim))
+            return _IntEchelon.of_rows(dim, m).kernel()
 
         return TruncatedModule(p, box, builder=builder, kind="deltak", k=k)
 

@@ -9,7 +9,9 @@ and images) and 3^40 (L itself beyond int64).
 
 The sparse rep-layer kernels (restriction to Ker theta_k, the deltak grade
 spaces, ``sp_decompose``) are compared with the per-vector ``Subspace``
-solves and the dense readout they replace, kept here as oracles.
+solves, the Fraction-RREF kernel and the dense readout they replace, kept
+here as oracles.  ``nullspace``, the integer echelon's kernel, is checked
+against the Fraction RREF on rational and beyond-int64 matrices.
 
 The probe's mod-p FULL screen is compared with the exact closure engine:
 it may only say FULL where the exact closure is full on the inner box, and
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
-from hamlie.linalg import SparseMatrix, Subspace, nullspace, rref
+from hamlie.linalg import SparseMatrix, Subspace, _IntEchelon, _annihilator, nullspace
 from hamlie.reps import (
     build_rep,
     contraction_theta,
@@ -58,9 +60,8 @@ from hamlie.submodules import (
     TruncatedModule,
     _ActionTable,
     _ClosureEngine,
-    _IntEchelon,
+    _GradeState,
     _Poly,
-    _annihilator,
     _close_seed,
     _enumerate_invariance,
     _family_key,
@@ -243,7 +244,49 @@ def test_integer_annihilator_matches_fraction_reference(data):
     space = Subspace.from_vectors(rows, d)
     assert ech.subspace() == space and ech.dim == space.dim
     ann = _annihilator(ech.rows, ech.pivots, d)
-    assert Subspace.from_vectors(ann, d) == space.annihilator()
+    # independent of the integer kernel: each functional kills every row,
+    # and they span a space of the complementary dimension
+    assert all(sum(a * b for a, b in zip(w, row)) == 0 for w in ann for row in rows)
+    assert Subspace.from_vectors(ann, d).dim == d - space.dim
+
+
+NULLSPACE_DENOMINATORS = (1, 7, 2 ** 61 - 1, 3 ** 40)
+_kernel_entries = st.one_of(
+    _entries,
+    st.builds(F, st.integers(-3, 3), st.sampled_from(NULLSPACE_DENOMINATORS)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nullspace_is_the_fraction_kernel(data):
+    # three properties fix the kernel: m kills each basis vector, the
+    # dimension is cols minus the Fraction-RREF rank, and the basis is the
+    # canonical RREF one
+    cols = data.draw(st.integers(0, 5))
+    rows = [[data.draw(_kernel_entries) for _ in range(cols)]
+            for _ in range(data.draw(st.integers(0, cols + 2)))]
+    if rows and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), [0] * cols)
+    m = SparseMatrix(len(rows), cols, {(i, j): v for i, row in enumerate(rows)
+                                       for j, v in enumerate(row)})
+    got = nullspace(m)
+    assert all(not any(m.matvec(v)) for v in got.basis)
+    assert got.dim == cols - Subspace.from_vectors(rows, cols).dim
+    want = Subspace.from_vectors(got.basis, cols)
+    assert got == want and got.pivots == want.pivots
+
+
+def test_grade_state_screen_bounds_minus_2_63_exactly():
+    # the annihilator of span{(1, 0, 2^61), (0, 4, 1)} is (-2^63, -1, 4):
+    # it fits int64, but its int64 absolute value wraps to -2^63, and an
+    # int64 residual of (-2, 0, 0) would wrap to 0
+    ech = _IntEchelon.of_rows(3, [(1, 0, 2 ** 61), (0, 4, 1)])
+    state = _GradeState(1, 3)
+    state.set(0, ech)
+    assert not state.exact[0] and not ech.contains((-2, 0, 0))
+    y = np.array([[-2, 0, 0], [0, -8, -2]], dtype=np.int64)
+    assert list(state.candidates(np.array([0, 0]), y)) == [0]
 
 
 @settings(max_examples=8, deadline=None)
@@ -382,6 +425,19 @@ def _delta1_space_by_fractions(p, grade):
     return Subspace.from_vectors([vec], N)
 
 
+def _fraction_kernel(m: SparseMatrix) -> Subspace:
+    """The right kernel by Fraction RREF: one vector per free column."""
+    rref = Subspace.from_vectors(m.to_rows(), m.cols)
+    vectors = []
+    for f in (j for j in range(m.cols) if j not in rref.pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for row, piv in zip(rref.basis, rref.pivots):
+            v[piv] = -row[f]
+        vectors.append(v)
+    return Subspace.from_vectors(vectors, m.cols)
+
+
 def _deltak_builder_by_fractions(p, k):
     """The deltak grade spaces as Fraction kernels of (u ^ .) E, E the
     kernel embedding and u = s + alpha scaled by its common denominator;
@@ -402,7 +458,7 @@ def _deltak_builder_by_fractions(p, k):
             if x:
                 for pos, v in wedge_emb[a].items():
                     acc[pos] = acc.get(pos, F(0)) + x * scale * v
-        return nullspace(SparseMatrix(comb(N, k + 1), rep.dim, acc))
+        return _fraction_kernel(SparseMatrix(comb(N, k + 1), rep.dim, acc))
 
     return builder
 
@@ -956,9 +1012,8 @@ def test_poly_product_matches_fraction_oracle(data):
 
 def test_division_sites_stay_exact_on_integer_input():
     # the three true divisions get all-int input: none may give a float
-    red, rank = rref(SparseMatrix.from_rows([[2, 1]]))
-    assert rank == 1 and red.entries == {(0, 0): 1, (0, 1): F(1, 2)}
-    assert [type(v) for v in red.entries.values()] == [int, F]
+    basis = Subspace.from_vectors([[2, 1]], 2).basis
+    assert basis == ((1, F(1, 2)),) and all(type(v) is F for v in basis[0])
     ((_, weight),) = highest_weight_vectors(_rep(1, "sym:2"))
     assert weight == (2,) and type(weight[0]) is int
     alg = build_sp(2, verify=False)

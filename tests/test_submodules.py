@@ -126,6 +126,9 @@ def test_build_kind_mismatch():
         build_submodule("trivial_line", p, Box(2, 2))
     with pytest.raises(ValueError):
         build_submodule("deltak", p, Box(2, 2))
+    # -alpha outside the box: an empty family would pass every check
+    with pytest.raises(ValueError):
+        build_submodule("trivial_line", _params(1, "trivial", alpha=(5, 0)), Box(1, 2))
 
 
 def test_invariance_methods_agree():
@@ -271,7 +274,8 @@ def test_seed_key_is_the_line():
 
 
 def test_family_key_is_the_family():
-    from hamlie.submodules import _IntEchelon, _family_key
+    from hamlie.linalg import _IntEchelon
+    from hamlie.submodules import _family_key
 
     def family(*rows):
         ech = _IntEchelon(2)
