@@ -7,7 +7,6 @@ are carried around as exact matrix-valued polynomials in s.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,11 +56,7 @@ class ModuleParams:
         cached = self._sym_cache.get(key)
         if cached is None:
             N = self.rep.alg.N
-            ea = [0] * N
-            eb = [0] * N
-            ea[key[0]] = 1
-            eb[key[1]] = 1
-            m = sym_outer(ea, eb)
+            m = sym_outer(_unit(N, key[0]), _unit(N, key[1]))
             if key[0] == key[1]:
                 m = m.scale(Fraction(1, 2))
             coeffs = sp_decompose(m, self.rep.alg)
@@ -114,54 +109,58 @@ def verify_ham_bracket(r, s, x: GradedVector, p: ModuleParams):
     return lhs1.grade == lhs2.grade == rhs.grade and diff == want
 
 
-def bracket_zero_sum_check(r, x: GradedVector, p: ModuleParams) -> bool:
-    """[H_r, H_{-r}] acts as zero: the structure constant (bar r, -r)
-    vanishes and no derivation term appears in the modeled action."""
-    r = tuple(int(v) for v in r)
-    if all(v == 0 for v in r):
-        raise ValueError("r must be nonzero")
-    neg = tuple(-v for v in r)
-    lhs1 = act_H(r, act_H(neg, x, p), p)
-    lhs2 = act_H(neg, act_H(r, x, p), p)
-    return lhs1.grade == lhs2.grade == x.grade and lhs1.payload == lhs2.payload
-
-
 class MatrixPolynomial:
-    """Matrix-valued polynomial in s_1..s_{2n}, exact coefficients."""
+    """Polynomial in nvars variables whose coefficients are exact
+    (rows x cols) matrices: an exponent tuple keys each coefficient."""
 
-    def __init__(self, nvars: int, dim: int, terms: dict | None = None):
+    def __init__(self, nvars: int, shape: tuple, terms: dict | None = None):
         self.nvars = nvars
-        self.dim = dim
+        self.shape = tuple(shape)
         self.terms = {}
         if terms:
             for e, m in terms.items():
                 if not m.is_zero():
                     self.terms[tuple(e)] = m
 
+    @classmethod
+    def linear(cls, nvars: int, coeffs: dict) -> "MatrixPolynomial":
+        """sum_i x_i M_i for coeffs {i: M_i}, all M_i of one shape."""
+        m = next(iter(coeffs.values()))
+        return cls(nvars, (m.rows, m.cols), {_mono(nvars, i): c for i, c in coeffs.items()})
+
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
     def coefficient(self, exponent) -> SparseMatrix:
-        return self.terms.get(tuple(exponent), SparseMatrix(self.dim, self.dim))
+        return self.terms.get(tuple(exponent), SparseMatrix(*self.shape))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MatrixPolynomial):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         terms = dict(self.terms)
         for e, m in other.terms.items():
             terms[e] = terms[e] + m if e in terms else m
-        return MatrixPolynomial(self.nvars, self.dim, terms)
+        return MatrixPolynomial(self.nvars, self.shape, terms)
 
     def __matmul__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         terms: dict = {}
         for e1, m1 in self.terms.items():
             for e2, m2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 prod = m1 @ m2
                 terms[e] = terms[e] + prod if e in terms else prod
-        return MatrixPolynomial(self.nvars, self.dim, terms)
+        return MatrixPolynomial(self.nvars, (self.shape[0], other.shape[1]), terms)
 
     def evaluate(self, s) -> SparseMatrix:
         s = [canon(v) for v in s]
-        out = SparseMatrix(self.dim, self.dim)
+        out = SparseMatrix(*self.shape)
         for e, m in self.terms.items():
             c = 1
             for exp, val in zip(e, s):
@@ -190,7 +189,7 @@ def _bar_linear_terms(c, N: int) -> dict:
 
 def _scalar_times_identity(scalars: dict, dim: int, N: int) -> MatrixPolynomial:
     eye = SparseMatrix.identity(dim)
-    return MatrixPolynomial(N, dim, {e: eye.scale(c) for e, c in scalars.items()})
+    return MatrixPolynomial(N, (dim, dim), {e: eye.scale(c) for e, c in scalars.items()})
 
 
 def _rho_quadratic(p: ModuleParams) -> MatrixPolynomial:
@@ -200,7 +199,7 @@ def _rho_quadratic(p: ModuleParams) -> MatrixPolynomial:
     for a in range(N):
         for b in range(a, N):
             terms[_mono(N, a, b)] = p.rho_sym_pair(a, b)
-    return MatrixPolynomial(N, p.rep.dim, terms)
+    return MatrixPolynomial(N, (p.rep.dim, p.rep.dim), terms)
 
 
 def g1_polynomial(r, p: ModuleParams) -> MatrixPolynomial:
@@ -252,7 +251,7 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
             add_term(_mono(N, b), m.scale(-r[a]))
             add_term(_mono(N, a), m.scale(-r[b]))
             add_term(_mono(N, a, b), m)
-    factor1 = factor1 + MatrixPolynomial(N, dim, terms)
+    factor1 = factor1 + MatrixPolynomial(N, (dim, dim), terms)
 
     factor2 = g1_polynomial(k, p)
     return factor1 @ factor2

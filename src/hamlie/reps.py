@@ -81,10 +81,6 @@ def _index_weight(i: int, n: int) -> tuple:
     return tuple(w)
 
 
-def _add_weights(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def natural_rep(alg: SpAlgebra) -> Representation:
     N = alg.N
     weights = [_index_weight(i, alg.n) for i in range(N)]

@@ -27,7 +27,6 @@ from .linalg import (
     _annihilator,
     _int_row,
     _primitive,
-    canon,
     format_scalar,
     nullspace,
     vec_is_zero,
@@ -39,7 +38,15 @@ from .reps import (
     wedge_matrix,
 )
 from .symplectic import bar, pairing, rank_one, sym_outer, sp_decompose, combine
-from .hamiltonian import GradedVector, ModuleParams, act_H
+from .hamiltonian import (
+    GradedVector,
+    MatrixPolynomial,
+    ModuleParams,
+    _mono,
+    _scalar_times_identity,
+    _unit,
+    act_H,
+)
 
 
 @dataclass(frozen=True)
@@ -704,241 +711,88 @@ def _family_params(family: TruncatedModule, gens: GeneratorSet) -> dict:
 # -- polynomial identities for the certificate mode ----------------------
 
 
-class _Poly:
-    """Multivariate polynomial over Q, exponent tuple keyed; coefficients
-    are canonical scalars (``canon``)."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {e: canon(c) for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def const(cls, nvars, c) -> "_Poly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def var(cls, nvars, i) -> "_Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return _Poly(self.nvars, terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return _Poly(self.nvars, terms)
-
-    def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return _Poly(self.nvars, terms)
-
-    def scale(self, c):
-        c = canon(c)
-        return _Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _apply_poly_vec(m: SparseMatrix, vec: dict) -> dict:
-    out = {}
-    for (i, j), a in m.entries.items():
-        pv = vec.get(j)
-        if pv is None:
-            continue
-        add = pv.scale(a)
-        out[i] = out[i] + add if i in out else add
-    return {i: p for i, p in out.items() if not p.is_zero()}
-
-
-def _scale_poly_vec(poly: _Poly, vec: dict) -> dict:
-    out = {}
-    for i, p in vec.items():
-        q = poly * p
-        if not q.is_zero():
-            out[i] = q
-    return out
-
-
-def _add_poly_vec(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for i, p in b.items():
-        out[i] = out[i] + p if i in out else p
-    return {i: p for i, p in out.items() if not p.is_zero()}
-
-
 def _bar_sign_index(b: int, n: int):
     """bar(e_b) = sign * e_index."""
     return (-1, n + b) if b < n else (1, b - n)
 
 
-def _bar_component(j: int, n: int):
-    """bar(r)_j = sign * r_index (component convention, inverse of above)."""
-    return (1, n + j) if j < n else (-1, j - n)
+def _linear(N: int, mats: list, *blocks) -> MatrixPolynomial:
+    """sum_a x_a mats[a] in the variables u_0..u_{N-1}, r_0..r_{N-1}
+    (indices 0..2N-1): x is u for blocks (0,), r for (1,), u + r for (0, 1)."""
+    return MatrixPolynomial.linear(
+        2 * N, {blk * N + a: m for blk in blocks for a, m in enumerate(mats)})
 
 
-def _bar_pairing_poly(u: list, r: list, n: int) -> _Poly:
-    """(bar r, u) = sum_i bar(r)_i u_i as a polynomial, bar(r)_i = +-r_j."""
-    scal = _Poly(u[0].nvars)
-    for i in range(2 * n):
-        sgn, j = _bar_component(i, n)
-        scal = scal + (r[j] * u[i]).scale(sgn)
-    return scal
+def _pairing_identity(N: int, dim: int) -> MatrixPolynomial:
+    """(bar r, u) I_dim in the variables (u, r).  bar comes from
+    ``symplectic.bar``, not from ``_bar_sign_index`` as in rho_w, so I1
+    holds only if the two agree."""
+    return _scalar_times_identity({_mono(2 * N, j, N + i): c for i in range(N)
+                                   for j, c in enumerate(bar(_unit(N, i))) if c}, dim, 2 * N)
+
+
+def _column(N: int, *blocks) -> MatrixPolynomial:
+    """x as an N x 1 column, with x as in ``_linear``."""
+    return _linear(N, [SparseMatrix(N, 1, {(a, 0): 1}) for a in range(N)], *blocks)
+
+
+def _bar_row(N: int) -> MatrixPolynomial:
+    """bar(r)^t as a 1 x N row, linear in r."""
+    return _linear(N, [SparseMatrix.from_rows([bar(_unit(N, a))]) for a in range(N)], 1)
+
+
+def _polarization(N: int, a: int, b: int) -> SparseMatrix:
+    """C_ab = e_a bar(e_b)^t + e_b bar(e_a)^t, halved when a = b, so that
+    r bar(r)^t = sum_{a<=b} r_a r_b C_ab."""
+    c = sym_outer(_unit(N, a), _unit(N, b))
+    return c.scale(Fraction(1, 2)) if a == b else c
 
 
 def _certificate_wedge_identities(n: int, k: int) -> list:
     """Exact polynomial identities behind the deltak invariance argument.
 
-    Variables: u_0..u_{N-1} (vars 0..N-1) and r_0..r_{N-1} (vars N..2N-1).
-    Verified symbolically, hence for every rational grade and generator:
+    Each is one product of matrix polynomials in (u, r), so it holds for
+    every rational grade and generator:
 
-      I1: (u+r) ^ [ ((bar r, u) I + rho(r bar r^t)) (u ^ x) ] = 0
-      I2: r ^ [ rho(r bar r^t) y ] = 0
-      S1: iota_w(u ^ x) + u ^ iota_w(x) = (w, u) x   (Koszul homotopy,
-          so Ker(u ^ .) on wedge degree k equals u ^ Lambda^{k-1} for u != 0)
+      I1: ((u+r) ^) ((bar r, u) I + rho_w(r)) (u ^) = 0 on Lambda^{k-1}
+      I2: (r ^) rho_w(r) = 0 on Lambda^k
+      S1: iota_r (u ^) + (u ^) iota_r = (r . u) I on Lambda^k  (Koszul
+          homotopy, so Ker(u ^ .) on wedge degree k equals u ^ Lambda^{k-1}
+          for u != 0)
 
-    with rho(r bar r^t) expanded as sum r_a r_b (e_a wedge) iota_{bar e_b}.
+    with rho_w(r) = sum r_a r_b (e_a ^) iota_{bar e_b} = (r ^) iota_{bar r},
+    built independently of the rep's rho (``rho_factorization`` ties them).
     Returns names of the identities that FAILED (empty means all hold).
     """
     N = 2 * n
-    nv = 2 * N
-    wedge_km1 = {a: wedge_matrix(N, k - 1, a) for a in range(N)}
-    wedge_k = {a: wedge_matrix(N, k, a) for a in range(N)}
-    interior_k = {b: interior_matrix(N, k, b) for b in range(N)}
-
-    u_vars = [_Poly.var(nv, a) for a in range(N)]
-    r_vars = [_Poly.var(nv, N + a) for a in range(N)]
-
-    scal = _bar_pairing_poly(u_vars, r_vars, n)
-
-    def rho_sym(yvec: dict) -> dict:
-        out: dict = {}
-        for b in range(N):
-            sgn, jb = _bar_sign_index(b, n)
-            iv = _apply_poly_vec(interior_k[jb], yvec)
-            if sgn < 0:
-                iv = {i: p.scale(-1) for i, p in iv.items()}
-            if not iv:
-                continue
-            for a in range(N):
-                wa = _apply_poly_vec(wedge_km1[a], iv)
-                if wa:
-                    out = _add_poly_vec(out, _scale_poly_vec(r_vars[a] * r_vars[b], wa))
-        return out
+    wedge = {d: [wedge_matrix(N, d, a) for a in range(N)] for d in (k - 1, k)}
+    interior = {d: [interior_matrix(N, d, b) for b in range(N)] for d in (k, k + 1)}
+    bar_interior = [interior[k][j].scale(sgn)
+                    for sgn, j in (_bar_sign_index(b, n) for b in range(N))]
+    rho_w = _linear(N, wedge[k - 1], 1) @ _linear(N, bar_interior, 1)
+    u_wedge = _linear(N, wedge[k - 1], 0)
+    dim_k = comb(N, k)
+    dot = _scalar_times_identity({_mono(2 * N, a, N + a): 1 for a in range(N)}, dim_k, 2 * N)
 
     failed = []
-
-    # I1, over every wedge basis element x of Lambda^{k-1}
-    dim_km1 = comb(N, k - 1)
-    ok = True
-    for col in range(dim_km1):
-        x = {col: _Poly.const(nv, 1)}
-        v1: dict = {}
-        for a in range(N):
-            v1 = _add_poly_vec(v1, _scale_poly_vec(u_vars[a], _apply_poly_vec(wedge_km1[a], x)))
-        mv = _add_poly_vec(_scale_poly_vec(scal, v1), rho_sym(v1))
-        out: dict = {}
-        for a in range(N):
-            out = _add_poly_vec(
-                out, _scale_poly_vec(u_vars[a] + r_vars[a], _apply_poly_vec(wedge_k[a], mv))
-            )
-        if out:
-            ok = False
-            break
-    if not ok:
+    if (_linear(N, wedge[k], 0, 1) @ (_pairing_identity(N, dim_k) + rho_w) @ u_wedge).terms:
         failed.append("I1")
-
-    # I2, over every wedge basis element y of Lambda^k
-    dim_k = comb(N, k)
-    ok = True
-    for col in range(dim_k):
-        y = {col: _Poly.const(nv, 1)}
-        img = rho_sym(y)
-        out = {}
-        for a in range(N):
-            out = _add_poly_vec(out, _scale_poly_vec(r_vars[a], _apply_poly_vec(wedge_k[a], img)))
-        if out:
-            ok = False
-            break
-    if not ok:
+    if (_linear(N, wedge[k], 1) @ rho_w).terms:
         failed.append("I2")
-
-    # S1 at wedge degree k, with w living on the r variable slots
-    ok = True
-    wedge_km1_up = wedge_km1  # Lambda^{k-1} -> Lambda^k
-    interior_kp1 = {b: interior_matrix(N, k + 1, b) for b in range(N)}
-    dot = _Poly(nv)
-    for i in range(N):
-        dot = dot + r_vars[i] * u_vars[i]
-    for col in range(dim_k):
-        x = {col: _Poly.const(nv, 1)}
-        ux: dict = {}  # u ^ x in Lambda^{k+1}
-        for a in range(N):
-            ux = _add_poly_vec(ux, _scale_poly_vec(u_vars[a], _apply_poly_vec(wedge_k[a], x)))
-        term1: dict = {}
-        for b in range(N):
-            term1 = _add_poly_vec(
-                term1, _scale_poly_vec(r_vars[b], _apply_poly_vec(interior_kp1[b], ux))
-            )
-        iwx: dict = {}
-        for b in range(N):
-            iwx = _add_poly_vec(iwx, _scale_poly_vec(r_vars[b], _apply_poly_vec(interior_k[b], x)))
-        term2: dict = {}
-        for a in range(N):
-            term2 = _add_poly_vec(
-                term2, _scale_poly_vec(u_vars[a], _apply_poly_vec(wedge_km1_up[a], iwx))
-            )
-        lhs = _add_poly_vec(term1, term2)
-        rhs = _scale_poly_vec(dot, x)
-        diff = _add_poly_vec(lhs, {i: p.scale(-1) for i, p in rhs.items()})
-        if diff:
-            ok = False
-            break
-    if not ok:
+    homotopy = (_linear(N, interior[k + 1], 1) @ _linear(N, wedge[k], 0)
+                + u_wedge @ _linear(N, interior[k], 1))
+    if homotopy != dot:
         failed.append("S1")
-
     return failed
 
 
 def _certificate_rank_one_expansion(n: int) -> bool:
     """r bar(r)^t = sum_{a<=b} r_a r_b C_ab with C_ab the sp polarizations."""
     N = 2 * n
-    nv = N
-    r_vars = [_Poly.var(nv, a) for a in range(N)]
-    lhs = {}
-    for i in range(N):
-        for j in range(N):
-            sgn, jj = _bar_component(j, n)
-            lhs[(i, j)] = (r_vars[i] * r_vars[jj]).scale(sgn)
-    rhs = {(i, j): _Poly(nv) for i in range(N) for j in range(N)}
-    for a in range(N):
-        for b in range(a, N):
-            ea = [0] * N
-            eb = [0] * N
-            ea[a] = 1
-            eb[b] = 1
-            c_ab = sym_outer(ea, eb)
-            if a == b:
-                c_ab = c_ab.scale(Fraction(1, 2))
-            mono = r_vars[a] * r_vars[b]
-            for (i, j), v in c_ab.entries.items():
-                rhs[(i, j)] = rhs[(i, j)] + mono.scale(v)
-    for key in lhs:
-        if not (lhs[key] - rhs[key]).is_zero():
-            return False
-    return True
+    expansion = MatrixPolynomial(2 * N, (N, N), {
+        _mono(2 * N, N + a, N + b): _polarization(N, a, b)
+        for a in range(N) for b in range(a, N)})
+    return _column(N, 1) @ _bar_row(N) == expansion
 
 
 def _certificate_rho_factorization(p: ModuleParams, k: int) -> bool:
@@ -954,14 +808,7 @@ def _certificate_rho_factorization(p: ModuleParams, k: int) -> bool:
     interiors = {b: interior_matrix(N, k, b) for b in range(N)}
     for a in range(N):
         for b in range(a, N):
-            ea = [0] * N
-            eb = [0] * N
-            ea[a] = 1
-            eb[b] = 1
-            m = sym_outer(ea, eb)
-            if a == b:
-                m = m.scale(Fraction(1, 2))
-            lhs = combine(sp_decompose(m, alg), lam.action, lam.dim, lam.dim)
+            lhs = combine(sp_decompose(_polarization(N, a, b), alg), lam.action, lam.dim, lam.dim)
             sgn_b, jb = _bar_sign_index(b, n)
             rhs = (wedges[a] @ interiors[jb]).scale(sgn_b)
             if a != b:
@@ -1031,22 +878,9 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
     elif family.kind == "delta1":
         # ((bar r, u) I + r bar(r)^t) u = (bar r, u) (u + r), symbolically
         N = alg.N
-        nv = 2 * N
-        u = [_Poly.var(nv, a) for a in range(N)]
-        r = [_Poly.var(nv, N + a) for a in range(N)]
-        scal = _bar_pairing_poly(u, r, n)
-        ok = True
-        for a in range(N):
-            # (r bar(r)^t u)_a expanded entrywise from the bar map
-            ru_a = _Poly(nv)
-            for j in range(N):
-                sgn, jj = _bar_component(j, n)
-                ru_a = ru_a + (r[a] * r[jj] * u[j]).scale(sgn)
-            lhs = scal * u[a] + ru_a
-            rhs = scal * (u[a] + r[a])
-            if not (lhs - rhs).is_zero():
-                ok = False
-        checks["line_identity"] = ok
+        pair = _pairing_identity(N, N)
+        rank_one_r = _column(N, 1) @ _bar_row(N)
+        checks["line_identity"] = (pair + rank_one_r) @ _column(N, 0) == pair @ _column(N, 0, 1)
         checks["rank_one_expansion"] = _certificate_rank_one_expansion(n)
         # the cached rho path reproduces r bar(r)^t itself on the natural rep
         samples = [tuple(rng.randint(-2, 2) for _ in range(N)) for _ in range(5)]

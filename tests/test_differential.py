@@ -23,9 +23,10 @@ repeated seed line or of a re-check for a repeated family.
 
 The sparse layer keeps integral scalars as ``int`` and the rest as
 ``Fraction``.  Its arithmetic, ``combine``, ``sp_decompose``, ``act_H``
-and the certificate's polynomials are compared with the same operations
-done in ``Fraction`` throughout, and every result must hold canonical
-scalars only.
+and the product of rectangular ``MatrixPolynomial``s (the one polynomial
+type, in which g1, g2 and the certificate's identities are written) are
+compared with the same operations done in ``Fraction`` throughout, and
+every result must hold canonical scalars only.
 """
 
 import functools
@@ -40,7 +41,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
+from hamlie.hamiltonian import GradedVector, MatrixPolynomial, ModuleParams, act_H
 from hamlie.linalg import SparseMatrix, Subspace, _IntEchelon, _annihilator, nullspace
 from hamlie.reps import (
     build_rep,
@@ -61,7 +62,6 @@ from hamlie.submodules import (
     _ActionTable,
     _ClosureEngine,
     _GradeState,
-    _Poly,
     _close_seed,
     _enumerate_invariance,
     _family_key,
@@ -995,19 +995,44 @@ def test_act_H_matches_fraction_oracle(n, spec, data):
     _assert_vector(got.payload, want)
 
 
+POLY_DENOMINATORS = (1, 7, 2 ** 61 - 1, 3 ** 40)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_poly_product_matches_fraction_oracle(data):
-    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    a, b = (data.draw(st.dictionaries(monos, _scalar, max_size=4)) for _ in range(2))
+    # rectangular (rows x inner) @ (inner x cols) matrix polynomials in two
+    # variables, coefficients ints and Fractions that may reduce to ints
+    rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    scalar = st.one_of(st.integers(-4, 4),
+                       st.builds(F, st.integers(-4, 4), st.sampled_from(POLY_DENOMINATORS)))
+    monos = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3, unique=True)
+
+    def draw(r, c):
+        return {e: [[data.draw(scalar) for _ in range(c)] for _ in range(r)]
+                for e in data.draw(monos)}
+
+    a, b = draw(rows, inner), draw(inner, cols)
     want: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+    for e1, m1 in a.items():
+        for e2, m2 in b.items():
             e = (e1[0] + e2[0], e1[1] + e2[1])
-            want[e] = want.get(e, F(0)) + F(c1) * F(c2)
-    got = (_Poly(2, a) * _Poly(2, b)).terms
-    assert all(_canonical(c) for c in got.values())
-    assert got == {e: c for e, c in want.items() if c}
+            acc = want.setdefault(e, [[F(0)] * cols for _ in range(rows)])
+            for i in range(rows):
+                for j in range(cols):
+                    acc[i][j] += _fsum(F(m1[i][t]) * F(m2[t][j]) for t in range(inner))
+    got = (MatrixPolynomial(2, (rows, inner), {e: _sparse(m) for e, m in a.items()})
+           @ MatrixPolynomial(2, (inner, cols), {e: _sparse(m) for e, m in b.items()}))
+    assert got.shape == (rows, cols)
+    want = {e: m for e, m in want.items() if any(any(row) for row in m)}
+    assert set(got.terms) == set(want)
+    for e, m in want.items():
+        _assert_matrix(got.coefficient(e), m)
+    assert got.coefficient((9, 9)) == SparseMatrix(rows, cols)
+    with pytest.raises(ValueError):
+        got @ MatrixPolynomial(2, (cols + 1, 1))
+    with pytest.raises(ValueError):
+        got + MatrixPolynomial(2, (rows, cols + 1))
 
 
 def test_division_sites_stay_exact_on_integer_input():

@@ -7,6 +7,7 @@ import pytest
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
 from hamlie.linalg import Subspace, nullspace, parse_scalar
+from hamlie import submodules
 from hamlie.reps import build_rep, contraction_theta
 from hamlie.submodules import (
     Box,
@@ -139,6 +140,69 @@ def test_invariance_methods_agree():
     b = invariance_check(fam, gens, method="enumerate")
     assert a["failures"] == [] and b["failures"] == []
     assert a["pairs"] == b["pairs"]
+
+
+# the identity keys of each certificate report, in report order; renaming
+# one changes the report bytes
+CERTIFICATE_IDENTITIES = {
+    "trivial_line": ["rep_acts_by_zero", "scalar_vanishes", "spot_checks"],
+    "delta1": ["line_identity", "rank_one_expansion", "rho_matches_rank_one", "spot_checks"],
+    "deltak": ["I1", "I2", "S1", "kernel_embedding", "rank_one_expansion",
+               "rho_factorization", "spot_checks", "theta_equivariant"],
+}
+
+
+@pytest.mark.parametrize("kind,spec,alpha", [
+    ("trivial_line", "trivial", (1, 0, 0, 0)),
+    ("delta1", "natural", (F(1, 3), 0, 0, 0)),
+    ("deltak", "fundamental:2", (F(1, 3), 0, 0, 0)),
+])
+def test_certificate_report_schema(kind, spec, alpha):
+    fam = build_submodule(kind, _params(2, spec, alpha=alpha), Box(2, 4))
+    report = invariance_check(fam, GeneratorSet(1, 4), method="certificate")
+    assert list(report["identities"]) == CERTIFICATE_IDENTITIES[kind]
+    assert all(v is True for v in report["identities"].values())
+    assert report["failures"] == [] and report["passes"] == report["pairs"] > 0
+
+
+def _deltak_identities(n, k):
+    fam = build_submodule("deltak", _params(n, f"fundamental:{k}"), Box(1, 2 * n))
+    return invariance_check(fam, GeneratorSet(1, 2 * n), method="certificate",
+                            spot_samples=1)["identities"]
+
+
+WEDGE_CASES = [(2, 2), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,k", WEDGE_CASES)
+def test_certificate_identities_hold(n, k):
+    assert all(_deltak_identities(n, k).values())
+
+
+@pytest.mark.parametrize("n,k", WEDGE_CASES)
+def test_certificate_catches_doubled_interior(n, k, monkeypatch):
+    interior = submodules.interior_matrix
+    monkeypatch.setattr(submodules, "interior_matrix", lambda *a: interior(*a).scale(2))
+    ids = _deltak_identities(n, k)
+    assert not ids["I1"] and not ids["S1"] and ids["I2"]
+
+
+@pytest.mark.parametrize("n,k", WEDGE_CASES)
+def test_certificate_catches_symmetric_bar(n, k, monkeypatch):
+    # bar(e_b) = +e_j for every b: a symmetric form in place of the symplectic one
+    sign_index = submodules._bar_sign_index
+    monkeypatch.setattr(submodules, "_bar_sign_index", lambda b, n: (1, sign_index(b, n)[1]))
+    assert not _deltak_identities(n, k)["I1"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_catches_unhalved_diagonal_polarization(n, monkeypatch):
+    # C_aa = sym_outer(e_a, e_a) without its factor 1/2
+    assert submodules._certificate_rank_one_expansion(n)
+    sym_outer = submodules.sym_outer
+    monkeypatch.setattr(submodules, "sym_outer",
+                        lambda u, v: sym_outer(u, v).scale(2 if list(u) == list(v) else 1))
+    assert not submodules._certificate_rank_one_expansion(n)
 
 
 def test_claim2_hand_example():
