@@ -1,7 +1,7 @@
 """Command line entry point.
 
-Builds and caches algebras and representations, runs the verification
-suites, and emits JSON reports.  All rational literals use "p/q" with
+Builds algebras and representations, runs the verification suites,
+and emits JSON reports.  All rational literals use "p/q" with
 comma-separated vectors; floats are rejected.  Exit code 0 means every
 check passed (probe verdicts FULL and PROPER both count as successful
 runs; INCONCLUSIVE exits nonzero), 1 that a check failed, 2 a usage or
@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from math import comb
 
@@ -48,10 +46,6 @@ from .submodules import (
 )
 
 DEFAULT_SEED = 0xC0FFEE
-
-# Version of the HAMLIE_CACHE_DIR file format, part of every cache file
-# name, so a file written in another format is never read.
-CACHE_FORMAT = 1
 
 CHECKS = {
     "sp-check": "basis brackets close in the sp span; symplectic condition; r rbar^t membership",
@@ -110,26 +104,7 @@ def _resolve_rep(alg, spec: str):
         if rep.alg.n != alg.n:
             raise ValueError(f"{spec}: the rep is for n={rep.alg.n}, not --n {alg.n}")
         return rep
-    cache_dir = os.environ.get("HAMLIE_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        name = f"rep_v{CACHE_FORMAT}_n{alg.n}_{spec.replace(':', '_')}.json"
-        cache_path = os.path.join(cache_dir, name)
-        if os.path.exists(cache_path):
-            return _load_rep(cache_path)
-    rep = build_rep(alg, spec)
-    if cache_path:
-        # write then rename, so a concurrent reader never sees a partial file
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(rep.to_obj(), fh, sort_keys=True, indent=2)
-            os.replace(tmp, cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return rep
+    return build_rep(alg, spec)
 
 
 def _module_params(args, alg):

@@ -217,7 +217,8 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
     r = tuple(int(v) for v in r)
     k_alpha = tuple(a + b for a, b in zip(k, p.alpha))
 
-    # scalar part of factor 1: (bar r - bar s, k + s + alpha), expanded
+    # scalar part of factor 1: (bar r - bar s, k + s + alpha), expanded;
+    # its quadratic part -(bar s, s) vanishes, the form being alternating
     scalars: dict = {}
 
     def bump(e, c):
@@ -230,11 +231,6 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
         bump(_mono(N, j), rb[j])
     for e, c in _bar_linear_terms(k_alpha, N).items():
         bump(e, -c)
-    n = N // 2
-    for i in range(N):
-        # -(bar s, s): the two halves cancel monomial by monomial
-        coeff = -1 if i < n else 1
-        bump(_mono(N, i, (i + n) % N if i < n else i - n), coeff)
     scalars = {e: c for e, c in scalars.items() if c != 0}
     factor1 = _scalar_times_identity(scalars, dim, N)
 

@@ -441,15 +441,6 @@ class Subspace:
             "basis": [[format_scalar(x) for x in row] for row in self.basis],
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Subspace":
-        try:
-            dim = int(obj["ambient_dim"])
-            rows = [[parse_scalar(x) for x in row] for row in obj["basis"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed subspace object: {exc}") from exc
-        return cls.from_vectors(rows, dim)
-
 
 def nullspace(m: SparseMatrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""

@@ -32,8 +32,11 @@ from .linalg import (
     vec_is_zero,
 )
 from .reps import (
+    Representation,
     contraction_theta,
+    exterior_power,
     interior_matrix,
+    natural_rep,
     verify_intertwiner,
     wedge_matrix,
 )
@@ -86,6 +89,17 @@ class GeneratorSet:
 
     def count(self) -> int:
         return (2 * self.radius + 1) ** self.N - 1
+
+    def vector(self, i: int) -> tuple:
+        """The i-th vector ``vectors`` yields, computed from i alone: skip
+        the zero vector at the middle of the box, then read off the
+        base-(2R+1) digits of the place, shifted by -R."""
+        place = i + (i >= self.count() // 2)
+        digits = []
+        for _ in range(self.N):
+            place, d = divmod(place, 2 * self.radius + 1)
+            digits.append(d - self.radius)
+        return tuple(reversed(digits))
 
 
 class TruncatedModule:
@@ -206,7 +220,7 @@ class _ActionTable:
         sym = [p.rho_sym_pair(a, b) for a, b in pairs]
         self.L = L = lcm(*(a.denominator for a in p.alpha),
                          *(v.denominator for m in sym for v in m.entries.values()))
-        self.gens = sorted(gens.vectors())
+        self.gens = list(gens.vectors())
 
         # T as (k, i, j, value) entries; colsum[i, j] = sum_k |T[k, i, j]|
         ents = []
@@ -795,15 +809,12 @@ def _certificate_rank_one_expansion(n: int) -> bool:
     return _column(N, 1) @ _bar_row(N) == expansion
 
 
-def _certificate_rho_factorization(p: ModuleParams, k: int) -> bool:
+def _certificate_rho_factorization(lam: Representation, k: int) -> bool:
     """rho_Lambda(C_ab) = wedge_a iota_{bar e_b} + wedge_b iota_{bar e_a}
-    on Lambda^k, for every pair a <= b; ties the rep action of every
+    on lam = Lambda^k, for every pair a <= b; ties the rep action of every
     r bar(r)^t to the wedge/interior factorization."""
-    alg = p.rep.alg
+    alg = lam.alg
     n, N = alg.n, alg.N
-    from .reps import exterior_power, natural_rep
-
-    lam = exterior_power(natural_rep(alg), k)
     wedges = {a: wedge_matrix(N, k - 1, a) for a in range(N)}
     interiors = {b: interior_matrix(N, k, b) for b in range(N)}
     for a in range(N):
@@ -819,16 +830,12 @@ def _certificate_rho_factorization(p: ModuleParams, k: int) -> bool:
     return True
 
 
-def _certificate_embedding(p: ModuleParams, k: int) -> bool:
-    """The kernel embedding intertwines the Lambda^k action with the
+def _certificate_embedding(p: ModuleParams, lam: Representation) -> bool:
+    """The kernel embedding intertwines the Lambda^k action of lam with the
     fundamental_rep action, so invariance can be argued upstairs."""
     rep = p.rep
-    alg = rep.alg
-    from .reps import exterior_power, natural_rep
-
-    lam = exterior_power(natural_rep(alg), k)
     emb = rep.subspace.embedding()
-    for label in alg.labels:
+    for label in rep.alg.labels:
         if lam.action[label] @ emb != emb @ rep.action[label]:
             return False
     return True
@@ -839,12 +846,11 @@ def _spot_check_family(family: TruncatedModule, gens: GeneratorSet, rng,
     """Direct act_H membership checks on randomly sampled (grade, r) pairs."""
     box = family.box
     p = family.params
-    gen_list = sorted(gens.vectors())
     failures = []
     tried = 0
     while tried < samples:
         grade = tuple(rng.randint(-box.radius, box.radius) for _ in range(box.N))
-        r = gen_list[rng.randrange(len(gen_list))]
+        r = gens.vector(rng.randrange(gens.count()))
         tgt = tuple(a + b for a, b in zip(grade, r))
         if not box.contains(tgt):
             continue
@@ -893,9 +899,10 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         for name in ("I1", "I2", "S1"):
             checks[name] = name not in failed
         checks["rank_one_expansion"] = _certificate_rank_one_expansion(n)
-        checks["rho_factorization"] = _certificate_rho_factorization(p, k)
+        lam = exterior_power(natural_rep(alg), k)
+        checks["rho_factorization"] = _certificate_rho_factorization(lam, k)
         checks["theta_equivariant"] = verify_intertwiner(contraction_theta(alg, k))[0]
-        checks["kernel_embedding"] = _certificate_embedding(p, k)
+        checks["kernel_embedding"] = _certificate_embedding(p, lam)
     else:
         raise ValueError(f"no certificate available for family kind {family.kind!r}")
 
@@ -1041,22 +1048,11 @@ def claim2_witness(p: ModuleParams, r, k: int):
         constraints.append(list(bar(v)))
 
     # wedge up: w ^ v differs from v ^ w by a sign only, irrelevant here
-    vec = {a: Fraction(u[a]) for a in range(N) if u[a] != 0}
-    deg = 1
-    for v in factors:
-        new = {}
-        for a in range(N):
-            if v[a] == 0:
-                continue
-            w_mat = wedge_matrix(N, deg, a)
-            for (i, j), val in w_mat.entries.items():
-                if j in vec:
-                    new[i] = new.get(i, ZERO) + Fraction(v[a]) * val * vec[j]
-        vec = {i: c for i, c in new.items() if c != 0}
-        deg += 1
-
-    dim_k = comb(N, k)
-    witness = tuple(vec.get(i, ZERO) for i in range(dim_k))
+    witness = u
+    for deg, v in enumerate(factors, start=1):
+        v_wedge = combine(dict(enumerate(v)), {a: wedge_matrix(N, deg, a) for a in range(N)},
+                          comb(N, deg + 1), comb(N, deg))
+        witness = v_wedge.matvec(witness)
     if vec_is_zero(witness):
         raise AssertionError("witness wedge vanished")
     theta = contraction_theta(alg, k)

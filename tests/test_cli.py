@@ -123,31 +123,14 @@ def test_report_byte_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cache_dir(tmp_path, monkeypatch):
+def test_environment_names_no_cache(tmp_path, monkeypatch):
+    # reps are built afresh on every run; nothing is written beside them
     cache = tmp_path / "cache"
     monkeypatch.setenv("HAMLIE_CACHE_DIR", str(cache))
     assert main(["rep-build", "--n", "2", "--rep", "exterior:2"]) == 0
-    cached = list(cache.glob("*.json"))
-    assert len(cached) == 1
-    assert main(["rep-build", "--n", "2", "--rep", "exterior:2"]) == 0
-    deltak = ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
-              "--alpha", "1/3,0,0,0", "--box", "2", "--gens", "1"]
-    assert main(deltak) == 0
-    assert main(deltak) == 0  # served from the cache
-    assert sorted(p.name for p in cache.iterdir()) == [
-        "rep_v1_n2_exterior_2.json", "rep_v1_n2_fundamental_2.json"]
-
-
-def test_cache_dir_ignores_unversioned_files(tmp_path, monkeypatch):
-    # a file under the old unversioned name is never read, even a broken one
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "rep_n1_natural.json").write_text('{"n": 1, "name": "broken"}')
-    monkeypatch.setenv("HAMLIE_CACHE_DIR", str(cache))
-    assert main(["rep-build", "--n", "1", "--rep", "natural"]) == 0
-    fresh = cache / f"rep_v{cli.CACHE_FORMAT}_n1_natural.json"
-    assert rep_from_obj(json.loads(fresh.read_text())).dim == 2
-    assert (cache / "rep_n1_natural.json").read_text() == '{"n": 1, "name": "broken"}'
+    assert main(["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
+                 "--alpha", "1/3,0,0,0", "--box", "2", "--gens", "1"]) == 0
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_parser_built_once(tmp_path, monkeypatch):
@@ -233,10 +216,7 @@ def test_loaded_reps_equal_fresh_ones_types_included(spec, tmp_path, monkeypatch
     fresh = build_rep(alg, spec)
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(fresh.to_obj()))
-    monkeypatch.setenv("HAMLIE_CACHE_DIR", str(tmp_path / "cache"))
-    cli._resolve_rep(alg, spec)  # builds the rep and writes the cache file
-    monkeypatch.setattr(cli, "build_rep", None)  # so the next one must be read
-    loaded = [rep_from_obj(fresh.to_obj()), cli._resolve_rep(alg, f"file:{path}"),
-              cli._resolve_rep(alg, spec)]
+    monkeypatch.setattr(cli, "build_rep", None)  # so the file: rep must be read
+    loaded = [rep_from_obj(fresh.to_obj()), cli._resolve_rep(alg, f"file:{path}")]
     for rep in loaded:
         assert _typed(rep) == _typed(fresh)

@@ -41,6 +41,11 @@ def test_box_and_gens():
     gens = GeneratorSet(1, 2)
     assert gens.count() == 8
     assert (0, 0) not in set(gens.vectors())
+    for radius, N in [(1, 1), (1, 4), (2, 3), (3, 2)]:
+        gens = GeneratorSet(radius, N)
+        listed = list(gens.vectors())
+        assert listed == sorted(listed)
+        assert [gens.vector(i) for i in range(gens.count())] == listed
 
 
 def test_closure_empty_seeds():
