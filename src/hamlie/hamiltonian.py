@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .linalg import SparseMatrix, canon, format_scalar, vec_is_zero
 from .reps import Representation
-from .symplectic import bar, combine, pairing, rank_one, sp_decompose, sym_outer
+from .symplectic import _unit, bar, combine, pairing, rank_one, sp_decompose
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class GradedVector:
 
 
 class ModuleParams:
-    """Parameters (alpha, beta, rep) with a per-r cache of rho(r bar(r)^t)."""
+    """Parameters (alpha, beta, rep) of F^{alpha,beta}(V).  V enters the
+    H-action only through rho(r bar(r)^t), read from the rep's table
+    ``Representation.polarizations``."""
 
     def __init__(self, alpha, beta, rep: Representation):
         N = rep.alg.N
@@ -38,31 +40,12 @@ class ModuleParams:
         if len(self.alpha) != N or len(self.beta) != N:
             raise ValueError(f"alpha and beta must have length {N}")
         self.rep = rep
-        self._rho_cache: dict = {}
-        self._sym_cache: dict = {}
 
     def rho_rank_one(self, r) -> SparseMatrix:
-        r = tuple(int(x) for x in r)
-        cached = self._rho_cache.get(r)
-        if cached is None:
-            coeffs = sp_decompose(rank_one(r), self.rep.alg)
-            cached = combine(coeffs, self.rep.action, self.rep.dim, self.rep.dim)
-            self._rho_cache[r] = cached
-        return cached
-
-    def rho_sym_pair(self, a: int, b: int) -> SparseMatrix:
-        """rho of e_a bar(e_b)^t + e_b bar(e_a)^t (half of that when a = b)."""
-        key = (a, b) if a <= b else (b, a)
-        cached = self._sym_cache.get(key)
-        if cached is None:
-            N = self.rep.alg.N
-            m = sym_outer(_unit(N, key[0]), _unit(N, key[1]))
-            if key[0] == key[1]:
-                m = m.scale(Fraction(1, 2))
-            coeffs = sp_decompose(m, self.rep.alg)
-            cached = combine(coeffs, self.rep.action, self.rep.dim, self.rep.dim)
-            self._sym_cache[key] = cached
-        return cached
+        """rho(r bar(r)^t) = sum_{a<=b} r_a r_b rho(C_ab)."""
+        table = self.rep.polarizations
+        coeffs = {(a, b): r[a] * r[b] for a, b in table if r[a] and r[b]}
+        return combine(coeffs, table, self.rep.dim, self.rep.dim)
 
 
 def _vec_add(u, v):
@@ -195,10 +178,7 @@ def _scalar_times_identity(scalars: dict, dim: int, N: int) -> MatrixPolynomial:
 def _rho_quadratic(p: ModuleParams) -> MatrixPolynomial:
     """rho(s bar(s)^t) as a quadratic matrix polynomial in s."""
     N = p.rep.alg.N
-    terms = {}
-    for a in range(N):
-        for b in range(a, N):
-            terms[_mono(N, a, b)] = p.rho_sym_pair(a, b)
+    terms = {_mono(N, a, b): m for (a, b), m in p.rep.polarizations.items()}
     return MatrixPolynomial(N, (p.rep.dim, p.rep.dim), terms)
 
 
@@ -240,13 +220,11 @@ def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
     def add_term(e, m):
         terms[e] = terms[e] + m if e in terms else m
 
-    for a in range(N):
-        for b in range(a, N):
-            m = p.rho_sym_pair(a, b)
-            add_term(_mono(N), m.scale(r[a] * r[b]))
-            add_term(_mono(N, b), m.scale(-r[a]))
-            add_term(_mono(N, a), m.scale(-r[b]))
-            add_term(_mono(N, a, b), m)
+    for (a, b), m in p.rep.polarizations.items():
+        add_term(_mono(N), m.scale(r[a] * r[b]))
+        add_term(_mono(N, b), m.scale(-r[a]))
+        add_term(_mono(N, a), m.scale(-r[b]))
+        add_term(_mono(N, a, b), m)
     factor1 = factor1 + MatrixPolynomial(N, (dim, dim), terms)
 
     factor2 = g1_polynomial(k, p)
@@ -265,7 +243,9 @@ def _report(check: str, params: dict, samples: int, passes: int, failures: list)
 
 def verify_g1(p: ModuleParams, r, samples: int, rng) -> dict:
     """Check g1 against its closed quadratic expansion and against the
-    module action coefficient matrix on random integer points."""
+    module action coefficient matrix on random integer points; there
+    rho(s bar(s)^t) is decomposed directly, not read from the table g1
+    is built from."""
     alg = p.rep.alg
     n, N = alg.n, alg.N
     act = p.rep.action
@@ -301,7 +281,8 @@ def verify_g1(p: ModuleParams, r, samples: int, rng) -> dict:
         s = tuple(rng.randint(-4, 4) for _ in range(N))
         if all(v == 0 for v in s):
             s = (1,) + s[1:]
-        direct = eye.scale(pairing(bar(s), c_vec)) + p.rho_rank_one(s)
+        rho = combine(sp_decompose(rank_one(s), alg), act, p.rep.dim, p.rep.dim)
+        direct = eye.scale(pairing(bar(s), c_vec)) + rho
         if g1.evaluate(s) != direct:
             failures.append({"kind": "evaluation", "s": list(s)})
 
@@ -379,12 +360,6 @@ def verify_g2_table(p: ModuleParams) -> dict:
         len(rows) - len(failures),
         failures,
     )
-
-
-def _unit(N, i):
-    e = [0] * N
-    e[i] = 1
-    return tuple(e)
 
 
 def verify_named_actions(p: ModuleParams, samples: int, rng) -> dict:

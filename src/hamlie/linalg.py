@@ -43,12 +43,15 @@ def canon(x):
 def parse_scalar(text: str) -> Fraction:
     """Parse a rational literal "p/q" or "p"; ValueError on bad input."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational literal {text!r}: expected p/q or p, "
+                         "with p and q integers") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_scalar(x) -> str:

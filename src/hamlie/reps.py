@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     SparseMatrix,
@@ -22,7 +23,7 @@ from .linalg import (
     unit_vector,
     vec_is_zero,
 )
-from .symplectic import SpAlgebra, bracket, build_sp, combine, sp_decompose
+from .symplectic import SpAlgebra, bracket, build_sp, combine, polarization, sp_decompose
 
 
 @dataclass
@@ -38,6 +39,15 @@ class Representation:
 
     def act(self, label: str) -> SparseMatrix:
         return self.action[label]
+
+    @cached_property
+    def polarizations(self) -> dict:
+        """(a, b) -> rho(C_ab) for a <= b, built once per rep: every
+        rho(r bar(r)^t) = sum_{a<=b} r_a r_b rho(C_ab) is read from it."""
+        N = self.alg.N
+        return {(a, b): combine(sp_decompose(polarization(N, a, b), self.alg),
+                                self.action, self.dim, self.dim)
+                for a in range(N) for b in range(a, N)}
 
     def to_obj(self) -> dict:
         return {

@@ -40,14 +40,13 @@ from .reps import (
     verify_intertwiner,
     wedge_matrix,
 )
-from .symplectic import bar, pairing, rank_one, sym_outer, sp_decompose, combine
+from .symplectic import _unit, bar, combine, pairing, polarization, rank_one
 from .hamiltonian import (
     GradedVector,
     MatrixPolynomial,
     ModuleParams,
     _mono,
     _scalar_times_identity,
-    _unit,
     act_H,
 )
 
@@ -108,20 +107,18 @@ class TruncatedModule:
     Every grade is held as an integer echelon (``_IntEchelon``).  A built
     family makes them lazily from its ``builder``, so grades never asked
     for are never materialized, which matters for the larger
-    certificate-checked families; a closure hands over its echelons, and
-    ``spaces`` given as Subspaces are converted once.  A grade's Fraction
-    basis is made from its echelon only when ``space`` asks for it.
+    certificate-checked families; a closure hands over its echelons.  A
+    grade's Fraction basis is made from its echelon only when ``space``
+    asks for it.
     """
 
-    def __init__(self, params: ModuleParams, box: Box, spaces=None, builder=None,
+    def __init__(self, params: ModuleParams, box: Box, builder=None,
                  kind=None, k=None, echelons=None):
         self.params = params
         self.box = box
         self.kind = kind
         self.k = k
         self._echelons = {tuple(g): e for g, e in (echelons or {}).items()}
-        for g, s in (spaces or {}).items():
-            self._echelons[tuple(g)] = _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis))
         self._spaces = {}
         self._builder = builder
 
@@ -208,16 +205,17 @@ class _ActionTable:
 
     rho(r bar r^t) = sum_{a<=b} r_a r_b rho(C_ab) (the rank-one expansion
     the certificate mode proves), so all generator matrices come from one
-    contraction of the integer tensor T[k] = L*rho(C_ab) with the monomials
-    r_a r_b.  L is the lcm of the alpha and rho(C_ab) denominators.  Every
-    int64 product is bounded before it is formed; a failed bound keeps the
-    table or the scalars in unbounded Python integers instead.
+    contraction of the integer tensor T[k] = L*rho(C_ab), read from the
+    rep's ``polarizations``, with the monomials r_a r_b.  L is the lcm of
+    the alpha and rho(C_ab) denominators.  Every int64 product is bounded
+    before it is formed; a failed bound keeps the table or the scalars in
+    unbounded Python integers instead.
     """
 
     def __init__(self, p: ModuleParams, gens: GeneratorSet, box_radius: int):
-        N, dim = p.rep.alg.N, p.rep.dim
-        pairs = [(a, b) for a in range(N) for b in range(a, N)]
-        sym = [p.rho_sym_pair(a, b) for a, b in pairs]
+        dim = p.rep.dim
+        pairs = list(p.rep.polarizations)
+        sym = list(p.rep.polarizations.values())
         self.L = L = lcm(*(a.denominator for a in p.alpha),
                          *(v.denominator for m in sym for v in m.entries.values()))
         self.gens = list(gens.vectors())
@@ -755,13 +753,6 @@ def _bar_row(N: int) -> MatrixPolynomial:
     return _linear(N, [SparseMatrix.from_rows([bar(_unit(N, a))]) for a in range(N)], 1)
 
 
-def _polarization(N: int, a: int, b: int) -> SparseMatrix:
-    """C_ab = e_a bar(e_b)^t + e_b bar(e_a)^t, halved when a = b, so that
-    r bar(r)^t = sum_{a<=b} r_a r_b C_ab."""
-    c = sym_outer(_unit(N, a), _unit(N, b))
-    return c.scale(Fraction(1, 2)) if a == b else c
-
-
 def _certificate_wedge_identities(n: int, k: int) -> list:
     """Exact polynomial identities behind the deltak invariance argument.
 
@@ -804,29 +795,28 @@ def _certificate_rank_one_expansion(n: int) -> bool:
     """r bar(r)^t = sum_{a<=b} r_a r_b C_ab with C_ab the sp polarizations."""
     N = 2 * n
     expansion = MatrixPolynomial(2 * N, (N, N), {
-        _mono(2 * N, N + a, N + b): _polarization(N, a, b)
+        _mono(2 * N, N + a, N + b): polarization(N, a, b)
         for a in range(N) for b in range(a, N)})
     return _column(N, 1) @ _bar_row(N) == expansion
 
 
 def _certificate_rho_factorization(lam: Representation, k: int) -> bool:
     """rho_Lambda(C_ab) = wedge_a iota_{bar e_b} + wedge_b iota_{bar e_a}
-    on lam = Lambda^k, for every pair a <= b; ties the rep action of every
-    r bar(r)^t to the wedge/interior factorization."""
+    on lam = Lambda^k, for every pair a <= b; ties
+    ``Representation.polarizations``, the table every rho(r bar(r)^t) is
+    read from, to the wedge/interior factorization."""
     alg = lam.alg
     n, N = alg.n, alg.N
     wedges = {a: wedge_matrix(N, k - 1, a) for a in range(N)}
     interiors = {b: interior_matrix(N, k, b) for b in range(N)}
-    for a in range(N):
-        for b in range(a, N):
-            lhs = combine(sp_decompose(_polarization(N, a, b), alg), lam.action, lam.dim, lam.dim)
-            sgn_b, jb = _bar_sign_index(b, n)
-            rhs = (wedges[a] @ interiors[jb]).scale(sgn_b)
-            if a != b:
-                sgn_a, ja = _bar_sign_index(a, n)
-                rhs = rhs + (wedges[b] @ interiors[ja]).scale(sgn_a)
-            if lhs != rhs:
-                return False
+    for (a, b), lhs in lam.polarizations.items():
+        sgn_b, jb = _bar_sign_index(b, n)
+        rhs = (wedges[a] @ interiors[jb]).scale(sgn_b)
+        if a != b:
+            sgn_a, ja = _bar_sign_index(a, n)
+            rhs = rhs + (wedges[b] @ interiors[ja]).scale(sgn_a)
+        if lhs != rhs:
+            return False
     return True
 
 

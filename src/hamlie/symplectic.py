@@ -1,4 +1,4 @@
-"""The symplectic Lie algebra sp_2n with root metadata.
+"""The symplectic Lie algebra sp_2n, its basis and positive roots.
 
 Basis normalization: h_i = e_ii - e_{n+i,n+i}, X_{eps_i-eps_j} = e_ij -
 e_{n+j,n+i}, X_{eps_k+eps_l} = e_{k,n+l} + e_{l,n+k} (so X_{2eps_k} =
@@ -20,8 +20,6 @@ from .linalg import SparseMatrix, canon
 class SpBasisElement:
     label: str
     matrix: SparseMatrix
-    # root in eps-coordinates (length n); all-zero for Cartan elements
-    root: tuple
 
 
 @dataclass(frozen=True)
@@ -29,12 +27,6 @@ class RootDatum:
     root: tuple
     simple_coeffs: tuple
     height: int
-
-
-def _eps(n: int, i: int, coeff: int = 1) -> tuple:
-    v = [0] * n
-    v[i] = coeff
-    return tuple(v)
 
 
 def _eps_sum(n: int, i: int, j: int, si: int, sj: int) -> tuple:
@@ -45,17 +37,15 @@ def _eps_sum(n: int, i: int, j: int, si: int, sj: int) -> tuple:
 
 
 class SpAlgebra:
-    """Immutable container for the sp_2n basis and root data."""
+    """Immutable container for the sp_2n basis."""
 
-    def __init__(self, n: int, basis: list, simple_roots: list):
+    def __init__(self, n: int, basis: list):
         self.n = n
         self.N = 2 * n
         self.dim = 2 * n * n + n
         self.basis = basis
         self.labels = [b.label for b in basis]
         self.matrices = {b.label: b.matrix for b in basis}
-        self.roots = {b.label: b.root for b in basis}
-        self.simple_roots = simple_roots
         self.readout = _readout_table(n)
 
     def positive_labels(self) -> list:
@@ -113,38 +103,26 @@ def build_sp(n: int, verify: bool = True) -> SpAlgebra:
         return SparseMatrix(N, N, entries)
 
     for i in range(n):
-        basis.append(
-            SpBasisElement(f"h{i + 1}", mat({(i, i): 1, (n + i, n + i): -1}), _eps(n, i, 0))
-        )
+        basis.append(SpBasisElement(f"h{i + 1}", mat({(i, i): 1, (n + i, n + i): -1})))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             basis.append(
-                SpBasisElement(
-                    f"X(e{i + 1}-e{j + 1})",
-                    mat({(i, j): 1, (n + j, n + i): -1}),
-                    _eps_sum(n, i, j, 1, -1),
-                )
+                SpBasisElement(f"X(e{i + 1}-e{j + 1})", mat({(i, j): 1, (n + j, n + i): -1}))
             )
     for k in range(n):
         for l in range(k, n):
             ent = {(k, n + l): 1}
             ent[(l, n + k)] = ent.get((l, n + k), 0) + 1
-            basis.append(
-                SpBasisElement(_plus_label(k, l), mat(ent), _eps_sum(n, k, l, 1, 1))
-            )
+            basis.append(SpBasisElement(_plus_label(k, l), mat(ent)))
     for k in range(n):
         for l in range(k, n):
             ent = {(n + k, l): 1}
             ent[(n + l, k)] = ent.get((n + l, k), 0) + 1
-            basis.append(
-                SpBasisElement(_minus_label(k, l), mat(ent), _eps_sum(n, k, l, -1, -1))
-            )
+            basis.append(SpBasisElement(_minus_label(k, l), mat(ent)))
 
-    simple = [_eps_sum(n, i, i + 1, 1, -1) for i in range(n - 1)]
-    simple.append(_eps(n, n - 1, 2))
-    alg = SpAlgebra(n, basis, simple)
+    alg = SpAlgebra(n, basis)
 
     if verify:
         for b in basis:
@@ -161,6 +139,12 @@ def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
         raise ValueError("bracket requires square matrices of equal size")
     return (x @ y) - (y @ x)
+
+
+def _unit(N, i):
+    e = [0] * N
+    e[i] = 1
+    return tuple(e)
 
 
 def bar(r: Sequence) -> tuple:
@@ -211,6 +195,13 @@ def sym_outer(u: Sequence, v: Sequence) -> SparseMatrix:
                     row[j] = row.get(j, 0) + x * y
         entries.update(((i, j), row[j]) for j in sorted(row) if row[j])
     return SparseMatrix(N, N, entries)
+
+
+def polarization(N: int, a: int, b: int) -> SparseMatrix:
+    """C_ab = e_a bar(e_b)^t + e_b bar(e_a)^t, halved when a = b, so that
+    r bar(r)^t = sum_{a<=b} r_a r_b C_ab."""
+    c = sym_outer(_unit(N, a), _unit(N, b))
+    return c.scale(Fraction(1, 2)) if a == b else c
 
 
 def symplectic_form_matrix(n: int) -> SparseMatrix:

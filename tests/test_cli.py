@@ -60,9 +60,13 @@ def test_rep_build_malformed_file(tmp_path):
     assert main(["probe"] + head + ["--alpha=1/3,0", "--box", "3", "--gens", "1"]) == 2
 
 
-def test_float_literals_rejected():
-    assert main(["ham-bracket", "--n", "1", "--rep", "natural",
-                 "--alpha", "0.5,0", "--samples", "1"]) == 2
+def test_float_literals_rejected(capsys):
+    for literal in ("0.5", "1/2/3"):
+        assert main(["ham-bracket", "--n", "1", "--rep", "natural",
+                     "--alpha", f"{literal},0", "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        # the message names the literal and the forms that are accepted
+        assert repr(literal) in err and "p/q or p" in err, err
 
 
 def test_vector_length_checked():

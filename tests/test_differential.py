@@ -2,10 +2,12 @@
 
 The closure engine works on L-scaled integer rows in int64 where every
 product is bounded and in unbounded Python integers otherwise.  These tests
-compare it with the plain rational path (``rho_rank_one``, ``act_H`` and
-``Subspace.add_vector``) on alpha denominators chosen so that every branch
-runs: 1, 2^31-1 (int64 throughout), 2^61-1 (int64 table, unbounded scalars
-and images) and 3^40 (L itself beyond int64).
+compare it with the plain rational path (a direct sp decomposition of
+r bar(r)^t, ``act_H`` and ``Subspace.add_vector``) on alpha denominators
+chosen so that every branch runs: 1, 2^31-1 (int64 throughout), 2^61-1
+(int64 table, unbounded scalars and images) and 3^40 (L itself beyond
+int64).  ``rho_rank_one``, which reads the rep's table of rho(C_ab), is
+held to the same direct decomposition.
 
 The sparse rep-layer kernels (restriction to Ker theta_k, the deltak grade
 spaces, ``sp_decompose``) are compared with the per-vector ``Subspace``
@@ -42,13 +44,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, MatrixPolynomial, ModuleParams, act_H
-from hamlie.linalg import SparseMatrix, Subspace, _IntEchelon, _annihilator, nullspace
+from hamlie.linalg import SparseMatrix, Subspace, _IntEchelon, _annihilator, _int_row, nullspace
 from hamlie.reps import (
     build_rep,
     contraction_theta,
     exterior_power,
     highest_weight_vectors,
     natural_rep,
+    rep_from_obj,
     subrepresentation,
     wedge_matrix,
 )
@@ -72,7 +75,7 @@ from hamlie.submodules import (
     invariance_check,
     irreducibility_probe,
 )
-from hamlie.symplectic import build_sp, combine, pairing, sp_decompose
+from hamlie.symplectic import build_sp, combine, pairing, rank_one, sp_decompose
 
 F = Fraction
 DENOMINATORS = (1, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
@@ -86,11 +89,16 @@ def _rep(n, spec):
     return build_rep(build_sp(n, verify=False), spec)
 
 
+def _rho_direct(rep, r):
+    """rho(r bar(r)^t) by an sp decomposition of r bar(r)^t itself: a
+    reference the rep's polarization table does not feed."""
+    return combine(sp_decompose(rank_one(r), rep.alg), rep.action, rep.dim, rep.dim)
+
+
 @functools.cache
 def _rho_dense(n, spec, r):
-    """rho(r bar(r)^t) through sp_decompose, as a Fraction array."""
-    p = ModuleParams((0,) * (2 * n), (0,) * (2 * n), _rep(n, spec))
-    return np.array(p.rho_rank_one(r).to_rows(), dtype=object)
+    """``_rho_direct`` as a Fraction array."""
+    return np.array(_rho_direct(_rep(n, spec), r).to_rows(), dtype=object)
 
 
 def _alpha(data, N):
@@ -110,6 +118,32 @@ def test_action_table_matches_rho_rank_one(n, spec, gens, data):
     assert table.gens == sorted(GeneratorSet(gens, N).vectors())
     for r, pt in zip(table.gens, table.pt):
         assert (pt.T == _rho_dense(n, spec, r) * table.L).all(), r
+
+
+def _typed_entries(m):
+    return {pos: (type(v), v) for pos, v in m.entries.items()}
+
+
+@pytest.mark.parametrize("n,spec", [(1, "trivial"), (1, "natural"), (2, "natural"), (2, "sym:2"),
+                                    (2, "exterior:2"), (2, "fundamental:2")])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_rho_rank_one_matches_direct_decomposition(n, spec, data):
+    # rho_rank_one reads the rep's polarization table; the oracle decomposes
+    # r bar(r)^t itself.  A rep read back from its JSON form builds its own
+    # table and must agree too, scalar types included.
+    N = 2 * n
+    r = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=N, max_size=N)))
+    rep = _rep(n, spec)
+    for v in (rep, rep_from_obj(rep.to_obj())):
+        got = ModuleParams((0,) * N, (0,) * N, v).rho_rank_one(r)
+        assert _typed_entries(got) == _typed_entries(_rho_direct(rep, r)), (spec, r)
+
+
+def _family(p, box, spaces) -> TruncatedModule:
+    """A family holding the given Subspaces, as integer echelons."""
+    return TruncatedModule(p, box, echelons={
+        g: _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis)) for g, s in spaces.items()})
 
 
 def _naive_closure(seeds, p, box, gens) -> dict:
@@ -200,10 +234,10 @@ def test_closure_and_enumeration_match_naive_oracle(data):
     zero = Subspace.zero(p.rep.dim)
     assert all(got.space(g) == want.get(g, zero) for g in box.grades())
 
-    closed = TruncatedModule(p, box, spaces=want)
+    closed = _family(p, box, want)
     assert _enumerate_invariance(closed, gens)["failures"] == []
     assert _enumerate_invariance(got, gens)["failures"] == []  # from the echelons
-    seed_only = TruncatedModule(p, box, spaces={grade: Subspace.from_vectors([payload], p.rep.dim)})
+    seed_only = _family(p, box, {grade: Subspace.from_vectors([payload], p.rep.dim)})
     report = _enumerate_invariance(seed_only, gens)
     assert report["passes"] == _naive_passes(seed_only, gens)
     assert report["failures"] == _naive_failures(seed_only, gens)
@@ -304,7 +338,7 @@ def test_enumeration_of_big_integer_family_matches_naive(data):
             spaces[g] = Subspace.from_vectors([[s + a for s, a in zip(g, p.alpha)]], 2)
         elif kind == "big":
             spaces[g] = Subspace.from_vectors(_int_matrix(data, 2), 2)
-    family = TruncatedModule(p, box, spaces=spaces)
+    family = _family(p, box, spaces)
     report = _enumerate_invariance(family, gens)
     assert report["passes"] == _naive_passes(family, gens)
     assert report["failures"] == _naive_failures(family, gens)

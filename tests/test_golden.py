@@ -1,0 +1,60 @@
+"""Golden report bytes: one small run of every subcommand, hashed.
+
+Each argv runs in-process with a fixed seed and ``--output``; the exit
+code, stdout and report file of every run feed one sha256 in order.  A
+change to what any report says, or how it is printed, fails here; a
+change meant to alter report bytes updates ``GOLDEN`` and says why in
+CHANGES.md.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+from hamlie.cli import main
+
+ARGV = [
+    ["sp-check", "--n", "2", "--samples", "40", "--seed", "7"],
+    ["rep-build", "--n", "2", "--rep", "fundamental:2"],
+    ["theta-check", "--n", "2", "--k", "2"],
+    ["dim-check", "--n", "2", "--k", "2"],
+    ["ham-bracket", "--n", "2", "--rep", "sym:2", "--alpha", "1/3,0,-1/2,0",
+     "--samples", "20", "--seed", "11"],
+    ["g1-check", "--n", "2", "--rep", "fundamental:2", "--alpha", "1/2,1/3,0,0",
+     "--r", "1,0,-1,2", "--samples", "10", "--seed", "5"],
+    ["g2-table", "--n", "2", "--rep", "exterior:2", "--alpha", "1/2,0,0,0"],
+    ["named-actions", "--n", "2", "--rep", "natural", "--alpha", "0,1/5,0,0",
+     "--samples", "10", "--seed", "3"],
+    ["shift-iso", "--n", "2", "--rep", "fundamental:2", "--alpha", "1/3,0,0,0",
+     "--gamma", "1,0,-1,0", "--samples", "15", "--seed", "9"],
+    ["submodule-check", "delta1", "--n", "1", "--rep", "natural", "--alpha", "1/3,0",
+     "--box", "2", "--gens", "1"],
+    ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
+     "--alpha", "1/3,0,0,0", "--box", "1", "--gens", "1", "--seed", "2"],
+    ["submodule-check", "trivial_line", "--n", "1", "--rep", "trivial", "--alpha", "1,0",
+     "--box", "2", "--gens", "1", "--method", "enumerate"],
+    ["claim2-witness", "--n", "2", "--rep", "fundamental:2", "--alpha", "1/2,0,0,0",
+     "--r", "1,0,-1,2", "--k", "2"],
+    ["claim1-ineq", "--n-max", "7"],
+    ["probe", "--n", "1", "--rep", "natural", "--alpha", "1/3,0", "--box", "2",
+     "--gens", "1", "--extra-seeds", "1", "--seed", "4"],
+]
+
+GOLDEN = "ba7f0297b3b6daf81fed35e28148a6c35a9f16046ebbe0a55ffb52b00dc5fac2"
+
+
+def _digest(tmp_path) -> str:
+    h = hashlib.sha256()
+    for i, argv in enumerate(ARGV):
+        out = tmp_path / f"report{i}.json"
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv + ["--output", str(out)])
+        for part in (str(code).encode(), buf.getvalue().encode(), out.read_bytes()):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+    return h.hexdigest()
+
+
+def test_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path) == GOLDEN

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamlie import hamiltonian, reps
 from hamlie.hamiltonian import (
     GradedVector,
     ModuleParams,
@@ -199,3 +200,30 @@ def test_shift_isomorphism_reports():
     p2 = _params(2, "fundamental:2", alpha=(F(1, 3), 0, 0, 0))
     report = verify_shift_isomorphism((0, 1, 1, 0), p2, 100, rng)
     assert report["failures"] == []
+
+
+def test_shift_isomorphism_builds_one_table(monkeypatch):
+    # p and the shifted parameters share one rep, so rho(C_ab) is
+    # decomposed once per pair a <= b and no r bar(r)^t is decomposed
+    p = _params(2, "fundamental:2", alpha=(F(1, 3), 0, 0, 0))
+    calls = []
+    for mod in (hamiltonian, reps):
+        decompose = mod.sp_decompose
+        monkeypatch.setattr(mod, "sp_decompose",
+                            lambda m, alg, f=decompose: calls.append(1) or f(m, alg))
+    report = verify_shift_isomorphism((1, 0, -1, 2), p, 40, random.Random(19))
+    assert report["failures"] == []
+    assert len(calls) == 4 * 5 // 2
+
+
+@pytest.mark.parametrize("n,spec", [(1, "natural"), (2, "fundamental:2")])
+def test_g1_evaluation_is_independent_of_the_table(n, spec):
+    # a wrong rho(C_00) reaches g1 through the table; the evaluation leg
+    # decomposes s bar(s)^t directly, so it must catch it too
+    N = 2 * n
+    p = _params(n, spec, alpha=(F(1, 2),) + (0,) * (N - 1))
+    table = p.rep.polarizations
+    table[(0, 0)] = table[(0, 0)].scale(2)
+    report = verify_g1(p, (0,) * N, 20, random.Random(23))
+    kinds = {f["kind"] for f in report["failures"]}
+    assert {"coefficient", "evaluation"} <= kinds

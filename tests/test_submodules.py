@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
-from hamlie.linalg import Subspace, nullspace, parse_scalar
+from hamlie.linalg import Subspace, _IntEchelon, _int_row, nullspace, parse_scalar
 from hamlie import submodules
 from hamlie.reps import build_rep, contraction_theta
 from hamlie.submodules import (
@@ -32,6 +32,12 @@ def _params(n, spec, alpha=None, beta=None):
     alpha = alpha or (0,) * N
     beta = beta or (0,) * N
     return ModuleParams(alpha, beta, rep)
+
+
+def _family(p, box, spaces):
+    """A family holding the given Subspaces, as integer echelons."""
+    return TruncatedModule(p, box, echelons={
+        g: _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis)) for g, s in spaces.items()})
 
 
 def test_box_and_gens():
@@ -81,9 +87,9 @@ def test_invariance_trivial_families():
     p = _params(1, "natural")
     box = Box(2, 2)
     gens = GeneratorSet(1, 2)
-    zero = TruncatedModule(p, box, spaces={g: Subspace.zero(2) for g in box.grades()})
+    zero = _family(p, box, {g: Subspace.zero(2) for g in box.grades()})
     assert invariance_check(zero, gens, method="enumerate")["failures"] == []
-    full = TruncatedModule(p, box, spaces={g: Subspace.full(2) for g in box.grades()})
+    full = _family(p, box, {g: Subspace.full(2) for g in box.grades()})
     assert invariance_check(full, gens, method="enumerate")["failures"] == []
 
 
@@ -204,9 +210,9 @@ def test_certificate_catches_symmetric_bar(n, k, monkeypatch):
 def test_certificate_catches_unhalved_diagonal_polarization(n, monkeypatch):
     # C_aa = sym_outer(e_a, e_a) without its factor 1/2
     assert submodules._certificate_rank_one_expansion(n)
-    sym_outer = submodules.sym_outer
-    monkeypatch.setattr(submodules, "sym_outer",
-                        lambda u, v: sym_outer(u, v).scale(2 if list(u) == list(v) else 1))
+    polarization = submodules.polarization
+    monkeypatch.setattr(submodules, "polarization",
+                        lambda N, a, b: polarization(N, a, b).scale(2 if a == b else 1))
     assert not submodules._certificate_rank_one_expansion(n)
 
 
@@ -343,7 +349,6 @@ def test_seed_key_is_the_line():
 
 
 def test_family_key_is_the_family():
-    from hamlie.linalg import _IntEchelon
     from hamlie.submodules import _family_key
 
     def family(*rows):
