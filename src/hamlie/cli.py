@@ -47,23 +47,6 @@ from .submodules import (
 
 DEFAULT_SEED = 0xC0FFEE
 
-CHECKS = {
-    "sp-check": "basis brackets close in the sp span; symplectic condition; r rbar^t membership",
-    "rep-build": "representation construction and exact JSON round trip",
-    "theta-check": "the contraction theta_k intertwines the sp action",
-    "dim-check": "dim Ker theta_k = C(2n,k) - C(2n,k-2)",
-    "ham-bracket": "[H_r, H_s] = (rbar, s) H_{r+s} on random graded vectors",
-    "g1-check": "g1 quadratic expansion matches the sp-basis table and the module action",
-    "g2-table": "degree-4 coefficients of g2 match the closed six-row table",
-    "named-actions": "closed forms of the three distinguished generator actions",
-    "shift-iso": "grade shift by an integer vector intertwines shifted parameters",
-    "submodule-check": "the explicit graded family is invariant under all modeled generators",
-    "claim2-witness": "a nonzero wedge witness in W_r^k intersected with Ker theta_k",
-    "claim1-ineq": "integer sweep of C(2n,k) - C(2n,k-2) > C(2n-1,k-1)",
-    "probe": "closure-based irreducibility probe on a truncation box",
-}
-
-
 def _parse_vector(text: str, length: int, what: str) -> tuple:
     parts = text.split(",")
     if len(parts) != length:
@@ -107,12 +90,15 @@ def _resolve_rep(alg, spec: str):
     return build_rep(alg, spec)
 
 
-def _module_params(args, alg):
-    N = alg.N
-    alpha = _parse_vector(args.alpha, N, "--alpha") if args.alpha else (Fraction(0),) * N
-    beta = _parse_vector(args.beta, N, "--beta") if args.beta else (Fraction(0),) * N
-    rep = _resolve_rep(alg, args.rep)
-    return ModuleParams(alpha, beta, rep)
+def _module_params(args) -> ModuleParams:
+    """F^{alpha,beta}(V) at ``--n``.  beta enters only the d_i, so a
+    subcommand that applies no d_i takes no --beta and gets beta = 0."""
+    alg = build_sp(args.n, verify=False)
+    zero = (0,) * alg.N
+    alpha = _parse_vector(args.alpha, alg.N, "--alpha") if args.alpha else zero
+    beta = getattr(args, "beta", None)
+    beta = _parse_vector(beta, alg.N, "--beta") if beta else zero
+    return ModuleParams(alpha, beta, _resolve_rep(alg, args.rep))
 
 
 def _report_ok(report: dict) -> bool:
@@ -123,7 +109,7 @@ def _report_ok(report: dict) -> bool:
 
 def _emit(report: dict, args) -> int:
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     ok = _report_ok(report)
@@ -217,10 +203,9 @@ def _cmd_dim_check(args) -> int:
 
 
 def _cmd_ham_bracket(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
+    p = _module_params(args)
     rng = random.Random(args.seed)
-    N, dim = alg.N, p.rep.dim
+    N, dim = p.rep.alg.N, p.rep.dim
     failures = []
     skipped = 0
     for _ in range(args.samples):
@@ -251,48 +236,43 @@ def _cmd_ham_bracket(args) -> int:
 
 
 def _cmd_g1_check(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
-    r = _parse_int_vector(args.r, alg.N, "--r") if args.r else (0,) * alg.N
+    p = _module_params(args)
+    N = p.rep.alg.N
+    r = _parse_int_vector(args.r, N, "--r") if args.r else (0,) * N
     report = verify_g1(p, r, args.samples, random.Random(args.seed))
     return _emit(report, args)
 
 
 def _cmd_g2_table(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
+    p = _module_params(args)
     return _emit(verify_g2_table(p), args)
 
 
 def _cmd_named_actions(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
+    p = _module_params(args)
     report = verify_named_actions(p, args.samples, random.Random(args.seed))
     return _emit(report, args)
 
 
 def _cmd_shift_iso(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
-    gamma = _parse_int_vector(args.gamma, alg.N, "--gamma")
+    p = _module_params(args)
+    gamma = _parse_int_vector(args.gamma, p.rep.alg.N, "--gamma")
     report = verify_shift_isomorphism(gamma, p, args.samples, random.Random(args.seed))
     return _emit(report, args)
 
 
 def _cmd_submodule_check(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
-    box = Box(args.box, alg.N)
-    gens = GeneratorSet(args.gens, alg.N)
+    p = _module_params(args)
+    box = Box(args.box, p.rep.alg.N)
+    gens = GeneratorSet(args.gens, p.rep.alg.N)
     family = build_submodule(args.kind, p, box)
     report = invariance_check(family, gens, method=args.method)
     return _emit(report, args)
 
 
 def _cmd_claim2_witness(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
-    r = _parse_int_vector(args.r, alg.N, "--r")
+    p = _module_params(args)
+    r = _parse_int_vector(args.r, p.rep.alg.N, "--r")
     witness = claim2_witness(p, r, args.k)
     report = {
         "check": "claim2_witness",
@@ -315,10 +295,9 @@ def _cmd_claim1_ineq(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    alg = build_sp(args.n, verify=False)
-    p = _module_params(args, alg)
-    box = Box(args.box, alg.N)
-    gens = GeneratorSet(args.gens, alg.N)
+    p = _module_params(args)
+    box = Box(args.box, p.rep.alg.N)
+    gens = GeneratorSet(args.gens, p.rep.alg.N)
     report = irreducibility_probe(
         p, box, gens, rng_seed=args.seed, extra_seeds=args.extra_seeds
     )
@@ -340,18 +319,78 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(sp, rep_default=None, samples_default=None):
-    sp.add_argument("--n", type=int, required=True, help="rank of the symplectic algebra")
-    if rep_default is not None:
-        sp.add_argument("--rep", default=rep_default,
-                        help="natural | trivial | fundamental:k | sym:k | exterior:k | file:PATH")
-        sp.add_argument("--alpha", default=None, help="rational vector p/q,... of length 2n")
-        sp.add_argument("--beta", default=None, help="rational vector p/q,... of length 2n")
-    if samples_default is not None:
-        sp.add_argument("--samples", type=_int_at_least(1), default=samples_default)
-    sp.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                    help="RNG seed (decimal or 0x hex)")
-    sp.add_argument("--output", default=None, help="write the JSON report to this path")
+# one declaration per shared option; each subcommand lists those it reads
+_N = ("--n", {"type": int, "required": True, "help": "rank of the symplectic algebra"})
+_REP = ("--rep", {"default": "natural",
+                  "help": "natural | trivial | fundamental:k | sym:k | exterior:k | file:PATH"})
+_ALPHA = ("--alpha", {"help": "rational vector p/q,... of length 2n"})
+_BETA = ("--beta", {"help": "rational vector p/q,... of length 2n"})
+_MODULE = (_N, _REP, _ALPHA)
+_SEED = ("--seed", {"type": lambda s: int(s, 0), "default": DEFAULT_SEED,
+                    "help": "RNG seed (decimal or 0x hex)"})
+_K = ("--k", {"type": int, "required": True})
+_BOX = ("--box", {"type": int, "default": 3})
+_GENS = ("--gens", {"type": int, "default": 2})
+_OUTPUT = ("--output", {"help": "write the JSON report to this path"})
+
+
+def _samples(default: int) -> tuple:
+    return ("--samples", {"type": _int_at_least(1), "default": default})
+
+
+# subcommand: (the invariant it verifies, handler, the options it reads);
+# every subcommand also takes --output
+CHECKS = {
+    "sp-check": (
+        "basis brackets close in the sp span; symplectic condition; r rbar^t membership",
+        _cmd_sp_check, (_N, _samples(1000), _SEED)),
+    "rep-build": (
+        "representation construction and exact JSON round trip",
+        _cmd_rep_build, (_N, _REP)),
+    "theta-check": (
+        "the contraction theta_k intertwines the sp action",
+        _cmd_theta_check, (_N, _K)),
+    "dim-check": (
+        "dim Ker theta_k = C(2n,k) - C(2n,k-2)",
+        _cmd_dim_check, (_N, _K)),
+    "ham-bracket": (
+        "[H_r, H_s] = (rbar, s) H_{r+s} on random graded vectors",
+        _cmd_ham_bracket, _MODULE + (_samples(500), _SEED)),
+    "g1-check": (
+        "g1 quadratic expansion matches the sp-basis table and the module action",
+        _cmd_g1_check,
+        _MODULE + (("--r", {"help": "integer vector of length 2n"}), _samples(50), _SEED)),
+    "g2-table": (
+        "degree-4 coefficients of g2 match the closed six-row table",
+        _cmd_g2_table, _MODULE),
+    "named-actions": (
+        "closed forms of the three distinguished generator actions",
+        _cmd_named_actions, _MODULE + (_samples(100), _SEED)),
+    "shift-iso": (
+        "grade shift by an integer vector intertwines shifted parameters",
+        _cmd_shift_iso,
+        _MODULE + (_BETA, ("--gamma", {"required": True,
+                                       "help": "integer shift vector of length 2n"}),
+                   _samples(100), _SEED)),
+    "submodule-check": (
+        "the explicit graded family is invariant under all modeled generators",
+        _cmd_submodule_check,
+        (("kind", {"choices": ["trivial_line", "delta1", "deltak"]}),) + _MODULE
+        + (_BOX, _GENS, ("--method", {"choices": ["auto", "enumerate", "certificate"],
+                                      "default": "auto"}))),
+    "claim2-witness": (
+        "a nonzero wedge witness in W_r^k intersected with Ker theta_k",
+        _cmd_claim2_witness,
+        _MODULE + (("--r", {"required": True, "help": "integer vector of length 2n"}), _K)),
+    "claim1-ineq": (
+        "integer sweep of C(2n,k) - C(2n,k-2) > C(2n-1,k-1)",
+        _cmd_claim1_ineq, (("--n-max", {"type": int, "default": 10}),)),
+    "probe": (
+        "closure-based irreducibility probe on a truncation box",
+        _cmd_probe,
+        _MODULE + (_BETA, _BOX, _GENS,
+                   ("--extra-seeds", {"type": _int_at_least(0), "default": 4}), _SEED)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,73 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-checks", action="store_true",
                         help="list subcommands and the invariant each one verifies")
     sub = parser.add_subparsers(dest="command")
-
-    sp = sub.add_parser("sp-check", help=CHECKS["sp-check"])
-    _add_common(sp, samples_default=1000)
-    sp.set_defaults(func=_cmd_sp_check)
-
-    sp = sub.add_parser("rep-build", help=CHECKS["rep-build"])
-    _add_common(sp, rep_default="natural")
-    sp.set_defaults(func=_cmd_rep_build)
-
-    sp = sub.add_parser("theta-check", help=CHECKS["theta-check"])
-    _add_common(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_theta_check)
-
-    sp = sub.add_parser("dim-check", help=CHECKS["dim-check"])
-    _add_common(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_dim_check)
-
-    sp = sub.add_parser("ham-bracket", help=CHECKS["ham-bracket"])
-    _add_common(sp, rep_default="natural", samples_default=500)
-    sp.set_defaults(func=_cmd_ham_bracket)
-
-    sp = sub.add_parser("g1-check", help=CHECKS["g1-check"])
-    _add_common(sp, rep_default="natural", samples_default=50)
-    sp.add_argument("--r", default=None, help="integer vector of length 2n")
-    sp.set_defaults(func=_cmd_g1_check)
-
-    sp = sub.add_parser("g2-table", help=CHECKS["g2-table"])
-    _add_common(sp, rep_default="natural")
-    sp.set_defaults(func=_cmd_g2_table)
-
-    sp = sub.add_parser("named-actions", help=CHECKS["named-actions"])
-    _add_common(sp, rep_default="natural", samples_default=100)
-    sp.set_defaults(func=_cmd_named_actions)
-
-    sp = sub.add_parser("shift-iso", help=CHECKS["shift-iso"])
-    _add_common(sp, rep_default="natural", samples_default=100)
-    sp.add_argument("--gamma", required=True, help="integer shift vector of length 2n")
-    sp.set_defaults(func=_cmd_shift_iso)
-
-    sp = sub.add_parser("submodule-check", help=CHECKS["submodule-check"])
-    sp.add_argument("kind", choices=["trivial_line", "delta1", "deltak"])
-    _add_common(sp, rep_default="natural")
-    sp.add_argument("--box", type=int, default=3)
-    sp.add_argument("--gens", type=int, default=2)
-    sp.add_argument("--method", choices=["auto", "enumerate", "certificate"], default="auto")
-    sp.set_defaults(func=_cmd_submodule_check)
-
-    sp = sub.add_parser("claim2-witness", help=CHECKS["claim2-witness"])
-    _add_common(sp, rep_default="natural")
-    sp.add_argument("--r", required=True, help="integer vector of length 2n")
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_claim2_witness)
-
-    sp = sub.add_parser("claim1-ineq", help=CHECKS["claim1-ineq"])
-    sp.add_argument("--n-max", type=int, default=10)
-    sp.add_argument("--output", default=None)
-    sp.set_defaults(func=_cmd_claim1_ineq)
-
-    sp = sub.add_parser("probe", help=CHECKS["probe"])
-    _add_common(sp, rep_default="natural")
-    sp.add_argument("--box", type=int, default=3)
-    sp.add_argument("--gens", type=int, default=2)
-    sp.add_argument("--extra-seeds", type=_int_at_least(0), default=4)
-    sp.set_defaults(func=_cmd_probe)
-
+    for name, (help_text, handler, options) in CHECKS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options + (_OUTPUT,):
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -444,8 +421,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     if args.list_checks:
-        for name, desc in CHECKS.items():
-            print(f"{name}: {desc}")
+        for name, (help_text, _, _) in CHECKS.items():
+            print(f"{name}: {help_text}")
         return 0
     if not getattr(args, "command", None):
         _parser.print_usage()

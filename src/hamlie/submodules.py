@@ -652,8 +652,12 @@ def _pair_count(box: Box, gens: GeneratorSet) -> int:
     return with_zero - only_zero
 
 
+# failing pairs an enumeration report lists; ``passes`` counts them all
+_LISTED_FAILURES = 20
+
+
 def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
-                          max_failures: int = 20, engine=None) -> dict:
+                          engine=None) -> dict:
     """Pass count over every in-box (grade, generator) pair.  ``engine``, a
     _ClosureEngine for the family's params and box and for ``gens``, lends
     its action table and grade index; without one, a new one is built.
@@ -690,7 +694,7 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
                 if state.exact[gid] and state.echelons[gid].contains(y[c]):
                     continue
                 bad_pairs.add(pair)
-                if len(failures) < max_failures:
+                if len(failures) < _LISTED_FAILURES:
                     failures.append({
                         "grade": [int(v) for v in idx.coords[row_gids[row]]],
                         "generator": list(table.gens[ridx]),
@@ -866,10 +870,12 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         checks["rep_acts_by_zero"] = all(
             p.rep.action[label].is_zero() for label in alg.labels
         )
-        # scalar coefficient at the only populated grade -alpha is
-        # (bar r, -alpha + alpha) = (bar r, 0) = 0 for every r
+        # H_r acts on a line at grade s by the scalar (bar r, s + alpha),
+        # which vanishes for every r only at s = -alpha
         checks["scalar_vanishes"] = all(
-            pairing(bar(r), (0,) * alg.N) == 0 for r in gens.vectors()
+            pairing(bar(r), tuple(g + a for g, a in zip(s, p.alpha))) == 0
+            for s in family.nonzero_grades() if family.int_basis(s).rows
+            for r in gens.vectors()
         )
     elif family.kind == "delta1":
         # ((bar r, u) I + r bar(r)^t) u = (bar r, u) (u + r), symbolically

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, literals, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -160,8 +161,61 @@ def test_parser_built_once(tmp_path, monkeypatch):
 
 def test_zero_denominator_exits_2():
     assert main(["probe", "--n", "1", "--alpha=1/0,0", "--box", "1", "--gens", "1"]) == 2
-    assert main(["ham-bracket", "--n", "1", "--alpha", "1/2,0", "--beta", "0,3/0",
-                 "--samples", "1"]) == 2
+    assert main(["shift-iso", "--n", "1", "--alpha", "1/2,0", "--beta", "0,3/0",
+                 "--gamma", "1,0", "--samples", "1"]) == 2
+
+
+# every option each subcommand reads, and no other
+SURFACE = {
+    "sp-check": {"--n", "--samples", "--seed", "--output"},
+    "rep-build": {"--n", "--rep", "--output"},
+    "theta-check": {"--n", "--k", "--output"},
+    "dim-check": {"--n", "--k", "--output"},
+    "ham-bracket": {"--n", "--rep", "--alpha", "--samples", "--seed", "--output"},
+    "g1-check": {"--n", "--rep", "--alpha", "--r", "--samples", "--seed", "--output"},
+    "g2-table": {"--n", "--rep", "--alpha", "--output"},
+    "named-actions": {"--n", "--rep", "--alpha", "--samples", "--seed", "--output"},
+    "shift-iso": {"--n", "--rep", "--alpha", "--beta", "--gamma", "--samples", "--seed",
+                  "--output"},
+    "submodule-check": {"kind", "--n", "--rep", "--alpha", "--box", "--gens", "--method",
+                        "--output"},
+    "claim2-witness": {"--n", "--rep", "--alpha", "--r", "--k", "--output"},
+    "claim1-ineq": {"--n-max", "--output"},
+    "probe": {"--n", "--rep", "--alpha", "--beta", "--box", "--gens", "--extra-seeds",
+              "--seed", "--output"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.option_strings[0] if a.option_strings else a.dest
+                  for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+           for name, sp in sub.choices.items()}
+    assert got == SURFACE
+    assert sum(map(len, got.values())) == 69
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep-build", "--n", "1", "--alpha", "0,0"],
+    ["rep-build", "--n", "1", "--beta", "0,0"],
+    ["rep-build", "--n", "1", "--seed", "1"],
+    ["theta-check", "--n", "1", "--k", "1", "--seed", "1"],
+    ["dim-check", "--n", "1", "--k", "1", "--seed", "1"],
+    ["ham-bracket", "--n", "1", "--beta", "0,0"],
+    ["g1-check", "--n", "1", "--beta", "0,0"],
+    ["named-actions", "--n", "1", "--beta", "0,0"],
+    ["g2-table", "--n", "1", "--beta", "0,0"],
+    ["g2-table", "--n", "1", "--seed", "1"],
+    ["submodule-check", "delta1", "--n", "1", "--beta", "0,0"],
+    ["submodule-check", "delta1", "--n", "1", "--seed", "1"],
+    ["claim2-witness", "--n", "1", "--r", "1,0", "--k", "1", "--beta", "0,0"],
+    ["claim2-witness", "--n", "1", "--r", "1,0", "--k", "1", "--seed", "1"],
+])
+def test_unread_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,7 @@ ARGV = [
     ["submodule-check", "delta1", "--n", "1", "--rep", "natural", "--alpha", "1/3,0",
      "--box", "2", "--gens", "1"],
     ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
-     "--alpha", "1/3,0,0,0", "--box", "1", "--gens", "1", "--seed", "2"],
+     "--alpha", "1/3,0,0,0", "--box", "1", "--gens", "1"],
     ["submodule-check", "trivial_line", "--n", "1", "--rep", "trivial", "--alpha", "1,0",
      "--box", "2", "--gens", "1", "--method", "enumerate"],
     ["claim2-witness", "--n", "2", "--rep", "fundamental:2", "--alpha", "1/2,0,0,0",

@@ -163,6 +163,33 @@ def test_g2_trivial_rep_identity():
         assert val == -pairing(bar(s), ralpha) * pairing(bar(s), kalpha)
 
 
+@pytest.mark.parametrize("spec", ["trivial", "natural", "sym:2", "fundamental:2"])
+def test_g2_matches_composed_action(spec):
+    # g2(r, k)(s) is H_{r-s} H_s on grade k, applied by act_H to each basis vector
+    N = 4
+    p = _params(2, spec, alpha=(F(1, 3),) + (0,) * (N - 1))
+    dim = p.rep.dim
+    rng = random.Random(37)
+    columns = 0
+    for _ in range(3):
+        r = tuple(rng.randint(-2, 2) for _ in range(N))
+        k = tuple(rng.randint(-2, 2) for _ in range(N))
+        g2 = g2_polynomial(r, k, p)
+        for _ in range(3):
+            s = tuple(rng.randint(-2, 2) for _ in range(N))
+            r_s = tuple(a - b for a, b in zip(r, s))
+            if not any(s) or not any(r_s):
+                continue
+            got = g2.evaluate(s)
+            for j in range(dim):
+                x = GradedVector(k, tuple(int(i == j) for i in range(dim)))
+                y = act_H(r_s, act_H(s, x, p), p)
+                assert y.grade == tuple(a + b for a, b in zip(k, r))
+                assert y.payload == tuple(got.get(i, j) for i in range(dim)), (r, k, s, j)
+                columns += 1
+    assert columns > 0
+
+
 def test_g2_s1_fourth_coefficient():
     p = _params(1, "natural")
     g2 = g2_polynomial((1, 1), (0, 0), p)
@@ -200,6 +227,18 @@ def test_shift_isomorphism_reports():
     p2 = _params(2, "fundamental:2", alpha=(F(1, 3), 0, 0, 0))
     report = verify_shift_isomorphism((0, 1, 1, 0), p2, 100, rng)
     assert report["failures"] == []
+
+
+def test_shift_isomorphism_counts_failing_samples(monkeypatch):
+    # shifted parameters off by one in every entry break both the H and the
+    # d leg of a sample; passes counts samples, so it never goes below 0
+    params = hamiltonian.ModuleParams
+    monkeypatch.setattr(hamiltonian, "ModuleParams", lambda alpha, beta, rep: params(
+        [a + 1 for a in alpha], [b + 1 for b in beta], rep))
+    p = _params(1, "natural", alpha=(F(1, 2), 0))
+    report = verify_shift_isomorphism((1, 0), p, 5, random.Random(31))
+    assert len(report["failures"]) > report["samples"] == 5
+    assert report["passes"] == 0
 
 
 def test_shift_isomorphism_builds_one_table(monkeypatch):

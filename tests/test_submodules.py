@@ -185,6 +185,21 @@ def _deltak_identities(n, k):
 WEDGE_CASES = [(2, 2), (3, 2), (3, 3)]
 
 
+def test_certificate_catches_misplaced_trivial_line():
+    # the line at grade 0, not at -alpha: H_r scales it by (bar r, alpha),
+    # which is nonzero for some r, so the family is not invariant
+    p = _params(2, "trivial", alpha=(1, 0, 0, 0))
+    box, gens = Box(2, 4), GeneratorSet(1, 4)
+    fam = TruncatedModule(p, box, echelons={(0,) * 4: _IntEchelon.of_rows(1, [[1]])},
+                          kind="trivial_line")
+    report = invariance_check(fam, gens, method="certificate")
+    assert report["identities"]["scalar_vanishes"] is False
+    assert report["passes"] == 0
+    assert {"identity": "scalar_vanishes"} in report["failures"]
+    enumerated = invariance_check(fam, gens, method="enumerate")
+    assert enumerated["pairs"] - enumerated["passes"] == 54
+
+
 @pytest.mark.parametrize("n,k", WEDGE_CASES)
 def test_certificate_identities_hold(n, k):
     assert all(_deltak_identities(n, k).values())
