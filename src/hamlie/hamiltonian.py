@@ -310,26 +310,24 @@ def verify_g2_table(p: ModuleParams) -> dict:
     for i in range(1, n + 1):
         rows.append(
             (f"s{i}^4", _mono(N, i - 1, i - 1, i - 1, i - 1),
-             rho(f"X(2e{i})") @ rho(f"X(2e{i})"), Fraction(1, 4), (i, None))
+             rho(f"X(2e{i})") @ rho(f"X(2e{i})"), Fraction(1, 4))
         )
         rows.append(
             (f"s{n + i}^4", _mono(N, n + i - 1, n + i - 1, n + i - 1, n + i - 1),
-             rho(f"X(-2e{i})") @ rho(f"X(-2e{i})"), Fraction(1, 4), (i, None))
+             rho(f"X(-2e{i})") @ rho(f"X(-2e{i})"), Fraction(1, 4))
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rows.append(
                 (f"s{i}^2*s{j}^2", _mono(N, i - 1, i - 1, j - 1, j - 1),
                  rho(f"X(e{i}+e{j})") @ rho(f"X(e{i}+e{j})")
-                 + (rho(f"X(2e{i})") @ rho(f"X(2e{j})")).scale(Fraction(1, 2)),
-                 1, (i, j))
+                 + (rho(f"X(2e{i})") @ rho(f"X(2e{j})")).scale(Fraction(1, 2)), 1)
             )
             rows.append(
                 (f"s{n + i}^2*s{n + j}^2",
                  _mono(N, n + i - 1, n + i - 1, n + j - 1, n + j - 1),
                  rho(f"X(-e{i}-e{j})") @ rho(f"X(-e{i}-e{j})")
-                 + (rho(f"X(-2e{j})") @ rho(f"X(-2e{i})")).scale(Fraction(1, 2)),
-                 1, (i, j))
+                 + (rho(f"X(-2e{j})") @ rho(f"X(-2e{i})")).scale(Fraction(1, 2)), 1)
             )
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -338,17 +336,15 @@ def verify_g2_table(p: ModuleParams) -> dict:
             rows.append(
                 (f"s{i}^2*s{n + j}^2", _mono(N, i - 1, i - 1, n + j - 1, n + j - 1),
                  rho(f"X(e{i}-e{j})") @ rho(f"X(e{i}-e{j})")
-                 - (rho(f"X(-2e{j})") @ rho(f"X(2e{i})")).scale(Fraction(1, 2)),
-                 1, (i, j))
+                 - (rho(f"X(-2e{j})") @ rho(f"X(2e{i})")).scale(Fraction(1, 2)), 1)
             )
             rows.append(
                 (f"s{i}^3*s{n + j}", _mono(N, i - 1, i - 1, i - 1, n + j - 1),
-                 (rho(f"X(e{i}-e{j})") @ rho(f"X(2e{i})")).scale(-1),
-                 1, (i, j))
+                 (rho(f"X(e{i}-e{j})") @ rho(f"X(2e{i})")).scale(-1), 1)
             )
 
     failures = []
-    for name, exponent, table_matrix, scale, _ in rows:
+    for name, exponent, table_matrix, scale in rows:
         got = g2.coefficient(exponent)
         want = table_matrix.scale(scale)
         if got != want:

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .linalg import (
     vec_is_zero,
 )
 from .reps import (
+    LinearMap,
     Representation,
     contraction_theta,
     exterior_power,
@@ -380,13 +381,25 @@ def _family_key(echelons: dict) -> tuple:
 
 # -- the mod-p FULL screen ------------------------------------------------
 
-# The largest prime below 2^27.  Reduced entries lie in [0, p), so an image
-# x @ pt + c x and a reduction v @ P stay below (dim+1)(p-1)^2 < 2^63 for
-# every dim up to _SCREEN_MAX_DIM.
+# The largest prime below 2^27
 _SCREEN_PRIME = 134217689
-_SCREEN_MAX_DIM = (2 ** 63 - 1) // (_SCREEN_PRIME - 1) ** 2 - 1
 # int64 elements per transient batch of the spin
 _SCREEN_BATCH = 2 ** 15
+
+
+def _spin_prime(dim: int, L: int) -> int:
+    """The largest prime p <= _SCREEN_PRIME that does not divide L (there
+    every generator is a scalar mod p) and keeps (dim+1)(p-1)^2 < 2^63, the
+    bound on an image x @ pt + c x or a reduction v @ P of entries in
+    [0, p).  Primality is tested only below _SCREEN_PRIME."""
+    p = min(_SCREEN_PRIME, isqrt((2 ** 63 - 1) // (dim + 1)) + 1)
+    while L % p == 0 or (p < _SCREEN_PRIME and not _is_prime(p)):
+        p -= 1
+    return p
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -401,15 +414,6 @@ def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-class _ModpTable:
-    """The action table reduced mod p: generator matrices, L and L alpha."""
-
-    def __init__(self, table: _ActionTable, prime: int):
-        self.pt = np.array(np.mod(table.pt, prime), dtype=np.int64)
-        self.L = table.L % prime
-        self.l_alpha = np.array(np.mod(table.l_alpha, prime), dtype=np.int64)
-
-
 class _ClosureEngine:
     def __init__(self, p: ModuleParams, box: Box, gens: GeneratorSet):
         self.p = p
@@ -417,6 +421,8 @@ class _ClosureEngine:
         self.index = _GradeIndex(box.radius, box.N)
         self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
+        # (p, generator matrices, L, L alpha), reduced mod the spin's
+        # prime, built on the first spin
         self._modp = None
 
     def _spin(self, seed: GradedVector, idx: _GradeIndex, judged=None):
@@ -435,11 +441,13 @@ class _ClosureEngine:
         within _SCREEN_BATCH elements per batch.
         """
         dim = self.dim
-        p = _SCREEN_PRIME
+        table = self.table
         if self._modp is None:
-            self._modp = _ModpTable(self.table, p)
-        t = self._modp
-        bars, offsets = self.table.bars, self.table.offsets
+            q = _spin_prime(dim, table.L)
+            self._modp = (q, np.array(np.mod(table.pt, q), dtype=np.int64), table.L % q,
+                          np.array(np.mod(table.l_alpha, q), dtype=np.int64))
+        p, pt, l_mod, l_alpha = self._modp
+        bars, offsets = table.bars, table.offsets
         n_gens, N = offsets.shape
 
         P = np.zeros((idx.count, dim, dim), dtype=np.int64)
@@ -520,9 +528,9 @@ class _ClosureEngine:
                 for c0 in range(0, len(ii), chunk):
                     i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
                     x = f_rows[b0 + i]
-                    u = (src[i] * t.L + t.l_alpha) % p
+                    u = (src[i] * l_mod + l_alpha) % p
                     c = np.einsum("cn,cn->c", u, bars[j]) % p
-                    y = (np.einsum("cd,cde->ce", x, t.pt[j]) + c[:, None] * x) % p
+                    y = (np.einsum("cd,cde->ce", x, pt[j]) + c[:, None] * x) % p
                     absorb(tgt[c0:c0 + chunk], y, base + b0 + i, j)
                     if filled():
                         return None
@@ -542,18 +550,18 @@ class _ClosureEngine:
         radius max(radius, 1), no larger than the engine's, so it stays
         inside that family: FULL mod p implies FULL over Q, for every p.
         (Radius 1 lets a spin judged on grade 0 alone leave it and come
-        back.)  False proves nothing; reps above _SCREEN_MAX_DIM and seeds
-        outside the box of ``radius`` are never screened.
+        back.)  False proves nothing; seeds outside the box of ``radius``
+        are never screened.
         """
-        if self.dim > _SCREEN_MAX_DIM or any(abs(g) > radius for g in seed.grade):
+        if any(abs(g) > radius for g in seed.grade):
             return False
         idx = _GradeIndex(max(radius, 1), self.box.N)
         judged = np.flatnonzero(np.all(np.abs(idx.coords) <= radius, axis=1))
         return self._spin(seed, idx, judged) is None
 
-    def guided_run(self, seed: GradedVector) -> dict | None:
+    def guided_run(self, seed: GradedVector) -> dict:
         """{grade: _IntEchelon} of a family W' inside the closure W of
-        ``seed``, nonzero grades only, or None where the spin is skipped.
+        ``seed``, nonzero grades only.
 
         An F_p spin over the engine's box (``_spin``) picks the steps, and
         an exact integer replay takes only those: the image of the parent's
@@ -564,12 +572,7 @@ class _ClosureEngine:
         in W', the first being the seed, so W' lies in W.  For a good prime
         W' = W, but only an invariance check of W' (which, holding the seed,
         then contains W) or a W' that is full where W must be proves it.
-        When p divides L every generator is a scalar mod p, so the spin
-        finds at most a line per grade: it is skipped for reps of dimension
-        above 1, as it is for reps above _SCREEN_MAX_DIM.
         """
-        if self.dim > _SCREEN_MAX_DIM or (self.dim > 1 and self.table.L % _SCREEN_PRIME == 0):
-            return None
         idx = self.index
         gids, parents, gens, rounds = self._spin(seed, idx)
         echelons: dict = {}
@@ -824,17 +827,6 @@ def _certificate_rho_factorization(lam: Representation, k: int) -> bool:
     return True
 
 
-def _certificate_embedding(p: ModuleParams, lam: Representation) -> bool:
-    """The kernel embedding intertwines the Lambda^k action of lam with the
-    fundamental_rep action, so invariance can be argued upstairs."""
-    rep = p.rep
-    emb = rep.subspace.embedding()
-    for label in rep.alg.labels:
-        if lam.action[label] @ emb != emb @ rep.action[label]:
-            return False
-    return True
-
-
 def _spot_check_family(family: TruncatedModule, gens: GeneratorSet, rng,
                        samples: int) -> list:
     """Direct act_H membership checks on randomly sampled (grade, r) pairs."""
@@ -898,7 +890,10 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         lam = exterior_power(natural_rep(alg), k)
         checks["rho_factorization"] = _certificate_rho_factorization(lam, k)
         checks["theta_equivariant"] = verify_intertwiner(contraction_theta(alg, k))[0]
-        checks["kernel_embedding"] = _certificate_embedding(p, lam)
+        # the kernel embedding intertwines the fundamental rep with
+        # Lambda^k, so invariance can be argued upstairs
+        checks["kernel_embedding"] = verify_intertwiner(
+            LinearMap(p.rep, lam, p.rep.subspace.embedding()))[0]
     else:
         raise ValueError(f"no certificate available for family kind {family.kind!r}")
 
@@ -1127,22 +1122,21 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     the inner box (so does W) or when it passes the enumeration re-check
     (invariant and holding the seed, W' contains W).  That re-check is the
     one a PROPER seed's family gets anyway, and its outcome is kept in
-    ``rechecks``.  Otherwise, or for reps the spin skips, the exact engine
-    closes the seed.
+    ``rechecks``.  Otherwise the exact engine completes W' from its rows:
+    W' holds the seed and lies in W, so its closure is W.
     """
     p, box, dim = engine.p, engine.box, engine.dim
     if engine.screen_full(seed, box.radius - gens.radius):
         return None
     echelons = engine.guided_run(seed)
-    if echelons is not None:
-        if all(g in echelons and echelons[g].dim == dim for g in inner):
-            return None
-        fkey = _family_key(echelons)
-        if fkey not in rechecks:
-            rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
-        if rechecks[fkey][0]:
-            return echelons
-    return engine.run([seed])
+    if all(g in echelons and echelons[g].dim == dim for g in inner):
+        return None
+    fkey = _family_key(echelons)
+    if fkey not in rechecks:
+        rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
+    if rechecks[fkey][0]:
+        return echelons
+    return engine.run([GradedVector(g, row) for g, ech in echelons.items() for row in ech.rows])
 
 
 def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
@@ -1160,7 +1154,7 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     of the steps of a spin over the whole box
     (``_ClosureEngine.guided_run``), which gives a family inside the
     closure; the enumeration re-check of that family proves it is the
-    closure, and a family that fails it falls back to the exact engine
+    closure, and a family that fails it is completed by the exact engine
     (``_ClosureEngine.run``).  Either way the echelons are exact, and they
     feed the re-check and the detected family.  A seed that is a multiple
     of an earlier one reuses its outcome, and each distinct family is

@@ -36,7 +36,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from unittest import mock
 
 import numpy as np
@@ -57,7 +57,6 @@ from hamlie.reps import (
 )
 from hamlie import submodules
 from hamlie.submodules import (
-    _SCREEN_MAX_DIM,
     _SCREEN_PRIME,
     Box,
     GeneratorSet,
@@ -613,8 +612,8 @@ def test_sp_decompose_matches_positional_readout(data):
 
 # -- the mod-p FULL screen -------------------------------------------------
 
-# 134217689 is the screen's own prime: there p divides L and the screen
-# must fall back to the exact engine
+# 134217689 is the spin's default prime: there it divides L, and the engine
+# must step below it
 SCREEN_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40, _SCREEN_PRIME)
 SCREEN_REPS = [(n, spec) for n in (1, 2) for spec in ("trivial", "natural", "sym:2")] + [
     (2, "fundamental:2")]
@@ -643,12 +642,10 @@ def test_screen_full_implies_exact_full(n, spec, data):
     engine = _ClosureEngine(p, box, gens)
     inner = box.radius - gens.radius
 
-    screened = engine.screen_full(seed, inner)
-    if screened:
+    if engine.screen_full(seed, inner):
         assert _full_on_inner(engine, seed, inner)
-    if engine.table.L % _SCREEN_PRIME == 0 and p.rep.dim > 1:
-        # every generator is a scalar mod p, so no grade passes rank 1
-        assert not screened
+    # where the prime divides L every generator is a scalar mod p
+    assert engine.table.L % engine._modp[0]
 
 
 # the probe's reducible cases: natural and Ker theta_2 off the integral
@@ -689,18 +686,32 @@ def test_screen_fills_the_irreducible_cases():
             assert engine.screen_full(GradedVector((0,) * N, payload), 1), (spec, payload)
 
 
-def test_screen_bound_and_skip(monkeypatch):
+def _prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def test_spin_prime():
     P = _SCREEN_PRIME
-    assert all(P % d for d in range(2, 11586)) and not any(
-        all(c % d for d in range(2, 11586)) for c in range(P + 1, 2 ** 27))
-    # x @ pt + c x over dim reduced entries stays in int64 exactly up to the cap
-    assert (_SCREEN_MAX_DIM + 1) * (P - 1) ** 2 < 2 ** 63 <= (_SCREEN_MAX_DIM + 2) * (P - 1) ** 2
-    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "sym:2"))
-    engine = _ClosureEngine(p, Box(3, 2), GeneratorSet(2, 2))
-    seed = GradedVector((0, 0), (1, 0, 0))
-    assert engine.screen_full(seed, 1)
-    monkeypatch.setattr(submodules, "_SCREEN_MAX_DIM", 2)
-    assert not engine.screen_full(seed, 1)
+    assert _prime(P) and not any(_prime(c) for c in range(P + 1, 2 ** 27))
+
+    def good(c, dim, L):
+        # x @ pt + c x over dim reduced entries stays in int64
+        return (dim + 1) * (c - 1) ** 2 < 2 ** 63 and L % c and _prime(c)
+
+    # the default prime, unless the bound or L rules it out
+    for dim in (1, 14, 511):
+        for L in (1, 21, 2 ** 61 - 1, 3 ** 40, P - 1, P + 1):
+            assert submodules._spin_prime(dim, L) == P
+    q = next(c for c in range(P - 1, 1, -1) if _prime(c))
+    for dim, L in [(2, P), (2, 3 * P), (2, P * q), (2, P ** 2 * q * 7),
+                   (512, 1), (512, P), (1000, 1), (1000, 3 * 5 * 7)]:
+        p = submodules._spin_prime(dim, L)
+        assert good(p, dim, L) and p < P
+        # no c above the search's start meets the bound
+        start = min(P, isqrt((2 ** 63 - 1) // (dim + 1)) + 1)
+        assert start == P or (dim + 1) * start ** 2 >= 2 ** 63
+        assert not any(good(c, dim, L) for c in range(p + 1, start + 1)), (dim, L)
+    assert submodules._spin_prime(2, P * q) < q
 
 
 _ON_OFF_CASES = [
@@ -734,9 +745,10 @@ def test_probe_reports_do_not_depend_on_the_screen(monkeypatch):
 
 
 def test_mod_p_table_is_built_only_by_the_screen(monkeypatch):
+    # the prime is chosen as the mod-p state is built, on the first spin
     built = []
-    table = submodules._ModpTable
-    monkeypatch.setattr(submodules, "_ModpTable", lambda *a: built.append(a) or table(*a))
+    choose = submodules._spin_prime
+    monkeypatch.setattr(submodules, "_spin_prime", lambda *a: built.append(a) or choose(*a))
     p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "natural"))
     box, gens = Box(2, 2), GeneratorSet(1, 2)
     closure([GradedVector((0, 0), (1, 0))], p, box, gens)
@@ -754,6 +766,16 @@ def _count_runs(counter: list):
     run = _ClosureEngine.run
     return mock.patch.object(_ClosureEngine, "run",
                              lambda self, *a: counter.append(1) or run(self, *a))
+
+
+def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
+    """The probe's ``_close_seed`` by the exact engine alone, or, with
+    ``screen``, by the exact engine on the seeds the mod-p screen leaves."""
+    if screen and engine.screen_full(seed, engine.box.radius - gens.radius):
+        return None
+    echelons = engine.run([seed])
+    full = all(g in echelons and echelons[g].dim == engine.dim for g in inner)
+    return None if full else echelons
 
 
 @pytest.mark.parametrize("n,spec", SCREEN_REPS)
@@ -774,20 +796,16 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
 
     exact = engine.run([seed])
     guided = engine.guided_run(seed)
-    # p divides L: every generator is a scalar mod p, the spin would find at
-    # most a line per grade, and the guide is skipped
-    blind = q == _SCREEN_PRIME and engine.dim > 1
-    assert (guided is None) == blind
-    if not blind:
-        # every replayed row is an exact image inside the closure, and the
-        # guided family is the closure, as its re-check proves
-        assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
-                   for g, ech in guided.items())
-        family = TruncatedModule(p, box, echelons=guided)
-        assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
-        assert _family_key(guided) == _family_key(exact)
+    # every replayed row is an exact image inside the closure, and the guided
+    # family is the closure, as its re-check proves: at every denominator,
+    # the spin's default prime included
+    assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
+               for g, ech in guided.items())
+    family = TruncatedModule(p, box, echelons=guided)
+    assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
+    assert _family_key(guided) == _family_key(exact)
 
-    # the probe's step: the closure itself, through the guide or the fallback
+    # the probe's step: the closure itself, through the guide alone
     inner = _inner_grades(box, gens)
     runs = []
     with _count_runs(runs):
@@ -796,35 +814,30 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
         assert all(g in exact and exact[g].dim == engine.dim for g in inner)
     else:
         assert _family_key(closed) == _family_key(exact)
-    if blind:
-        assert runs == [1]
-        return
+    assert runs == []
 
     # and the probe's report is the one the exact engine alone gives
     rng_seed = data.draw(st.integers(0, 2 ** 16))
     with_guide = irreducibility_probe(p, box, gens, rng_seed=rng_seed, extra_seeds=1)
-    with mock.patch.object(_ClosureEngine, "guided_run", lambda self, seed: None):
+    with mock.patch.object(submodules, "_close_seed",
+                           functools.partial(_exact_close_seed, screen=True)):
         without = irreducibility_probe(p, box, gens, rng_seed=rng_seed, extra_seeds=1)
     assert json.dumps(with_guide, indent=2) == json.dumps(without, indent=2)
 
 
 def test_probe_closes_exactly_where_p_divides_L():
-    # alpha's denominator is the spin's prime, so the guide is skipped and
-    # every seed the screen leaves goes to the exact engine
+    # alpha's denominator is the spin's default prime: the engine steps
+    # below it, and the screen and the guide close every seed
     p = ModuleParams((F(1, _SCREEN_PRIME), 0), (0, 0), _rep(1, "natural"))
     box, gens = Box(3, 2), GeneratorSet(2, 2)
-    engine = _ClosureEngine(p, box, gens)
-    seed = GradedVector((0, 0), (F(1), F(0)))
-    assert engine.guided_run(seed) is None
     runs = []
     with _count_runs(runs):
-        closed = _close_seed(engine, seed, gens, _inner_grades(box, gens), {})
         report = irreducibility_probe(p, box, gens)
-    assert _family_key(closed) == _family_key(engine.run([seed]))
+    assert runs == []
     assert report["verdict"] == "PROPER"
-    # the screen never fills there either: one exact run per distinct line
-    lines = {submodules._seed_key(GradedVector((0, 0), v)) for _, v in _probe_seeds(2, 0xC0FFEE, 4)}
-    assert len(runs) == 1 + len(lines)
+    with mock.patch.object(submodules, "_close_seed", _exact_close_seed):
+        exact = irreducibility_probe(p, box, gens)
+    assert json.dumps(report, indent=2) == json.dumps(exact, indent=2)
 
 
 def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
@@ -840,11 +853,22 @@ def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
         cut = rounds[-2]
         return gids[:cut], parents[:cut], gens[:cut], rounds[:-1]
 
+    # the exact engine completes the short family W' from all of its rows
+    guided = _ClosureEngine.guided_run
+    run = _ClosureEngine.run
+    families, completions = [], []
     monkeypatch.setattr(_ClosureEngine, "_spin", short_spin)
-    runs = []
-    with _count_runs(runs):
-        assert _probe_bytes() == expected
-    assert runs
+    monkeypatch.setattr(_ClosureEngine, "guided_run",
+                        lambda self, seed: families.append(guided(self, seed)) or families[-1])
+    monkeypatch.setattr(_ClosureEngine, "run",
+                        lambda self, seeds: completions.append((families[-1], seeds))
+                        or run(self, seeds))
+    assert _probe_bytes() == expected
+    assert completions
+    for family, seeds in completions:
+        assert sorted((gv.grade, _int_row(gv.payload)) for gv in seeds) == sorted(
+            (g, tuple(row)) for g, ech in family.items() for row in ech.rows)
+    assert any(len(seeds) > 1 for _, seeds in completions)
 
 
 # (n, rep, alpha, box, gens, seeds or None for the probe's own).  The
@@ -882,7 +906,7 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     run = _ClosureEngine.run
 
     def count_closure(out):
-        counts["closures"] += out is not None
+        counts["closures"] += 1
         return out
 
     monkeypatch.setattr(_ClosureEngine, "guided_run",
