@@ -7,8 +7,10 @@ are carried around as exact matrix-valued polynomials in s.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .linalg import SparseMatrix, canon, format_scalar, vec_is_zero
 from .reps import Representation
@@ -141,6 +143,21 @@ class MatrixPolynomial:
                 terms[e] = terms[e] + prod if e in terms else prod
         return MatrixPolynomial(self.nvars, (self.shape[0], other.shape[1]), terms)
 
+    def sub(self, r) -> "MatrixPolynomial":
+        """P(r - x) as a polynomial in x, for this P(x): each x_i^d becomes
+        sum_j C(d, j) r_i^(d-j) (-1)^j x_i^j."""
+        r = [canon(v) for v in r]
+        terms: dict = {}
+        for e, m in self.terms.items():
+            for f in itertools.product(*(range(d + 1) for d in e)):
+                c = 1
+                for d, j, ri in zip(e, f, r):
+                    c *= comb(d, j) * ri ** (d - j) * (-1) ** j
+                if c:
+                    m_c = m.scale(c)
+                    terms[f] = terms[f] + m_c if f in terms else m_c
+        return MatrixPolynomial(self.nvars, self.shape, terms)
+
     def evaluate(self, s) -> SparseMatrix:
         s = [canon(v) for v in s]
         out = SparseMatrix(*self.shape)
@@ -160,14 +177,8 @@ def _mono(nvars: int, *idxs) -> tuple:
 
 
 def _bar_linear_terms(c, N: int) -> dict:
-    """(bar s, c) as a linear polynomial: exponent tuple -> scalar."""
-    n = N // 2
-    out = {}
-    for j in range(N):
-        coeff = -canon(c[n + j]) if j < n else canon(c[j - n])
-        if coeff != 0:
-            out[_mono(N, j)] = coeff
-    return out
+    """(bar s, c) = -(s, bar c) as a linear polynomial: exponent tuple -> scalar."""
+    return {_mono(N, j): -canon(x) for j, x in enumerate(bar(c)) if x != 0}
 
 
 def _scalar_times_identity(scalars: dict, dim: int, N: int) -> MatrixPolynomial:
@@ -191,44 +202,13 @@ def g1_polynomial(r, p: ModuleParams) -> MatrixPolynomial:
 
 
 def g2_polynomial(r, k, p: ModuleParams) -> MatrixPolynomial:
-    """[(bar(r-s), k+s+alpha) I + rho((r-s) bar(r-s)^t)] g1-style product."""
-    N = p.rep.alg.N
-    dim = p.rep.dim
+    """H_{r-s} H_s on grade k as a degree-4 polynomial in s: g1 at grade
+    k + r taken at r - s, which is (bar(r-s), k+s+alpha) I +
+    rho((r-s) bar(r-s)^t) as (bar(r-s), r-s) = 0, times g1 at grade k
+    taken at s."""
     r = tuple(int(v) for v in r)
-    k_alpha = tuple(a + b for a, b in zip(k, p.alpha))
-
-    # scalar part of factor 1: (bar r - bar s, k + s + alpha), expanded;
-    # its quadratic part -(bar s, s) vanishes, the form being alternating
-    scalars: dict = {}
-
-    def bump(e, c):
-        if c != 0:
-            scalars[e] = scalars.get(e, 0) + c
-
-    bump(_mono(N), pairing(bar(r), k_alpha))
-    rb = bar(r)
-    for j in range(N):
-        bump(_mono(N, j), rb[j])
-    for e, c in _bar_linear_terms(k_alpha, N).items():
-        bump(e, -c)
-    scalars = {e: c for e, c in scalars.items() if c != 0}
-    factor1 = _scalar_times_identity(scalars, dim, N)
-
-    # matrix part of factor 1: rho((r-s) bar(r-s)^t) expanded over pairs
-    terms: dict = {}
-
-    def add_term(e, m):
-        terms[e] = terms[e] + m if e in terms else m
-
-    for (a, b), m in p.rep.polarizations.items():
-        add_term(_mono(N), m.scale(r[a] * r[b]))
-        add_term(_mono(N, b), m.scale(-r[a]))
-        add_term(_mono(N, a), m.scale(-r[b]))
-        add_term(_mono(N, a, b), m)
-    factor1 = factor1 + MatrixPolynomial(N, (dim, dim), terms)
-
-    factor2 = g1_polynomial(k, p)
-    return factor1 @ factor2
+    k_r = tuple(a + b for a, b in zip(k, r))
+    return g1_polynomial(k_r, p).sub(r) @ g1_polynomial(k, p)
 
 
 def _report(check: str, params: dict, samples: int, passes: int, failures: list) -> dict:

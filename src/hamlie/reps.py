@@ -2,8 +2,9 @@
 
 Wedge monomials are strictly increasing index tuples (0-based), ordered
 lexicographically; a permutation of factors contributes its sign.  The
-contraction theta_k pairs two wedge slots through the symplectic form
-and its kernel realizes the fundamental module V(delta_k) for k >= 2.
+contraction theta_k = 1/2 sum_b iota_{e_b} iota_{bar e_b} is built from
+the interior products, and its kernel realizes the fundamental module
+V(delta_k) for k >= 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,16 @@ from .linalg import (
     unit_vector,
     vec_is_zero,
 )
-from .symplectic import SpAlgebra, bracket, build_sp, combine, polarization, sp_decompose
+from .symplectic import (
+    SpAlgebra,
+    _unit,
+    bar,
+    bracket,
+    build_sp,
+    combine,
+    polarization,
+    sp_decompose,
+)
 
 
 @dataclass
@@ -176,34 +186,21 @@ def symmetric_power(rep: Representation, k: int) -> Representation:
     return Representation(rep.alg, f"sym:{k}", len(basis), basis, action, weights)
 
 
-def _symplectic_pair(a: int, b: int, n: int) -> int:
-    """(e_a, bar(e_b)) for standard basis vectors, 0-based."""
-    if b < n:
-        return -1 if a == b + n else 0
-    return 1 if a == b - n else 0
-
-
 def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
-    """The contraction Lambda^k -> Lambda^{k-2}."""
-    if k < 2 or k > alg.N:
-        raise ValueError(f"contraction degree {k} must be in 2..{alg.N}")
+    """The contraction theta_k = 1/2 sum_b iota_{e_b} iota_{bar e_b}:
+    Lambda^k -> Lambda^{k-2}, with bar(e_b) = sgn_b e_{j_b} read from
+    ``symplectic.bar``."""
+    N = alg.N
+    if k < 2 or k > N:
+        raise ValueError(f"contraction degree {k} must be in 2..{N}")
     nat = natural_rep(alg)
     source = exterior_power(nat, k)
     target = exterior_power(nat, k - 2)
-    tgt_index = {t: i for i, t in enumerate(target.basis_labels)}
-    entries = {}
-    for col, tup in enumerate(source.basis_labels):
-        # positions r < s are 1-based in the sign convention
-        for r in range(len(tup)):
-            for s in range(r + 1, len(tup)):
-                pair = _symplectic_pair(tup[r], tup[s], alg.n)
-                if pair == 0:
-                    continue
-                sign = 1 if (r + s) % 2 != 0 else -1  # (-1)^{(r+1)+(s+1)-1}
-                rest = tuple(x for p, x in enumerate(tup) if p not in (r, s))
-                key = (tgt_index[rest], col)
-                entries[key] = entries.get(key, 0) + sign * pair
-    return LinearMap(source, target, SparseMatrix(target.dim, source.dim, entries))
+    total = SparseMatrix(target.dim, source.dim)
+    for b in range(N):
+        j, sgn = next((j, c) for j, c in enumerate(bar(_unit(N, b))) if c)
+        total = total + (interior_matrix(N, k - 1, b) @ interior_matrix(N, k, j)).scale(sgn)
+    return LinearMap(source, target, total.scale(Fraction(1, 2)))
 
 
 def subrepresentation(rep: Representation, space: Subspace, name: str) -> Representation:

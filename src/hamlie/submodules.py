@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class TruncatedModule:
         self.kind = kind
         self.k = k
         self._echelons = {tuple(g): e for g, e in (echelons or {}).items()}
-        self._spaces = {}
         self._builder = builder
 
     @property
@@ -148,19 +147,18 @@ class TruncatedModule:
         return ech
 
     def space(self, grade) -> Subspace:
-        grade = tuple(int(g) for g in grade)
-        s = self._spaces.get(grade)
-        if s is None:
-            s = self._spaces[grade] = self.int_basis(grade).subspace()
-        return s
+        return self.int_basis(grade).subspace()
 
     def to_obj(self) -> dict:
+        """Each grade's RREF basis, read off its echelon: every row divided
+        by its (positive) pivot entry, in lowest terms."""
         spaces = {}
         for g in self.box.grades():
-            s = self.space(g)
-            if not s.is_zero():
+            ech = self.int_basis(g)
+            if ech.rows:
                 key = ",".join(str(x) for x in g)
-                spaces[key] = [[format_scalar(x) for x in row] for row in s.basis]
+                spaces[key] = [[_format_ratio(x, row[p]) for x in row]
+                               for row, p in zip(ech.rows, ech.pivots)]
         return {
             "alpha": [format_scalar(a) for a in self.params.alpha],
             "beta": [format_scalar(b) for b in self.params.beta],
@@ -168,6 +166,12 @@ class TruncatedModule:
             "box_radius": self.box.radius,
             "spaces": spaces,
         }
+
+
+def _format_ratio(x: int, d: int) -> str:
+    """format_scalar(Fraction(x, d)) for d > 0, in integers."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 # -- int64 bounds for integer rows ----------------------------------------
@@ -851,12 +855,12 @@ def _spot_check_family(family: TruncatedModule, gens: GeneratorSet, rng,
 
 
 def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
-                            rng_seed: int = 0xC0FFEE, spot_samples: int = 25) -> dict:
+                            spot_samples: int = 25) -> dict:
     p = family.params
     alg = p.rep.alg
     n = alg.n
     checks = {}
-    rng = random.Random(rng_seed)
+    rng = random.Random(0xC0FFEE)
 
     if family.kind == "trivial_line":
         checks["rep_acts_by_zero"] = all(
@@ -1105,11 +1109,15 @@ def _probe_seeds(dim: int, rng_seed: int, extra_seeds: int) -> list:
     return seeds
 
 
-def _recheck(p: ModuleParams, box: Box, gens: GeneratorSet, echelons: dict,
-             engine: _ClosureEngine) -> tuple:
-    """(invariant, family) of the enumeration re-check of ``echelons``."""
-    fam = TruncatedModule(p, box, echelons=echelons)
-    return not _enumerate_invariance(fam, gens, engine=engine)["failures"], fam
+def _recheck(engine: _ClosureEngine, gens: GeneratorSet, echelons: dict,
+             rechecks: dict) -> tuple:
+    """(invariant, family) of the enumeration re-check of ``echelons``, made
+    once per distinct family and kept in ``rechecks``."""
+    fkey = _family_key(echelons)
+    if fkey not in rechecks:
+        fam = TruncatedModule(engine.p, engine.box, echelons=echelons)
+        rechecks[fkey] = (not _enumerate_invariance(fam, gens, engine=engine)["failures"], fam)
+    return rechecks[fkey]
 
 
 def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
@@ -1125,16 +1133,13 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     ``rechecks``.  Otherwise the exact engine completes W' from its rows:
     W' holds the seed and lies in W, so its closure is W.
     """
-    p, box, dim = engine.p, engine.box, engine.dim
+    box, dim = engine.box, engine.dim
     if engine.screen_full(seed, box.radius - gens.radius):
         return None
     echelons = engine.guided_run(seed)
     if all(g in echelons and echelons[g].dim == dim for g in inner):
         return None
-    fkey = _family_key(echelons)
-    if fkey not in rechecks:
-        rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
-    if rechecks[fkey][0]:
+    if _recheck(engine, gens, echelons, rechecks)[0]:
         return echelons
     return engine.run([GradedVector(g, row) for g, ech in echelons.items() for row in ech.rows])
 
@@ -1191,21 +1196,17 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
             dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
         vals = list(dims.values())
         full = all(d == dim for d in vals)
-        proper = any(d > 0 for d in vals) and any(d < dim for d in vals)
-        if not full:
-            all_full = False
         entry = {
             "seed": name,
             "vector": [format_scalar(x) for x in payload],
             "full_on_inner": full,
-            "min_inner_dim": min(vals) if vals else 0,
-            "max_inner_dim": max(vals) if vals else 0,
+            "min_inner_dim": min(vals),
+            "max_inner_dim": max(vals),
         }
-        if proper:
-            fkey = _family_key(echelons)
-            if fkey not in rechecks:
-                rechecks[fkey] = _recheck(p, box, gens, echelons, engine)
-            entry["invariant"], fam = rechecks[fkey]
+        # the seed lies at inner grade 0, so a closure that is not full is proper
+        if not full:
+            all_full = False
+            entry["invariant"], fam = _recheck(engine, gens, echelons, rechecks)
             entry["inner_dims"] = {
                 ",".join(str(x) for x in g): dims[g] for g in inner
             }

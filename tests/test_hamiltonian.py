@@ -145,6 +145,22 @@ def test_g1_report():
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("n, spec", [(1, "natural"), (2, "natural"), (1, "sym:2"), (2, "sym:2")])
+def test_sub_substitutes_r_minus_x(n, spec):
+    # P.sub(r) is the polynomial x -> P(r - x), compared at random rational points
+    N = 2 * n
+    rng = random.Random(13)
+    p = _params(n, spec, alpha=tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N)))
+    for _ in range(3):
+        g1 = g1_polynomial(tuple(rng.randint(-2, 2) for _ in range(N)), p)
+        r = tuple(rng.randint(-3, 3) for _ in range(N))
+        sub = g1.sub(r)
+        assert sub.degree() == g1.degree() == 2
+        for _ in range(4):
+            x = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N))
+            assert sub.evaluate(x) == g1.evaluate(tuple(a - b for a, b in zip(r, x)))
+
+
 def test_g2_trivial_rep_identity():
     # trivial rep with (bar r, k+alpha) = 0: the product collapses to
     # -(bar s, r+k+alpha)(bar s, k+alpha)

@@ -1,5 +1,6 @@
 """Representation constructions: powers, contraction kernels, irreducibility."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -71,6 +72,33 @@ def test_theta_entries():
     col_12 = idx[(0, 1)]
     assert theta.matrix.get(0, col_13) == 1
     assert theta.matrix.get(0, col_12) == 0
+
+
+def _slot_pair_theta(n, k):
+    """theta_k by pairing wedge slots r < s (1-based r+1, s+1) through the
+    symplectic form, (e_a, bar e_b), with sign (-1)^{(r+1)+(s+1)-1}: an
+    oracle written independently of the interior products."""
+    N = 2 * n
+    tgt = {t: i for i, t in enumerate(itertools.combinations(range(N), k - 2))}
+    entries = {}
+    for col, tup in enumerate(itertools.combinations(range(N), k)):
+        for r, s in itertools.combinations(range(k), 2):
+            a, b = tup[r], tup[s]
+            pair = (-1 if a == b + n else 0) if b < n else (1 if a == b - n else 0)
+            if pair:
+                rest = tup[:r] + tup[r + 1:s] + tup[s + 1:]
+                key = (tgt[rest], col)
+                entries[key] = entries.get(key, 0) + (1 if (r + s) % 2 else -1) * pair
+    return SparseMatrix(len(tgt), comb(N, k), entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theta_matches_slot_pair_formula(n):
+    alg = build_sp(n, verify=False)
+    for k in range(2, 2 * n + 1):
+        want = _slot_pair_theta(n, k)
+        assert not want.is_zero()
+        assert contraction_theta(alg, k).matrix == want, k
 
 
 def test_theta_intertwines():
