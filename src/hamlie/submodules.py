@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
@@ -407,15 +408,55 @@ def _is_prime(m: int) -> bool:
 
 
 def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverses of nonzero residues, a^(p-2) mod p."""
-    out = np.ones_like(a)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * a % p
-        a = a * a % p
-        e >>= 1
-    return out
+    """Elementwise inverses of nonzero residues mod the prime p."""
+    return np.array([pow(v, -1, p) for v in a.tolist()], dtype=np.int64)
+
+
+class _ModpSpans:
+    """Row spaces over F_p at ``count`` grades (by gid).  Each grade keeps
+    a reduction matrix P whose pivot rows hold its RREF rows over F_p, so
+    the residual of v is v - v @ P."""
+
+    def __init__(self, p: int, count: int, dim: int):
+        self.p = p
+        self.P = np.zeros((count, dim, dim), dtype=np.int64)
+        self.rank = np.zeros(count, dtype=np.int64)
+
+    def insert(self, gids: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """Assimilate one nonzero residual per grade of ``gids``; returns
+        the normalised new rows."""
+        p, P = self.p, self.P
+        k = np.arange(len(gids))
+        q = np.argmax(res != 0, axis=1)
+        w = res * _inv_mod(res[k, q], p)[:, None] % p
+        col = P[gids, :, q]
+        P[gids] = (P[gids] - col[:, :, None] * w[:, None, :]) % p
+        P[gids, q] = w
+        self.rank[gids] += 1
+        return w
+
+    def absorb(self, tgt: np.ndarray, y: np.ndarray) -> list:
+        """Reduce candidate rows ``y`` at their target gids and insert what
+        survives, one row per grade and pass, first candidate first; returns
+        each pass's (candidate indices, gids, normalised rows)."""
+        p = self.p
+        res = (y - np.einsum("cd,cde->ce", y, self.P[tgt])) % p
+        cand = np.arange(len(tgt))
+        passes = []
+        while True:
+            keep = res.any(axis=1)
+            tgt, res, cand = tgt[keep], res[keep], cand[keep]
+            if not len(tgt):
+                return passes
+            gids, first = np.unique(tgt, return_index=True)
+            w = self.insert(gids, res[first])
+            passes.append((cand[first], gids, w))
+            rest = np.ones(len(tgt), dtype=bool)
+            rest[first] = False
+            tgt, res, cand = tgt[rest], res[rest], cand[rest]
+            w = w[np.searchsorted(gids, tgt)]
+            q = np.argmax(w != 0, axis=1)
+            res = (res - res[np.arange(len(res)), q][:, None] * w) % p
 
 
 class _ClosureEngine:
@@ -425,84 +466,57 @@ class _ClosureEngine:
         self.index = _GradeIndex(box.radius, box.N)
         self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
-        # (p, generator matrices, L, L alpha), reduced mod the spin's
-        # prime, built on the first spin
-        self._modp = None
+        # inner radius -> whether fullness at grade 0 carries to its box
+        self._carried: dict = {}
 
-    def _spin(self, seed: GradedVector, idx: _GradeIndex, judged=None):
-        """Spin ``seed`` over F_p between the grades of ``idx``, a box no
-        larger than the engine's.
+    @cached_property
+    def _modp(self) -> tuple:
+        """(p, generator matrices, L, L alpha), reduced mod the spin's prime."""
+        table = self.table
+        q = _spin_prime(self.dim, table.L)
+        return (q, np.array(np.mod(table.pt, q), dtype=np.int64), table.L % q,
+                np.array(np.mod(table.l_alpha, q), dtype=np.int64))
 
-        None once every grade of ``judged`` (gids) is full.  Otherwise the
-        spin's rows in insertion order, as arrays (gids, parents, gens), and
-        the bounds of its rounds, round t being rows rounds[t]:rounds[t+1]:
+    def _step(self, src: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Images over F_p of rows ``x`` at grades ``src`` under the
+        generators ``j``: L*((bar r, s+alpha)I + rho(r bar r^t)) x mod p."""
+        p, pt, l_mod, l_alpha = self._modp
+        u = (src * l_mod + l_alpha) % p
+        c = np.einsum("cn,cn->c", u, self.table.bars[j]) % p
+        return (np.einsum("cd,cde->ce", x, pt[j]) + c[:, None] * x) % p
+
+    def _spin(self, seed: GradedVector):
+        """Spin ``seed`` over F_p between the grades of the engine's box.
+
+        The spin's rows in insertion order, as arrays (gids, parents, gens),
+        and the bounds of its rounds, round t being rows rounds[t]:rounds[t+1]:
         row 0 is the seed, and row k > 0 was the residual at grade gids[k]
         of the image of row parents[k], of the round before, under
-        generator gens[k].
-
-        Each grade keeps a reduction matrix P whose pivot rows hold its RREF
-        rows over F_p, so the residual of v is v - v @ P.  Transients stay
-        within _SCREEN_BATCH elements per batch.
+        generator gens[k].  Transients stay within _SCREEN_BATCH elements
+        per batch.
         """
         dim = self.dim
-        table = self.table
-        if self._modp is None:
-            q = _spin_prime(dim, table.L)
-            self._modp = (q, np.array(np.mod(table.pt, q), dtype=np.int64), table.L % q,
-                          np.array(np.mod(table.l_alpha, q), dtype=np.int64))
-        p, pt, l_mod, l_alpha = self._modp
-        bars, offsets = table.bars, table.offsets
+        p = self._modp[0]
+        idx = self.index
+        offsets = self.table.offsets
         n_gens, N = offsets.shape
-
-        P = np.zeros((idx.count, dim, dim), dtype=np.int64)
-        rank = np.zeros(idx.count, dtype=np.int64)
+        spans = _ModpSpans(p, idx.count, dim)
         new_gids, new_rows = [], []
         # every inserted row's grade, parent row and generator, in order
         log_gids, log_parents, log_gens = [], [], []
         rounds = [0]
 
-        def insert(gids: np.ndarray, res: np.ndarray, par: np.ndarray,
-                   gen: np.ndarray) -> np.ndarray:
-            """Assimilate one nonzero residual per grade of ``gids``; returns
-            the normalised new rows."""
-            k = np.arange(len(gids))
-            q = np.argmax(res != 0, axis=1)
-            w = res * _inv_mod(res[k, q], p)[:, None] % p
-            col = P[gids, :, q]
-            P[gids] = (P[gids] - col[:, :, None] * w[:, None, :]) % p
-            P[gids, q] = w
-            rank[gids] += 1
-            new_gids.append(gids)
-            new_rows.append(w)
-            log_gids.append(gids)
-            log_parents.append(par)
-            log_gens.append(gen)
-            return w
-
         def absorb(tgt: np.ndarray, y: np.ndarray, par: np.ndarray, gen: np.ndarray):
-            """Reduce candidate rows at their target grades and insert what
-            survives, one row per grade and pass, first candidate first."""
-            res = (y - np.einsum("cd,cde->ce", y, P[tgt])) % p
-            while True:
-                keep = res.any(axis=1)
-                tgt, res, par, gen = tgt[keep], res[keep], par[keep], gen[keep]
-                if not len(tgt):
-                    return
-                gids, first = np.unique(tgt, return_index=True)
-                w = insert(gids, res[first], par[first], gen[first])
-                rest = np.ones(len(tgt), dtype=bool)
-                rest[first] = False
-                tgt, res, par, gen = tgt[rest], res[rest], par[rest], gen[rest]
-                w = w[np.searchsorted(gids, tgt)]
-                q = np.argmax(w != 0, axis=1)
-                res = (res - res[np.arange(len(res)), q][:, None] * w) % p
-
-        def filled() -> bool:
-            return judged is not None and rank[judged].min() == dim
+            for k, gids, w in spans.absorb(tgt, y):
+                new_gids.append(gids)
+                new_rows.append(w)
+                log_gids.append(gids)
+                log_parents.append(par[k])
+                log_gens.append(gen[k])
 
         row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
         none = np.array([-1])
-        insert(np.array([idx.encode_one(seed.grade)]), row, none, none)
+        absorb(np.array([idx.encode_one(seed.grade)]), row, none, none)
         # a target's gid is its source's gid plus the generator's code;
         # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
         codes = offsets @ idx.weights
@@ -511,8 +525,6 @@ class _ClosureEngine:
         block = max(1, _SCREEN_BATCH // n_gens)
         chunk = max(1, _SCREEN_BATCH // (dim * dim))
         while new_gids:
-            if filled():
-                return None
             f_gids = np.concatenate(new_gids)
             f_rows = np.concatenate(new_rows)
             new_gids.clear()
@@ -527,41 +539,150 @@ class _ClosureEngine:
                     live &= in_box[a][src[:, a] + idx.R]
                 ii, jj = np.divmod(np.flatnonzero(live), n_gens)
                 tgt = src_gids[ii] + codes[jj]
-                open_tgt = rank[tgt] < dim
+                open_tgt = spans.rank[tgt] < dim
                 ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
                 for c0 in range(0, len(ii), chunk):
                     i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
-                    x = f_rows[b0 + i]
-                    u = (src[i] * l_mod + l_alpha) % p
-                    c = np.einsum("cn,cn->c", u, bars[j]) % p
-                    y = (np.einsum("cd,cde->ce", x, pt[j]) + c[:, None] * x) % p
+                    y = self._step(src[i], f_rows[b0 + i], j)
                     absorb(tgt[c0:c0 + chunk], y, base + b0 + i, j)
-                    if filled():
-                        return None
         return (np.concatenate(log_gids), np.concatenate(log_parents),
                 np.concatenate(log_gens), rounds)
 
-    def screen_full(self, seed: GradedVector, radius: int) -> bool:
-        """True when the closure of ``seed`` over F_p fills every grade of
-        the box of ``radius``; then so does its closure over Q in the
-        engine's box.
+    @cached_property
+    def _words(self) -> list:
+        """The closed words at grade 0 over the radius-1 generators, as
+        arrays of generator indices with one column per step, first step
+        first: H_{-r} H_r, then H_{r3} H_{r2} H_{r1} with r1 + r2 + r3 = 0.
+        Every grade a word passes has entries in {-1, 0, 1}, so it lies in
+        the box."""
+        offsets = self.table.offsets
+        N = offsets.shape[1]
+        unit = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
+        r = offsets[unit].astype(np.int8)
+        # a radius-1 vector's base-3 code -> its generator index
+        w3 = 3 ** np.arange(N - 1, -1, -1)
+        index = np.full(3 ** N, -1)
+        index[(r + 1) @ w3] = unit
+        three = []
+        for r1, j1 in zip(r, unit):
+            s = r1 + r
+            b = np.flatnonzero(np.abs(s).max(axis=1) == 1)
+            three.append(np.stack([np.full(len(b), j1), unit[b], index[(1 - s[b]) @ w3]],
+                                  axis=1))
+        return [np.stack([unit, index[(1 - r) @ w3]], axis=1), np.concatenate(three)]
 
-        Let W be the closure over Q.  Each W_g meet Z^dim is a saturated
-        lattice, and the integer operator L H_r of the action table maps it
-        into the lattice at grade g + r.  So the lattice family mod p is
-        invariant, contains the reduced primitive seed and has dimension
-        dim W_g at grade g.  The spin steps only between grades of a box of
-        radius max(radius, 1), no larger than the engine's, so it stays
-        inside that family: FULL mod p implies FULL over Q, for every p.
-        (Radius 1 lets a spin judged on grade 0 alone leave it and come
-        back.)  False proves nothing; seeds outside the box of ``radius``
-        are never screened.
+    def _fills_grade_zero(self, seed: GradedVector) -> bool:
+        """True when the rows of a seed at grade 0, pushed over F_p through
+        the closed words (``_words``) until no new row appears, span F_p^dim;
+        stops as soon as they do."""
+        dim = self.dim
+        offsets = self.table.offsets
+        p = self._modp[0]
+        spans = _ModpSpans(p, 1, dim)
+        zero = np.zeros(1, dtype=np.int64)
+        row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
+        frontier = [spans.insert(zero, row)]
+        chunk = max(1, _SCREEN_BATCH // (dim * dim))
+        while frontier and spans.rank[0] < dim:
+            rows = np.concatenate(frontier)
+            frontier = []
+            for words in self._words:
+                pairs = len(words) * len(rows)
+                for c0 in range(0, pairs, chunk):
+                    w, i = np.divmod(np.arange(c0, min(pairs, c0 + chunk)), len(rows))
+                    y = rows[i]
+                    src = np.zeros((len(i), offsets.shape[1]), dtype=np.int64)
+                    for j in words[w].T:
+                        y = self._step(src, y, j)
+                        src = src + offsets[j]
+                    frontier += [new for _, _, new in spans.absorb(zero.repeat(len(y)), y)]
+                    if spans.rank[0] == dim:
+                        return True
+        return bool(spans.rank[0] == dim)
+
+    def _full_from_zero(self, radius: int) -> np.ndarray:
+        """Over the gids of the box of ``radius``: whether the grade is full
+        in every family that is full at grade 0 and invariant under the
+        engine's generators between grades of that box.
+
+        Breadth first from grade 0 along the steps s -> s + r whose exact
+        scalar L (bar r, s + alpha) is nonzero: there H_r is that scalar
+        times I plus the nilpotent rho(r bar r^t), so it is invertible and
+        carries V onto V.  A grade t still open is full when the images
+        H_r(V) from full grades t - r have rank dim mod p (an integer stack
+        of rank dim mod p has rank dim over Q).  Repeated until neither
+        rule fills a grade.
         """
-        if any(abs(g) > radius for g in seed.grade):
+        N = self.box.N
+        idx = _GradeIndex(radius, N)
+        table = self.table
+        offsets, L = table.offsets, table.L
+        # live[s, j]: the step from s under generator j stays in the box
+        live = np.ones((idx.count, len(offsets)), dtype=bool)
+        for a in range(N):
+            live &= np.abs(idx.coords[:, a, None] + offsets[None, :, a]) <= radius
+        if table.c_small.all():
+            s_l = idx.coords * L + table.l_alpha
+        else:
+            s_l = idx.coords.astype(object) * L + table.l_alpha.astype(object)
+        steps = live & (s_l @ table.bars.T != 0)
+        codes = offsets @ idx.weights
+        full = np.zeros(idx.count, dtype=bool)
+        new = np.array([idx.encode_one((0,) * N)])
+        while len(new):
+            full[new] = True
+            ii, jj = np.nonzero(steps[new])
+            reached = np.zeros(idx.count, dtype=bool)
+            reached[new[ii] + codes[jj]] = True
+            new = np.flatnonzero(reached & ~full)
+            if not len(new):
+                new = np.array([t for t in np.flatnonzero(~full).tolist()
+                                if self._images_span(idx, t, full)], dtype=np.int64)
+        return full
+
+    def _images_span(self, idx: _GradeIndex, t: int, full: np.ndarray) -> bool:
+        """True when the images over F_p of V under H_r from the full grades
+        t - r of ``idx`` have rank dim."""
+        dim = self.dim
+        offsets = self.table.offsets
+        src = idx.coords[t] - offsets
+        j = np.flatnonzero(np.all(np.abs(src) <= idx.R, axis=1))
+        j = j[full[(src[j] + idx.R) @ idx.weights]]
+        src = src[j]
+        spans = _ModpSpans(self._modp[0], 1, dim)
+        eye = np.eye(dim, dtype=np.int64)
+        per = max(1, _SCREEN_BATCH // (dim * dim * dim))
+        for b0 in range(0, len(j), per):
+            jb = j[b0:b0 + per]
+            y = self._step(np.repeat(src[b0:b0 + per], dim, axis=0),
+                           np.tile(eye, (len(jb), 1)), np.repeat(jb, dim))
+            spans.absorb(np.zeros(len(y), dtype=np.int64), y)
+            if spans.rank[0] == dim:
+                return True
+        return False
+
+    def screen_full(self, seed: GradedVector, radius: int) -> bool:
+        """True when the closure W over Q of ``seed``, a vector at grade 0,
+        fills every grade of the box of ``radius`` in the engine's box; False
+        proves nothing, and a seed at another grade is never screened.
+
+        Two parts decide it.  The seed's spin over F_p at grade 0 through
+        closed words (``_fills_grade_zero``) must reach rank dim.  Let W be
+        the closure: each W_g meet Z^dim is a saturated lattice, and the
+        integer operator L H_r of the action table maps it into the lattice
+        at grade g + r, so the lattice family mod p is invariant, contains
+        the reduced primitive seed and has dimension dim W_g at grade g.
+        Every word is a path between grades of the radius-1 box, inside the
+        engine's, so the rank mod p is at most dim W_0, for every p.  Then
+        the engine's propagation (``_full_from_zero``, once per radius, the
+        same for every seed) must carry fullness from grade 0 to every grade
+        of the box of ``radius``.
+        """
+        if any(seed.grade):
             return False
-        idx = _GradeIndex(max(radius, 1), self.box.N)
-        judged = np.flatnonzero(np.all(np.abs(idx.coords) <= radius, axis=1))
-        return self._spin(seed, idx, judged) is None
+        if radius not in self._carried:
+            self._carried[radius] = bool(self._full_from_zero(radius).all())
+        return self._carried[radius] and self._fills_grade_zero(seed)
 
     def guided_run(self, seed: GradedVector) -> dict:
         """{grade: _IntEchelon} of a family W' inside the closure W of
@@ -578,7 +699,7 @@ class _ClosureEngine:
         then contains W) or a W' that is full where W must be proves it.
         """
         idx = self.index
-        gids, parents, gens, rounds = self._spin(seed, idx)
+        gids, parents, gens, rounds = self._spin(seed)
         echelons: dict = {}
 
         def insert(gid: int, row: tuple) -> tuple:
@@ -1125,9 +1246,11 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     """Echelons of the closure W of ``seed`` over Q, or None when W fills
     the inner box.
 
-    The mod-p screen decides first.  Then the guided family W' of
-    ``_ClosureEngine.guided_run``, which lies in W, is taken when it fills
-    the inner box (so does W) or when it passes the enumeration re-check
+    The mod-p screen decides first (``_ClosureEngine.screen_full``: the
+    seed's words fill grade 0 and the engine's propagation carries that to
+    every inner grade).  Every seed it leaves goes to the guided family W'
+    of ``_ClosureEngine.guided_run``, which lies in W and is taken when it
+    fills the inner box (so does W) or when it passes the enumeration re-check
     (invariant and holding the seed, W' contains W).  That re-check is the
     one a PROPER seed's family gets anyway, and its outcome is kept in
     ``rechecks``.  Otherwise the exact engine completes W' from its rows:
@@ -1153,8 +1276,10 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     irreducibility); PROPER re-verifies the detected family's invariance
     and is certificate grade within the modeled generators.
 
-    Each seed is first spun over F_p (``_ClosureEngine.screen_full``): a
-    seed whose spin fills the inner box is full there over Q as well, and
+    Each seed is first screened over F_p (``_ClosureEngine.screen_full``):
+    its spin through closed words at grade 0 must span V, and the engine's
+    propagation, made once per probe, must carry a full grade 0 to every
+    inner grade.  A seed screened FULL is full there over Q as well, and
     needs no exact closure.  Every other seed is closed by an exact replay
     of the steps of a spin over the whole box
     (``_ClosureEngine.guided_run``), which gives a family inside the

@@ -16,11 +16,12 @@ here as oracles.  ``nullspace``, the integer echelon's kernel, is checked
 against the Fraction RREF on rational and beyond-int64 matrices.
 
 The probe's mod-p FULL screen is compared with the exact closure engine:
-it may only say FULL where the exact closure is full on the inner box, and
-probe reports must not depend on it.  The same holds for the mod-p-guided
-exact closure: its family must be the exact engine's wherever the probe
-takes it, and a family it gets wrong must send the probe to the exact
-engine.  Nor may reports depend on the probe's reuse of a closure for a
+it may only say FULL where the exact closure is full on the inner box, it
+must say FULL for every probe seed whose closure is full on a set of small
+shapes, and probe reports must not depend on it.  The same holds for the
+mod-p-guided exact closure: its family must be the exact engine's wherever
+the probe takes it, and a family it gets wrong must send the probe to the
+exact engine.  Nor may reports depend on the probe's reuse of a closure for a
 repeated seed line or of a re-check for a repeated family.
 
 The sparse layer keeps integral scalars as ``int`` and the rest as
@@ -55,7 +56,7 @@ from hamlie.reps import (
     subrepresentation,
     wedge_matrix,
 )
-from hamlie import submodules
+from hamlie import cli, submodules
 from hamlie.submodules import (
     _SCREEN_PRIME,
     Box,
@@ -642,7 +643,9 @@ def test_screen_full_implies_exact_full(n, spec, data):
     engine = _ClosureEngine(p, box, gens)
     inner = box.radius - gens.radius
 
-    if engine.screen_full(seed, inner):
+    verdict = engine.screen_full(seed, inner)
+    assert type(verdict) is bool
+    if verdict:
         assert _full_on_inner(engine, seed, inner)
     # where the prime divides L every generator is a scalar mod p
     assert engine.table.L % engine._modp[0]
@@ -684,6 +687,78 @@ def test_screen_fills_the_irreducible_cases():
         engine = _ClosureEngine(p, Box(2, N), GeneratorSet(1, N))
         for _, payload in _probe_seeds(p.rep.dim, 0xC0FFEE, 2):
             assert engine.screen_full(GradedVector((0,) * N, payload), 1), (spec, payload)
+
+
+# (n, rep, alphas, box, gens): every probe seed whose exact closure fills
+# the inner box must be screened FULL.  Natural n=1 at integral alpha needs
+# the propagation's rank step: every step into grade -alpha has scalar
+# (bar r, -r) = 0, so the scalar walk never reaches it.
+DECIDED_SHAPES = [
+    (1, "natural", [(1, 0), (0, -1), (-2, 3)], 5, 1),
+    (1, "sym:3", [(F(2, 5), 0), (0, F(-3, 7))], 6, 2),
+    (2, "natural", [(F(1, 3), 0, 0, 0)], 2, 1),
+    (2, "fundamental:2", [(F(1, 3), 0, 0, 0)], 2, 1),
+    (2, "trivial", [(F(1, 2), 0, 0, 0)], 2, 1),
+]
+
+
+@pytest.mark.parametrize("n,spec,alphas,box,gens", DECIDED_SHAPES)
+def test_screen_decides_every_full_seed(n, spec, alphas, box, gens):
+    N = 2 * n
+    inner = box - gens
+    full = 0
+    for alpha in alphas:
+        p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+        engine = _ClosureEngine(p, Box(box, N), GeneratorSet(gens, N))
+        for _, payload in _probe_seeds(p.rep.dim, 0xC0FFEE, 4):
+            seed = GradedVector((0,) * N, payload)
+            if _full_on_inner(engine, seed, inner):
+                full += 1
+                assert engine.screen_full(seed, inner), (alpha, payload)
+    assert full
+
+
+def _fermat_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p by square and multiply, elementwise in int64."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p", [_SCREEN_PRIME, submodules._spin_prime(2, _SCREEN_PRIME)])
+def test_inv_mod(p):
+    rng = random.Random(p)
+    a = np.array([1, 2, p - 1] + [rng.randrange(1, p) for _ in range(300)], dtype=np.int64)
+    inv = submodules._inv_mod(a, p)
+    assert inv.dtype == np.int64
+    assert all(x * y % p == 1 for x, y in zip(a.tolist(), inv.tolist()))
+    assert (inv == _fermat_inverse(a, p)).all()
+
+
+def test_rank_one_action_is_nilpotent(tmp_path):
+    # H_r = (bar r, s+alpha) I + rho(r bar r^t) is invertible where the
+    # scalar is nonzero because rho(r bar r^t)^dim = 0: (r bar r^t)^2 =
+    # (bar r, r) r bar r^t = 0 in sp_2n, and a rep keeps it nilpotent
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_rep(2, "fundamental:2").to_obj()))
+    reps = [_rep(2, spec) for spec in ("natural", "trivial", "sym:2", "sym:3",
+                                       "exterior:2", "fundamental:2")]
+    reps += [_rep(3, "fundamental:3"), cli._load_rep(str(path))]
+    rng = random.Random(7)
+    for rep in reps:
+        p = ModuleParams((0,) * rep.alg.N, (0,) * rep.alg.N, rep)
+        for _ in range(3):
+            r = tuple(rng.randint(-3, 3) for _ in range(rep.alg.N))
+            if not any(r):
+                continue
+            m = np.array(p.rho_rank_one(r).to_rows(), dtype=object)
+            assert not np.linalg.matrix_power(m, rep.dim).any(), (rep.name, r)
+            assert rep.dim == 1 or m.any(), (rep.name, r)
 
 
 def _prime(m: int) -> bool:
@@ -847,7 +922,7 @@ def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
     def short_spin(self, *a):
         # the spin without its last round: a guided family missing rows
         out = spin(self, *a)
-        if out is None or len(out[3]) <= 2:
+        if len(out[3]) <= 2:
             return out
         gids, parents, gens, rounds = out
         cut = rounds[-2]
