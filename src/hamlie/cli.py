@@ -24,6 +24,7 @@ from .reps import (
     build_rep,
     contraction_theta,
     rep_from_obj,
+    theta_matrix,
     verify_intertwiner,
 )
 from .hamiltonian import (
@@ -74,7 +75,7 @@ def _load_rep(path: str):
                          f"{len(violations)} basis pair(s) break the bracket")
     kind, _, k = rep.name.partition(":")
     if kind == "fundamental" and k.isdigit() and int(k) >= 2:
-        kernel = nullspace(contraction_theta(rep.alg, int(k)).matrix)
+        kernel = nullspace(theta_matrix(rep.alg.N, int(k)))
         if kernel.dim != rep.dim:
             raise ValueError(f"{path}: {rep.name} must have dimension {kernel.dim}")
         rep.subspace = kernel
@@ -187,8 +188,7 @@ def _cmd_theta_check(args) -> int:
 
 def _cmd_dim_check(args) -> int:
     alg = build_sp(args.n, verify=False)
-    theta = contraction_theta(alg, args.k)
-    got = nullspace(theta.matrix).dim
+    got = nullspace(theta_matrix(alg.N, args.k)).dim
     want = comb(alg.N, args.k) - comb(alg.N, args.k - 2)
     failures = [] if got == want else [{"got": got, "want": want}]
     report = {

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .linalg import (
     SparseMatrix,
@@ -186,21 +187,25 @@ def symmetric_power(rep: Representation, k: int) -> Representation:
     return Representation(rep.alg, f"sym:{k}", len(basis), basis, action, weights)
 
 
-def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
-    """The contraction theta_k = 1/2 sum_b iota_{e_b} iota_{bar e_b}:
-    Lambda^k -> Lambda^{k-2}, with bar(e_b) = sgn_b e_{j_b} read from
-    ``symplectic.bar``."""
-    N = alg.N
+def theta_matrix(N: int, k: int) -> SparseMatrix:
+    """The matrix of theta_k = 1/2 sum_b iota_{e_b} iota_{bar e_b}:
+    Lambda^k -> Lambda^{k-2} of an N-dimensional space, with bar(e_b) =
+    sgn_b e_{j_b} read from ``symplectic.bar``."""
     if k < 2 or k > N:
         raise ValueError(f"contraction degree {k} must be in 2..{N}")
-    nat = natural_rep(alg)
-    source = exterior_power(nat, k)
-    target = exterior_power(nat, k - 2)
-    total = SparseMatrix(target.dim, source.dim)
+    total = SparseMatrix(comb(N, k - 2), comb(N, k))
     for b in range(N):
         j, sgn = next((j, c) for j, c in enumerate(bar(_unit(N, b))) if c)
         total = total + (interior_matrix(N, k - 1, b) @ interior_matrix(N, k, j)).scale(sgn)
-    return LinearMap(source, target, total.scale(Fraction(1, 2)))
+    return total.scale(Fraction(1, 2))
+
+
+def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
+    """theta_k (``theta_matrix``) as a map between the representations
+    Lambda^k and Lambda^{k-2}."""
+    matrix = theta_matrix(alg.N, k)
+    nat = natural_rep(alg)
+    return LinearMap(exterior_power(nat, k), exterior_power(nat, k - 2), matrix)
 
 
 def subrepresentation(rep: Representation, space: Subspace, name: str) -> Representation:
@@ -247,9 +252,8 @@ def fundamental_rep(alg: SpAlgebra, k: int) -> Representation:
         return trivial_rep(alg)
     if k == 1:
         return natural_rep(alg)
-    theta = contraction_theta(alg, k)
-    kernel = nullspace(theta.matrix)
-    return subrepresentation(theta.source, kernel, f"fundamental:{k}")
+    kernel = nullspace(theta_matrix(alg.N, k))
+    return subrepresentation(exterior_power(natural_rep(alg), k), kernel, f"fundamental:{k}")
 
 
 def highest_weight_vectors(rep: Representation) -> list:

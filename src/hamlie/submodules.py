@@ -39,6 +39,7 @@ from .reps import (
     exterior_power,
     interior_matrix,
     natural_rep,
+    theta_matrix,
     verify_intertwiner,
     wedge_matrix,
 )
@@ -468,6 +469,8 @@ class _ClosureEngine:
         self.dim = p.rep.dim
         # inner radius -> whether fullness at grade 0 carries to its box
         self._carried: dict = {}
+        # seed line -> rank over F_p of its spin at grade 0
+        self._ranks: dict = {}
 
     @cached_property
     def _modp(self) -> tuple:
@@ -571,10 +574,13 @@ class _ClosureEngine:
                                   axis=1))
         return [np.stack([unit, index[(1 - r) @ w3]], axis=1), np.concatenate(three)]
 
-    def _fills_grade_zero(self, seed: GradedVector) -> bool:
-        """True when the rows of a seed at grade 0, pushed over F_p through
-        the closed words (``_words``) until no new row appears, span F_p^dim;
-        stops as soon as they do."""
+    def _grade_zero_rank(self, seed: GradedVector) -> int:
+        """The rank over F_p of the rows of a seed at grade 0 pushed through
+        the closed words (``_words``) until no new row appears, or dim as
+        soon as it is reached; spun once per seed line."""
+        key = _seed_key(seed)
+        if key in self._ranks:
+            return self._ranks[key]
         dim = self.dim
         offsets = self.table.offsets
         p = self._modp[0]
@@ -589,6 +595,8 @@ class _ClosureEngine:
             for words in self._words:
                 pairs = len(words) * len(rows)
                 for c0 in range(0, pairs, chunk):
+                    if spans.rank[0] == dim:
+                        break
                     w, i = np.divmod(np.arange(c0, min(pairs, c0 + chunk)), len(rows))
                     y = rows[i]
                     src = np.zeros((len(i), offsets.shape[1]), dtype=np.int64)
@@ -596,9 +604,8 @@ class _ClosureEngine:
                         y = self._step(src, y, j)
                         src = src + offsets[j]
                     frontier += [new for _, _, new in spans.absorb(zero.repeat(len(y)), y)]
-                    if spans.rank[0] == dim:
-                        return True
-        return bool(spans.rank[0] == dim)
+        self._ranks[key] = int(spans.rank[0])
+        return self._ranks[key]
 
     def _full_from_zero(self, radius: int) -> np.ndarray:
         """Over the gids of the box of ``radius``: whether the grade is full
@@ -667,13 +674,15 @@ class _ClosureEngine:
         proves nothing, and a seed at another grade is never screened.
 
         Two parts decide it.  The seed's spin over F_p at grade 0 through
-        closed words (``_fills_grade_zero``) must reach rank dim.  Let W be
-        the closure: each W_g meet Z^dim is a saturated lattice, and the
-        integer operator L H_r of the action table maps it into the lattice
-        at grade g + r, so the lattice family mod p is invariant, contains
-        the reduced primitive seed and has dimension dim W_g at grade g.
-        Every word is a path between grades of the radius-1 box, inside the
-        engine's, so the rank mod p is at most dim W_0, for every p.  Then
+        closed words (``_grade_zero_rank``, spun once per seed line; the
+        probe reads the same rank to reuse a known closure) must reach rank
+        dim.  Let W be the closure: each W_g meet Z^dim is a saturated
+        lattice, and the integer operator L H_r of the action table maps it
+        into the lattice at grade g + r, so the lattice family mod p is
+        invariant, contains the reduced primitive seed and has dimension
+        dim W_g at grade g.  Every word is a path between grades of the
+        radius-1 box, inside the engine's, so the rank mod p is at most
+        dim W_0, for every p.  Then
         the engine's propagation (``_full_from_zero``, once per radius, the
         same for every seed) must carry fullness from grade 0 to every grade
         of the box of ``radius``.
@@ -682,7 +691,7 @@ class _ClosureEngine:
             return False
         if radius not in self._carried:
             self._carried[radius] = bool(self._full_from_zero(radius).all())
-        return self._carried[radius] and self._fills_grade_zero(seed)
+        return self._carried[radius] and self._grade_zero_rank(seed) == self.dim
 
     def guided_run(self, seed: GradedVector) -> dict:
         """{grade: _IntEchelon} of a family W' inside the closure W of
@@ -1171,8 +1180,7 @@ def claim2_witness(p: ModuleParams, r, k: int):
         witness = v_wedge.matvec(witness)
     if vec_is_zero(witness):
         raise AssertionError("witness wedge vanished")
-    theta = contraction_theta(alg, k)
-    if not vec_is_zero(theta.matrix.matvec(witness)):
+    if not vec_is_zero(theta_matrix(N, k).matvec(witness)):
         raise AssertionError("witness is not in the kernel of theta")
     return witness
 
@@ -1241,15 +1249,39 @@ def _recheck(engine: _ClosureEngine, gens: GeneratorSet, echelons: dict,
     return rechecks[fkey]
 
 
+def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -> dict | None:
+    """Echelons of a family in ``rechecks`` that is the closure W of
+    ``seed``, a vector at grade 0, or None.
+
+    Every invariant family U there is the closure of an earlier seed at
+    grade 0.  U is W when ``seed`` lies in U_0 and the seed's rank at grade
+    0 over F_p (``_ClosureEngine._grade_zero_rank``, asked for only then)
+    is at least dim U_0: U is invariant and holds the seed, so W lies in U;
+    the rank is at most dim W_0 (``screen_full``), so W_0 = U_0, which
+    holds the earlier seed, and U lies in W.  A family that failed its
+    re-check is never taken.
+    """
+    row = _int_row(seed.payload)
+    for invariant, fam in rechecks.values():
+        w0 = fam.int_basis(seed.grade)
+        if invariant and w0.contains(row) and engine._grade_zero_rank(seed) >= w0.dim:
+            return fam._echelons
+    return None
+
+
 def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
                 inner: list, rechecks: dict) -> dict | None:
-    """Echelons of the closure W of ``seed`` over Q, or None when W fills
-    the inner box.
+    """Echelons of the closure W of ``seed``, a vector at grade 0, over Q,
+    or None when W fills the inner box.
 
     The mod-p screen decides first (``_ClosureEngine.screen_full``: the
     seed's words fill grade 0 and the engine's propagation carries that to
-    every inner grade).  Every seed it leaves goes to the guided family W'
-    of ``_ClosureEngine.guided_run``, which lies in W and is taken when it
+    every inner grade).  Next, an invariant family already re-checked in
+    ``rechecks`` is W when the seed lies in its grade 0 and the seed's
+    grade-0 rank reaches that grade's dimension (``_known_closure``); its
+    echelons, family key and re-check are the ones a fresh closure would
+    give.  Every seed left goes to the guided family W' of
+    ``_ClosureEngine.guided_run``, which lies in W and is taken when it
     fills the inner box (so does W) or when it passes the enumeration re-check
     (invariant and holding the seed, W' contains W).  That re-check is the
     one a PROPER seed's family gets anyway, and its outcome is kept in
@@ -1259,6 +1291,9 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     box, dim = engine.box, engine.dim
     if engine.screen_full(seed, box.radius - gens.radius):
         return None
+    echelons = _known_closure(engine, seed, rechecks)
+    if echelons is not None:
+        return echelons
     echelons = engine.guided_run(seed)
     if all(g in echelons and echelons[g].dim == dim for g in inner):
         return None
@@ -1280,12 +1315,15 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     its spin through closed words at grade 0 must span V, and the engine's
     propagation, made once per probe, must carry a full grade 0 to every
     inner grade.  A seed screened FULL is full there over Q as well, and
-    needs no exact closure.  Every other seed is closed by an exact replay
-    of the steps of a spin over the whole box
-    (``_ClosureEngine.guided_run``), which gives a family inside the
-    closure; the enumeration re-check of that family proves it is the
-    closure, and a family that fails it is completed by the exact engine
-    (``_ClosureEngine.run``).  Either way the echelons are exact, and they
+    needs no exact closure.  A seed that lies at grade 0 in an invariant
+    family the probe already holds, with a grade-0 rank over F_p reaching
+    that grade's dimension, has that family as its closure
+    (``_known_closure``), so the closure of one family is made once.
+    Every other seed is closed by an exact replay of the steps of a spin
+    over the whole box (``_ClosureEngine.guided_run``), which gives a
+    family inside the closure; the enumeration re-check of that family
+    proves it is the closure, and a family that fails it is completed by
+    the exact engine (``_ClosureEngine.run``).  Either way the echelons are exact, and they
     feed the re-check and the detected family.  A seed that is a multiple
     of an earlier one reuses its outcome, and each distinct family is
     re-checked once.

@@ -915,24 +915,39 @@ def test_probe_closes_exactly_where_p_divides_L():
     assert json.dumps(report, indent=2) == json.dumps(exact, indent=2)
 
 
+_SPIN = _ClosureEngine._spin
+
+
+def _short_spin(self, *a):
+    """The spin without its last round: a guided family missing rows."""
+    out = _SPIN(self, *a)
+    if len(out[3]) <= 2:
+        return out
+    gids, parents, gens, rounds = out
+    cut = rounds[-2]
+    return gids[:cut], parents[:cut], gens[:cut], rounds[:-1]
+
+
+def _spin_short_off_grade_zero(self, *a):
+    """The spin without the rows of its last round that lie off the seed's
+    grade: a guided family that may hold the closure's whole grade 0 but
+    misses rows elsewhere.  No row of the last round is a parent."""
+    out = _SPIN(self, *a)
+    gids, parents, gens, rounds = out
+    if len(rounds) <= 2:
+        return out
+    last = np.arange(rounds[-2], len(gids))
+    keep = np.concatenate([np.arange(rounds[-2]), last[gids[last] == gids[0]]])
+    return gids[keep], parents[keep], gens[keep], rounds[:-1] + [len(keep)]
+
+
 def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
     expected = _probe_bytes()
-    spin = _ClosureEngine._spin
-
-    def short_spin(self, *a):
-        # the spin without its last round: a guided family missing rows
-        out = spin(self, *a)
-        if len(out[3]) <= 2:
-            return out
-        gids, parents, gens, rounds = out
-        cut = rounds[-2]
-        return gids[:cut], parents[:cut], gens[:cut], rounds[:-1]
-
     # the exact engine completes the short family W' from all of its rows
     guided = _ClosureEngine.guided_run
     run = _ClosureEngine.run
     families, completions = [], []
-    monkeypatch.setattr(_ClosureEngine, "_spin", short_spin)
+    monkeypatch.setattr(_ClosureEngine, "_spin", _short_spin)
     monkeypatch.setattr(_ClosureEngine, "guided_run",
                         lambda self, seed: families.append(guided(self, seed)) or families[-1])
     monkeypatch.setattr(_ClosureEngine, "run",
@@ -944,6 +959,107 @@ def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
         assert sorted((gv.grade, _int_row(gv.payload)) for gv in seeds) == sorted(
             (g, tuple(row)) for g, ech in family.items() for row in ech.rows)
     assert any(len(seeds) > 1 for _, seeds in completions)
+
+
+# (n, rep, alpha, box, gens): probes where a seed lies at grade 0 in a
+# family an earlier seed closed to.  Natural V at n=2 and alpha (0, 0, -2/5,
+# 0) puts basis:2's delta1 line inside basis:1's larger family, and
+# fundamental:2 gives basis:1 a grade-0 rank (3) above the dimension (2) of
+# basis:0's family, which does not hold it.
+_REUSE_CASES = [
+    (2, "natural", (F(1, 3), 0, 0, 0), 2, 1),
+    (2, "natural", (0, 0, F(-2, 5), 0), 2, 1),
+    (2, "fundamental:2", (F(1, 3), 0, 0, 0), 2, 1),
+    (3, "natural", (F(1, 3), 0, 0, 0, 0, 0), 1, 1),
+]
+
+
+def _closures_by_seed(monkeypatch, n, spec, alpha, box, gens) -> tuple:
+    """Run the probe; (engine, seed, inner radius, the probe's closure or None
+    when full on the inner box) for each seed it closes, and the number of
+    closures it took from a family it already held."""
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    close = submodules._close_seed
+    known = submodules._known_closure
+    closed, taken = [], []
+
+    def close_spy(engine, seed, gens, *a):
+        closed.append((engine, seed, box - gens.radius, close(engine, seed, gens, *a)))
+        return closed[-1][3]
+
+    def known_spy(*a):
+        taken.append(known(*a))
+        return taken[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(submodules, "_close_seed", close_spy)
+        m.setattr(submodules, "_known_closure", known_spy)
+        irreducibility_probe(p, Box(box, N), GeneratorSet(gens, N))
+    return closed, sum(t is not None for t in taken)
+
+
+def _assert_exact_closures(closed: list):
+    for engine, seed, inner, got in closed:
+        if got is None:
+            assert _full_on_inner(engine, seed, inner), seed.payload
+        else:
+            assert _family_key(got) == _family_key(engine.run([seed])), seed.payload
+
+
+@pytest.mark.parametrize("n,spec,alpha,box,gens", _REUSE_CASES)
+def test_known_closure_is_the_exact_closure(monkeypatch, n, spec, alpha, box, gens):
+    closed, taken = _closures_by_seed(monkeypatch, n, spec, alpha, box, gens)
+    assert taken
+    _assert_exact_closures(closed)
+
+
+@pytest.mark.parametrize("short_spin", [_short_spin, _spin_short_off_grade_zero])
+def test_known_closure_is_never_a_family_that_failed_its_recheck(monkeypatch, short_spin):
+    # each guided family misses rows and fails its re-check, and the exact
+    # engine completes it.  Cut off grade 0 only, the short family holds the
+    # completed family's grade 0, which holds a later seed: that seed must
+    # take the completed family, not the short one
+    failed = []
+    recheck = submodules._recheck
+
+    def recheck_spy(*a):
+        out = recheck(*a)
+        failed.append(not out[0])
+        return out
+
+    monkeypatch.setattr(_ClosureEngine, "_spin", short_spin)
+    monkeypatch.setattr(submodules, "_recheck", recheck_spy)
+    closed, taken = _closures_by_seed(monkeypatch, *_REUSE_CASES[0])
+    assert taken and any(failed)
+    _assert_exact_closures(closed)
+
+
+def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
+    # the screen and the reuse of a known closure share one spin per line
+    spans = submodules._ModpSpans
+    images_span = _ClosureEngine._images_span
+    rank = _ClosureEngine._grade_zero_rank
+    counts = {"one_grade": 0, "images": 0}
+    asked = []
+
+    def one_grade(p, count, dim):
+        counts["one_grade"] += count == 1
+        return spans(p, count, dim)
+
+    def count_images(self, *a):
+        counts["images"] += 1
+        return images_span(self, *a)
+
+    monkeypatch.setattr(submodules, "_ModpSpans", one_grade)
+    monkeypatch.setattr(_ClosureEngine, "_images_span", count_images)
+    monkeypatch.setattr(_ClosureEngine, "_grade_zero_rank",
+                        lambda self, seed: asked.append(submodules._seed_key(seed))
+                        or rank(self, seed))
+    closed, taken = _closures_by_seed(monkeypatch, *_REUSE_CASES[0])
+    assert taken
+    spins = counts["one_grade"] - counts["images"]
+    assert spins == len(set(asked)) < len(asked)
 
 
 # (n, rep, alpha, box, gens, seeds or None for the probe's own).  The
@@ -994,9 +1110,11 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     cached = _cached_probe_bytes(monkeypatch)
     with_caches = dict(counts)
     counts.update(closures=0, recheck=0)
-    # a fresh key on every call: no seed and no family is ever reused
+    # a fresh key on every call and no known closure: no seed, no family and
+    # no closure is ever reused
     monkeypatch.setattr(submodules, "_seed_key", lambda gv: object())
     monkeypatch.setattr(submodules, "_family_key", lambda echelons: object())
+    monkeypatch.setattr(submodules, "_known_closure", lambda *a: None)
     assert _cached_probe_bytes(monkeypatch) == cached
     assert with_caches["closures"] < counts["closures"]
     assert with_caches["recheck"] < counts["recheck"]

@@ -4,7 +4,8 @@ Each argv runs in-process with a fixed seed and ``--output``; the exit
 code, stdout and report file of every run feed one sha256 in order.  A
 change to what any report says, or how it is printed, fails here; a
 change meant to alter report bytes updates ``GOLDEN`` and says why in
-CHANGES.md.
+CHANGES.md.  ``REUSE_GOLDEN`` pins, the same way, two probes whose closures
+take the probe's reuse of a known family.
 """
 
 import hashlib
@@ -42,10 +43,21 @@ ARGV = [
 
 GOLDEN = "ba7f0297b3b6daf81fed35e28148a6c35a9f16046ebbe0a55ffb52b00dc5fac2"
 
+# Two PROPER probes at n=2 where a seed takes the closure of an earlier seed
+# (a family it lies in at grade 0) instead of closing its own
+REUSE_ARGV = [
+    ["probe", "--n", "2", "--rep", "natural", "--alpha=0,0,-2/5,0", "--box", "2",
+     "--gens", "1", "--seed", "3156951619"],
+    ["probe", "--n", "2", "--rep", "fundamental:2", "--alpha=0,3/5,0,0", "--box", "2",
+     "--gens", "1", "--seed", "3077981240"],
+]
 
-def _digest(tmp_path) -> str:
+REUSE_GOLDEN = "2ce7776e6a4b78be1216258714d7f17cd2e7b272e52e2a8ce589064b569922d9"
+
+
+def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
-    for i, argv in enumerate(ARGV):
+    for i, argv in enumerate(argvs):
         out = tmp_path / f"report{i}.json"
         buf = io.StringIO()
         with redirect_stdout(buf):
@@ -58,3 +70,7 @@ def _digest(tmp_path) -> str:
 
 def test_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path) == GOLDEN
+
+
+def test_reuse_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, REUSE_ARGV) == REUSE_GOLDEN

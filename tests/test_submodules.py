@@ -340,13 +340,17 @@ def test_probe_rechecks_each_family_once(monkeypatch):
     assert all(e["invariant"] for e in not_full)
     assert not_full[0]["inner_dims"] == not_full[1]["inner_dims"]
     assert counts == {"closures": 1, "recheck": 1}
-    # distinct seeds whose closures coincide share one re-check
+    # distinct seeds whose closures coincide share one closure and one
+    # re-check: basis:3 lies at grade 0 in basis:1's family, and its grade-0
+    # rank reaches that family's dimension there
     counts.update(closures=0, recheck=0)
     p = _params(2, "natural", alpha=(F(1, 3), 0, 0, 0))
     report = irreducibility_probe(p, Box(2, 4), GeneratorSet(1, 4))
     assert report["verdict"] == "PROPER"
-    assert sum(not e["full_on_inner"] for e in report["seeds"]) == 3
-    assert counts == {"closures": 3, "recheck": 2}
+    not_full = [e for e in report["seeds"] if not e["full_on_inner"]]
+    assert [e["seed"] for e in not_full] == ["basis:0", "basis:1", "basis:3"]
+    assert not_full[1]["inner_dims"] == not_full[2]["inner_dims"]
+    assert counts == {"closures": 2, "recheck": 2}
 
 
 def test_seed_key_is_the_line():
