@@ -186,6 +186,22 @@ def _rows_array(rows: list) -> np.ndarray:
     return np.array(rows, dtype=object if big else np.int64)
 
 
+def _int_vector(values: list) -> np.ndarray:
+    big = any(abs(v) >= _INT64_SAFE for v in values)
+    return np.array(values, dtype=object if big else np.int64)
+
+
+def _lattice_points(radius: int, N: int) -> np.ndarray:
+    """The points of {-radius..radius}^N in lex order, one row each: the
+    order of ``itertools.product``, filled from a sparse index grid one
+    coordinate at a time."""
+    side = 2 * radius + 1
+    points = np.empty((side,) * N + (N,), dtype=np.int64)
+    for a, column in enumerate(np.indices((side,) * N, sparse=True)):
+        points[..., a] = column - radius
+    return points.reshape(-1, N)
+
+
 class _GradeIndex:
     """Lex enumeration of box grades; a grade's index (gid) is
     (grade + R) . weights, so shifting a grade by r adds r . weights."""
@@ -195,12 +211,8 @@ class _GradeIndex:
         self.N = N
         self.side = 2 * radius + 1
         self.count = self.side ** N
-        self.coords = np.array(
-            list(itertools.product(range(-radius, radius + 1), repeat=N)), dtype=np.int64
-        )
-        self.weights = np.array(
-            [self.side ** (self.N - 1 - i) for i in range(self.N)], dtype=np.int64
-        )
+        self.coords = _lattice_points(radius, N)
+        self.weights = self.side ** np.arange(N - 1, -1, -1, dtype=np.int64)
 
     def encode_one(self, grade) -> int:
         return int(sum((g + self.R) * w for g, w in zip(grade, self.weights)))
@@ -221,11 +233,16 @@ class _ActionTable:
 
     def __init__(self, p: ModuleParams, gens: GeneratorSet, box_radius: int):
         dim = p.rep.dim
+        N = gens.N
         pairs = list(p.rep.polarizations)
         sym = list(p.rep.polarizations.values())
         self.L = L = lcm(*(a.denominator for a in p.alpha),
                          *(v.denominator for m in sym for v in m.entries.values()))
-        self.gens = list(gens.vectors())
+        # GeneratorSet.vectors() order: the radius box in lex order, less
+        # the zero vector at its middle
+        points = _lattice_points(gens.radius, N)
+        self.offsets = np.delete(points, len(points) // 2, axis=0)
+        self.gens = list(map(tuple, self.offsets.tolist()))
 
         # T as (k, i, j, value) entries; colsum[i, j] = sum_k |T[k, i, j]|
         ents = []
@@ -241,21 +258,23 @@ class _ActionTable:
         T = np.zeros((len(pairs), dim, dim), dtype=dtype)
         for k, i, j, t in ents:
             T[k, i, j] = t
-        coef = np.array([[r[a] * r[b] for a, b in pairs] for r in self.gens], dtype=dtype)
+        # the monomials r_a r_b, one column per pair (a, b)
+        left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        coef = (self.offsets[:, left] * self.offsets[:, right]).astype(dtype)
         self.pt = np.einsum("gk,kij->gji", coef, T)
-        self.max_p = np.array(
-            np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist(), dtype=object)
+        self.max_p = _int_vector(np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist())
 
         l_alpha = [int(a * L) for a in p.alpha]
-        self.l_alpha = np.array(
-            l_alpha, dtype=np.int64 if max(map(abs, l_alpha)) < _INT64_SAFE else object
-        )
-        self.bars = np.array([bar(r) for r in self.gens], dtype=np.int64)
-        self.offsets = np.array(self.gens, dtype=np.int64)
+        self.l_alpha = _int_vector(l_alpha)
+        # bar(r) = (r_{n+1}..r_{2n}, -r_1..-r_n)
+        n = N // 2
+        self.bars = np.concatenate([self.offsets[:, n:], -self.offsets[:, :n]], axis=1)
         # |(s*L + l_alpha) . bar r| <= (R*L + max|l_alpha|) * sum|bar r|
         scale = box_radius * L + max(map(abs, l_alpha))
-        self.c_small = np.array(
-            [scale * s < _INT64_SAFE for s in np.abs(self.bars).sum(axis=1).tolist()])
+        bar_sums = np.abs(self.bars).sum(axis=1)
+        self.c_small = bar_sums <= (_INT64_SAFE - 1) // max(scale, 1)
+        # that bound, over every generator
+        self.max_c = scale * int(bar_sums.max())
 
 
 # elements per transient array of a sweep chunk
@@ -800,7 +819,9 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     its action table and grade index; without one, a new one is built.
 
     Failures are listed generator-major and then by grade, each pair at its
-    first row whose image leaves the target space."""
+    first row whose image leaves the target space.  Two walks find them,
+    in that order and with the same witnesses, on one grade state:
+    ``_grid_walk`` and ``_sweep_walk``; ``_takes_grid`` picks one."""
     p, box = family.params, family.box
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
@@ -818,25 +839,24 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
             row_gids.extend([gid] * ech.dim)
 
     failures = []
-    bad_pairs = set()
+    failing = 0
     if rows:
         x_rows = _rows_array(rows)
         src_gids = np.array(row_gids, dtype=np.int64)
-        for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=state.full):
-            for c in state.candidates(tgt, y):
-                row, ridx, gid = int(i[c]), int(j[c]), int(tgt[c])
-                pair = (row_gids[row], ridx)
-                if pair in bad_pairs:
-                    continue
-                if state.exact[gid] and state.echelons[gid].contains(y[c]):
-                    continue
-                bad_pairs.add(pair)
-                if len(failures) < _LISTED_FAILURES:
-                    failures.append({
-                        "grade": [int(v) for v in idx.coords[row_gids[row]]],
-                        "generator": list(table.gens[ridx]),
-                        "witness": [str(int(v)) for v in rows[row]],
-                    })
+        fits = _fits_int64(table, state, x_rows)
+        if _takes_grid(fits, table, idx, src_gids, engine.dim):
+            walk = _grid_walk(table, idx, state, x_rows, src_gids,
+                              np.int64 if fits else object)
+        else:
+            walk = _sweep_walk(table, idx, state, x_rows, src_gids)
+        for gid, j, witness in walk:
+            failing += 1
+            if len(failures) < _LISTED_FAILURES:
+                failures.append({
+                    "grade": [int(v) for v in idx.coords[gid]],
+                    "generator": list(table.gens[j]),
+                    "witness": [str(int(v)) for v in witness],
+                })
 
     pairs = _pair_count(box, gens)
     return {
@@ -844,9 +864,115 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
         "method": "enumerate",
         "params": _family_params(family, gens),
         "pairs": pairs,
-        "passes": pairs - len(bad_pairs),
+        "passes": pairs - failing,
         "failures": failures,
     }
+
+
+def _fits_int64(table: _ActionTable, state: _GradeState, x_rows: np.ndarray) -> bool:
+    """Whether every image and residual of the enumeration of the rows
+    ``x_rows`` is bounded below 2^62: the bound of ``_images`` and of
+    ``_GradeState.candidates``, taken over the whole table, box and state."""
+    if not (x_rows.dtype == table.pt.dtype == table.l_alpha.dtype == np.int64
+            and table.c_small.all()):
+        return False
+    max_x = int(np.abs(x_rows).max())
+    max_y = (state.dim * int(table.max_p.max()) + table.max_c) * max_x
+    # in Python ints: an entry -2^63 has no int64 absolute value
+    max_a = max(int(state.a_pad.max()), -int(state.a_pad.min()))
+    return max_y < _INT64_SAFE and state.dim * max_a * max_y < _INT64_SAFE
+
+
+def _takes_grid(fits: bool, table: _ActionTable, idx: _GradeIndex,
+                src_gids: np.ndarray, dim: int) -> bool:
+    """The grid walk when the enumeration stays in int64 (``fits``) and a
+    generator's in-box rows fill, on average, at least half a ``_sweep``
+    chunk; the sweep otherwise, where the grid would spend its per-generator
+    products on padding and empty grades."""
+    if not fits:
+        return False
+    R = idx.R
+    Rg = int(table.offsets.max())
+    # per coordinate s_a: the offsets r_a in [-Rg, Rg] with |s_a + r_a| <= R
+    side = np.arange(-R, R + 1)
+    span = np.minimum(R, side + Rg) - np.maximum(-R, side - Rg) + 1
+    # (row, generator r != 0) pairs whose target stays in the box
+    pairs = int((span[idx.coords[src_gids] + R].prod(axis=1) - 1).sum())
+    chunk = max(1, _SWEEP_BATCH // max(dim * dim, idx.N))
+    return 2 * pairs >= chunk * len(table.offsets)
+
+
+def _sweep_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
+                x_rows: np.ndarray, src_gids: np.ndarray):
+    """The failing (source gid, generator index, witness row) of the rows
+    ``x_rows`` at ``src_gids``, through ``_sweep``: generator-major, then in
+    row order, each pair once, at its first row whose image is a candidate
+    (``_GradeState.candidates``) and, at an exact target, not in the
+    target's echelon."""
+    bad_pairs = set()
+    for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=state.full):
+        for c in state.candidates(tgt, y):
+            row, ridx, gid = int(i[c]), int(j[c]), int(tgt[c])
+            pair = (int(src_gids[row]), ridx)
+            if pair in bad_pairs:
+                continue
+            if state.exact[gid] and state.echelons[gid].contains(y[c]):
+                continue
+            bad_pairs.add(pair)
+            yield pair[0], ridx, x_rows[row]
+
+
+def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
+               x_rows: np.ndarray, src_gids: np.ndarray, dtype):
+    """``_sweep_walk``'s failing pairs, in its order, from the box grid.
+
+    Each grade's rows are laid on the grid, zero-padded to the largest
+    grade dimension m.  For each generator r, the grades s with s and s + r
+    in the box are one slice of that grid and their targets the slice
+    shifted by r, both views; the images are one product with the
+    generator's matrix plus c x, and the residuals one product with the
+    annihilators of ``state`` on the target slice.  A padding row is zero
+    and passes.  Rows at an exact target are re-tested on its echelon.
+    Arithmetic is in ``dtype``: int64 where ``_fits_int64`` holds, Python
+    integers (object) otherwise.  The grid holds count x m x dim elements,
+    and each generator's transients a few arrays of its slice's grades x m
+    x dim.
+    """
+    dim, side = state.dim, idx.side
+    shape = (side,) * idx.N
+    slot = np.arange(len(src_gids)) - np.searchsorted(src_gids, src_gids)
+    x_grid = np.zeros((idx.count, int(slot.max()) + 1, dim), dtype=dtype)
+    x_grid[src_gids, slot] = x_rows
+    X = x_grid.reshape(shape + x_grid.shape[1:])
+    A = state.a_pad.astype(dtype, copy=False).reshape(shape + (dim, dim)).swapaxes(-1, -2)
+    s_l = (idx.coords.astype(dtype) * table.L + table.l_alpha.astype(dtype)).reshape(
+        shape + (idx.N,))
+    pt = table.pt.astype(dtype, copy=False)
+    bars = table.bars.astype(dtype, copy=False)
+    gid_grid = np.arange(idx.count).reshape(shape)
+    # grades holding rows whose targets are re-tested on their echelons
+    exact = state.exact.reshape(shape)
+    retest = state.exact.any()
+    n_rows = np.bincount(src_gids, minlength=idx.count)
+    for j, r in enumerate(table.offsets.tolist()):
+        src = tuple(slice(max(0, -a), side - max(0, a)) for a in r)
+        tgt = tuple(slice(max(0, a), side - max(0, -a)) for a in r)
+        x = X[src]
+        y = x @ pt[j] + (s_l[src] @ bars[j])[..., None, None] * x
+        res = y @ A[tgt]
+        if not (retest or res.any()):
+            continue
+        bad = res.any(axis=-1).reshape(-1, x.shape[-2])
+        gids = gid_grid[src].ravel()
+        if retest:
+            y = y.reshape(bad.shape + (dim,))
+            for k in np.flatnonzero(exact[tgt].ravel() & (n_rows[gids] > 0)).tolist():
+                ech = state.echelons[int(gid_grid[tgt].flat[k])]
+                for m in range(n_rows[gids[k]]):
+                    bad[k, m] = not ech.contains(y[k, m])
+        fail = np.flatnonzero(bad.any(axis=1))
+        for k, m in zip(fail.tolist(), bad[fail].argmax(axis=1).tolist()):
+            yield int(gids[k]), j, x_grid[gids[k], m]
 
 
 def _family_params(family: TruncatedModule, gens: GeneratorSet) -> dict:

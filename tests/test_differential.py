@@ -64,6 +64,7 @@ from hamlie.submodules import (
     TruncatedModule,
     _ActionTable,
     _ClosureEngine,
+    _GradeIndex,
     _GradeState,
     _close_seed,
     _enumerate_invariance,
@@ -75,7 +76,7 @@ from hamlie.submodules import (
     invariance_check,
     irreducibility_probe,
 )
-from hamlie.symplectic import build_sp, combine, pairing, rank_one, sp_decompose
+from hamlie.symplectic import bar, build_sp, combine, pairing, rank_one, sp_decompose
 
 F = Fraction
 DENOMINATORS = (1, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
@@ -101,8 +102,8 @@ def _rho_dense(n, spec, r):
     return np.array(_rho_direct(_rep(n, spec), r).to_rows(), dtype=object)
 
 
-def _alpha(data, N):
-    q = data.draw(st.sampled_from(DENOMINATORS))
+def _alpha(data, N, denominators=DENOMINATORS):
+    q = data.draw(st.sampled_from(denominators))
     return tuple(F(data.draw(st.integers(-3 * q, 3 * q)), q) for _ in range(N))
 
 
@@ -118,6 +119,52 @@ def test_action_table_matches_rho_rank_one(n, spec, gens, data):
     assert table.gens == sorted(GeneratorSet(gens, N).vectors())
     for r, pt in zip(table.gens, table.pt):
         assert (pt.T == _rho_dense(n, spec, r) * table.L).all(), r
+    _assert_table_matches_loops(table, p, GeneratorSet(gens, N), box)
+    assert _GradeIndex(box, N).coords.tolist() == [
+        list(g) for g in itertools.product(range(-box, box + 1), repeat=N)]
+
+
+def _table_by_loops(p, gens, box_radius) -> dict:
+    """offsets, bars, c_small and max_p of the action table, one generator
+    at a time in Python, as the table was first built; max_p is int64 when
+    every entry is below 2^62."""
+    vectors = list(gens.vectors())
+    L = lcm(*(a.denominator for a in p.alpha),
+            *(v.denominator for m in p.rep.polarizations.values() for v in m.entries.values()))
+    l_alpha = [int(a * L) for a in p.alpha]
+    scale = box_radius * L + max(map(abs, l_alpha))
+    max_p = [max(abs(int(v)) for v in pt.ravel())
+             for pt in _ActionTable(p, gens, box_radius).pt]
+    return {
+        "offsets": np.array(vectors, dtype=np.int64),
+        "bars": np.array([bar(r) for r in vectors], dtype=np.int64),
+        "c_small": np.array([scale * sum(map(abs, bar(r))) < 2 ** 62 for r in vectors]),
+        "max_p": np.array(max_p, dtype=np.int64 if max(max_p) < 2 ** 62 else object),
+    }
+
+
+def _assert_table_matches_loops(table, p, gens, box_radius):
+    for name, want in _table_by_loops(p, gens, box_radius).items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tolist() == want.tolist(), name
+
+
+@pytest.mark.parametrize("rg,target,small", [(1, 2 ** 62, 2), (2, 2 ** 62 - 1, 3)])
+def test_action_table_c_small_bound_is_exact(rg, target, small):
+    # trivial V at n=1 with alpha = (1/q, 0) and box radius 1: L = q and
+    # (bar r, s L + L alpha) is bounded by (q + 1) sum|bar r|.  With q + 1 =
+    # target / small, generators with sum|bar r| = small land on the target
+    # itself: 2^62 - 1 is still int64-safe, 2^62 is not
+    q = target // small - 1
+    p = ModuleParams((F(1, q), 0), (0, 0), _rep(1, "trivial"))
+    gens = GeneratorSet(rg, 2)
+    table = _ActionTable(p, gens, 1)
+    _assert_table_matches_loops(table, p, gens, 1)
+    sums = np.abs(table.bars).sum(axis=1)
+    assert (q + 1) * small == target and (sums == small).any()
+    assert table.c_small[sums == small].all() == (target < 2 ** 62)
+    assert table.c_small[sums < small].all() and not table.c_small[sums > small].any()
 
 
 def _typed_entries(m):
@@ -209,10 +256,65 @@ def _naive_failures(family, gens, cap: int = 20) -> list:
     return out[:cap]
 
 
-def _closure_case(data):
+def _naive_pairs(box, gens) -> int:
+    return sum(box.contains(tuple(a + b for a, b in zip(s, r)))
+               for s in box.grades() for r in gens.vectors())
+
+
+# alpha denominators of the enumeration tests
+ENUM_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
+
+
+def _each_walk(family, gens) -> list:
+    """The enumeration reports of ``family`` with the grid walk forced and
+    then the sweep forced, asserting that the forced walk ran."""
+    reports = []
+    for grid in (True, False):
+        with mock.patch.object(submodules, "_takes_grid", return_value=grid), \
+                mock.patch.object(submodules, "_grid_walk", wraps=submodules._grid_walk) as g, \
+                mock.patch.object(submodules, "_sweep_walk", wraps=submodules._sweep_walk) as w:
+            reports.append(_enumerate_invariance(family, gens))
+        rows = any(family.int_basis(t).rows for t in family.box.grades())
+        assert (g.called, w.called) == ((grid, not grid) if rows else (False, False))
+    return reports
+
+
+def _assert_walks_match_naive(family, gens):
+    """Both walks report the naive pair count, pass count and failure list
+    (in order, with witnesses)."""
+    want = (_naive_pairs(family.box, gens), _naive_passes(family, gens),
+            _naive_failures(family, gens))
+    for report in _each_walk(family, gens):
+        assert (report["pairs"], report["passes"], report["failures"]) == want
+
+
+def _broken(data, p, box, spaces) -> dict:
+    """``spaces`` with one grade broken: a basis row replaced, the grade
+    emptied, or its space moved to another grade (a line at the wrong
+    grade, for the line families)."""
+    spaces = dict(spaces)
+    grades = sorted(g for g, s in spaces.items() if s.dim)
+    if not grades:
+        return spaces
+    g = data.draw(st.sampled_from(grades))
+    how = data.draw(st.sampled_from(["replace", "empty", "move"]))
+    if how == "replace":
+        rows = list(spaces[g].basis)
+        rows[data.draw(st.integers(0, len(rows) - 1))] = [
+            data.draw(st.integers(-2, 2)) for _ in range(p.rep.dim)]
+        spaces[g] = Subspace.from_vectors(rows, p.rep.dim)
+    elif how == "empty":
+        del spaces[g]
+    else:
+        to = data.draw(st.sampled_from(sorted(t for t in box.grades() if t != g)))
+        spaces[to] = spaces.pop(g)
+    return spaces
+
+
+def _closure_case(data, denominators=DENOMINATORS):
     """An n=1 module, box, generator set and one seed vector."""
     spec = data.draw(st.sampled_from(["trivial", "natural", "sym:2"]))
-    p = ModuleParams(_alpha(data, 2), (0, 0), _rep(1, spec))
+    p = ModuleParams(_alpha(data, 2, denominators), (0, 0), _rep(1, spec))
     gens = GeneratorSet(data.draw(st.integers(1, 2)), 2)
     box = Box(data.draw(st.integers(gens.radius, 3)), 2)
     grade = tuple(data.draw(st.integers(-box.radius, box.radius)) for _ in range(2))
@@ -226,7 +328,8 @@ def _closure_case(data):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_closure_and_enumeration_match_naive_oracle(data):
-    p, box, gens, seed = _closure_case(data)
+    # every enumeration runs each walk in turn (``_each_walk``)
+    p, box, gens, seed = _closure_case(data, ENUM_DENOMINATORS)
     grade, payload = seed.grade, seed.payload
 
     want = _naive_closure([seed], p, box, gens)
@@ -235,12 +338,13 @@ def test_closure_and_enumeration_match_naive_oracle(data):
     assert all(got.space(g) == want.get(g, zero) for g in box.grades())
 
     closed = _family(p, box, want)
-    assert _enumerate_invariance(closed, gens)["failures"] == []
-    assert _enumerate_invariance(got, gens)["failures"] == []  # from the echelons
+    pairs = _naive_pairs(box, gens)
+    for family in (closed, got):  # got: from the closure's echelons
+        for report in _each_walk(family, gens):
+            assert (report["pairs"], report["passes"], report["failures"]) == (pairs, pairs, [])
     seed_only = _family(p, box, {grade: Subspace.from_vectors([payload], p.rep.dim)})
-    report = _enumerate_invariance(seed_only, gens)
-    assert report["passes"] == _naive_passes(seed_only, gens)
-    assert report["failures"] == _naive_failures(seed_only, gens)
+    _assert_walks_match_naive(seed_only, gens)
+    _assert_walks_match_naive(_family(p, box, _broken(data, p, box, want)), gens)
 
 
 @pytest.mark.parametrize("q", [2 ** 61 - 1, 3 ** 40])
@@ -329,19 +433,56 @@ def test_enumeration_of_big_integer_family_matches_naive(data):
     # each grade holds nothing, its delta1 line (pairs between two lines pass
     # through the annihilator screen) or a span of entries >= 2^63 (object
     # rows and, where the annihilator overflows int64, the exact re-test)
-    p = ModuleParams(_alpha(data, 2), (0, 0), _rep(1, "natural"))
+    # or the line of another grade; each walk runs in turn
+    p = ModuleParams(_alpha(data, 2, ENUM_DENOMINATORS), (0, 0), _rep(1, "natural"))
     box, gens = Box(1, 2), GeneratorSet(1, 2)
     spaces = {}
     for g in box.grades():
-        kind = data.draw(st.sampled_from(["none", "line", "big"]))
-        if kind == "line":
-            spaces[g] = Subspace.from_vectors([[s + a for s, a in zip(g, p.alpha)]], 2)
+        kind = data.draw(st.sampled_from(["none", "line", "wrong line", "big"]))
+        if kind == "wrong line":
+            g_line = data.draw(st.sampled_from([t for t in box.grades() if t != g]))
+        else:
+            g_line = g
+        if kind in ("line", "wrong line"):
+            spaces[g] = Subspace.from_vectors([[s + a for s, a in zip(g_line, p.alpha)]], 2)
         elif kind == "big":
             spaces[g] = Subspace.from_vectors(_int_matrix(data, 2), 2)
-    family = _family(p, box, spaces)
-    report = _enumerate_invariance(family, gens)
-    assert report["passes"] == _naive_passes(family, gens)
-    assert report["failures"] == _naive_failures(family, gens)
+    _assert_walks_match_naive(_family(p, box, spaces), gens)
+
+
+def test_walks_retest_exact_grades():
+    # grade (1, 0) holds the span of (2^63, 3^41), whose annihilator
+    # overflows int64, and grade (0, 0) all of V.  At alpha = 0, H_r with
+    # r = (1, 0) maps e_0 to 0, which passes the exact re-test, and e_1 to
+    # a multiple of r, which fails it: the witness is the second row
+    p = ModuleParams((0, 0), (0, 0), _rep(1, "natural"))
+    box, gens = Box(1, 2), GeneratorSet(1, 2)
+    family = _family(p, box, {(0, 0): Subspace.from_vectors([[1, 0], [0, 1]], 2),
+                              (1, 0): Subspace.from_vectors([[2 ** 63, 3 ** 41]], 2)})
+    _assert_walks_match_naive(family, gens)
+    failures = _enumerate_invariance(family, gens)["failures"]
+    assert {"grade": [0, 0], "generator": [1, 0], "witness": ["0", "1"]} in failures
+
+
+def test_int64_grid_walk_retests_exact_grades():
+    # sym:2 at n=1: the span of (p1, 0, 1) and (0, p2, 1), p1 = 2^31 - 1 and
+    # p2 = 2^32 + 15, has the annihilator (-p2, -p1, p1 p2) with p1 p2 > 2^63,
+    # while its rows keep every image and residual inside int64; grade
+    # (-1, 0) holds all of V, so its images are re-tested there
+    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "sym:2"))
+    box, gens = Box(1, 2), GeneratorSet(1, 2)
+    p1, p2 = 2 ** 31 - 1, 2 ** 32 + 15
+    family = _family(p, box, {(-1, 0): Subspace.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+                              (0, 0): Subspace.from_vectors([[p1, 0, 1], [0, p2, 1]], 3)})
+    engine = _ClosureEngine(p, box, gens)
+    state = _GradeState(engine.index.count, 3)
+    rows = []
+    for g in family.nonzero_grades():
+        state.set(engine.index.encode_one(g), family.int_basis(g))
+        rows += family.int_basis(g).rows
+    assert state.exact[engine.index.encode_one((0, 0))]
+    assert submodules._fits_int64(engine.table, state, submodules._rows_array(rows))
+    _assert_walks_match_naive(family, gens)
 
 
 @settings(max_examples=8, deadline=None)

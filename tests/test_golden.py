@@ -5,7 +5,8 @@ code, stdout and report file of every run feed one sha256 in order.  A
 change to what any report says, or how it is printed, fails here; a
 change meant to alter report bytes updates ``GOLDEN`` and says why in
 CHANGES.md.  ``REUSE_GOLDEN`` pins, the same way, two probes whose closures
-take the probe's reuse of a known family.
+take the probe's reuse of a known family, and ``ENUMERATE_GOLDEN`` two
+enumeration checks that take the grid walk.
 """
 
 import hashlib
@@ -54,6 +55,17 @@ REUSE_ARGV = [
 
 REUSE_GOLDEN = "2ce7776e6a4b78be1216258714d7f17cd2e7b272e52e2a8ce589064b569922d9"
 
+# Two enumeration checks of the benchmark's grid-walk shapes, hashed from
+# the sweep that checked every family before the grid walk existed
+ENUMERATE_ARGV = [
+    ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2", "--alpha", "1/3,0,0,0",
+     "--box", "2", "--gens", "2", "--method", "enumerate"],
+    ["submodule-check", "delta1", "--n", "2", "--rep", "natural", "--alpha", "0,2/7,0,0",
+     "--box", "2", "--gens", "1", "--method", "enumerate"],
+]
+
+ENUMERATE_GOLDEN = "25a07791bf27ffdd267a5ac530b74ac5128d5bd12ef9d74609ceec892f9d275e"
+
 
 def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
@@ -74,3 +86,7 @@ def test_report_bytes_match_golden(tmp_path):
 
 def test_reuse_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path, REUSE_ARGV) == REUSE_GOLDEN
+
+
+def test_enumerate_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, ENUMERATE_ARGV) == ENUMERATE_GOLDEN

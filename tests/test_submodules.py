@@ -290,6 +290,47 @@ def test_probe_rechecks_on_its_own_action_table(monkeypatch):
     assert len(built) == 1
 
 
+# One argv per benchmark shape that runs an enumeration, with the walk it
+# must take: the grid where a generator's in-box rows fill half a sweep
+# chunk, the sweep for one-row families, n=1 probe closures and q = 2^61-1
+_ENUM = ["--method", "enumerate"]
+WALK_SHAPES = [
+    (["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2", "--alpha=1/3,0,0,0",
+      "--box", "2", "--gens", "2"] + _ENUM, True),
+    (["submodule-check", "delta1", "--n", "2", "--rep", "natural", "--alpha=0,-2/7,0,0",
+      "--box", "2", "--gens", "1"] + _ENUM, True),
+    (["submodule-check", "delta1", "--n", "3", "--rep", "natural", "--alpha=0,0,0,5/3,0,0",
+      "--box", "1", "--gens", "1"] + _ENUM, True),
+    (["probe", "--n", "2", "--rep", "natural", "--alpha=0,0,-2/5,0", "--box", "2",
+      "--gens", "1"], True),
+    (["submodule-check", "trivial_line", "--n", "2", "--rep", "trivial", "--alpha=0,-1,0,0",
+      "--box", "3", "--gens", "1"] + _ENUM, False),
+    (["submodule-check", "trivial_line", "--n", "3", "--rep", "trivial",
+      "--alpha=0,0,0,0,1,0", "--box", "1", "--gens", "1"] + _ENUM, False),
+    (["submodule-check", "trivial_line", "--n", "3", "--rep", "trivial",
+      "--alpha=0,0,-1,0,0,0", "--box", "2", "--gens", "1"] + _ENUM, False),
+    (["probe", "--n", "1", "--rep", "natural", "--alpha=-3/7,0", "--box", "6", "--gens", "2"],
+     False),
+    (["probe", "--n", "1", "--rep", "natural", "--alpha=0,-17/2147483647", "--box", "6",
+      "--gens", "2"], False),
+    (["submodule-check", "delta1", "--n", "2", "--rep", "natural",
+      "--alpha=0,-2/2305843009213693951,0,0", "--box", "2", "--gens", "1"] + _ENUM, False),
+    (["probe", "--n", "1", "--rep", "natural", "--alpha=5/2305843009213693951,0", "--box", "3",
+      "--gens", "1"], False),
+]
+
+
+@pytest.mark.parametrize("argv,grid", WALK_SHAPES)
+def test_enumeration_walk_of_each_bench_shape(monkeypatch, capsys, argv, grid):
+    from hamlie import cli
+
+    taken = []
+    choose = submodules._takes_grid
+    monkeypatch.setattr(submodules, "_takes_grid", lambda *a: taken.append(choose(*a)) or taken[-1])
+    cli.main(argv)
+    assert taken and set(taken) == {grid}
+
+
 def _spy_probe_work(monkeypatch) -> dict:
     """Counts of closures (guided replays and exact runs) and enumeration
     re-checks."""
