@@ -507,69 +507,6 @@ class _ClosureEngine:
         c = np.einsum("cn,cn->c", u, self.table.bars[j]) % p
         return (np.einsum("cd,cde->ce", x, pt[j]) + c[:, None] * x) % p
 
-    def _spin(self, seed: GradedVector):
-        """Spin ``seed`` over F_p between the grades of the engine's box.
-
-        The spin's rows in insertion order, as arrays (gids, parents, gens),
-        and the bounds of its rounds, round t being rows rounds[t]:rounds[t+1]:
-        row 0 is the seed, and row k > 0 was the residual at grade gids[k]
-        of the image of row parents[k], of the round before, under
-        generator gens[k].  Transients stay within _SCREEN_BATCH elements
-        per batch.
-        """
-        dim = self.dim
-        p = self._modp[0]
-        idx = self.index
-        offsets = self.table.offsets
-        n_gens, N = offsets.shape
-        spans = _ModpSpans(p, idx.count, dim)
-        new_gids, new_rows = [], []
-        # every inserted row's grade, parent row and generator, in order
-        log_gids, log_parents, log_gens = [], [], []
-        rounds = [0]
-
-        def absorb(tgt: np.ndarray, y: np.ndarray, par: np.ndarray, gen: np.ndarray):
-            for k, gids, w in spans.absorb(tgt, y):
-                new_gids.append(gids)
-                new_rows.append(w)
-                log_gids.append(gids)
-                log_parents.append(par[k])
-                log_gens.append(gen[k])
-
-        row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
-        none = np.array([-1])
-        absorb(np.array([idx.encode_one(seed.grade)]), row, none, none)
-        # a target's gid is its source's gid plus the generator's code;
-        # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
-        codes = offsets @ idx.weights
-        side = np.arange(-idx.R, idx.R + 1)[:, None]
-        in_box = [np.abs(side + offsets[:, a]) <= idx.R for a in range(N)]
-        block = max(1, _SCREEN_BATCH // n_gens)
-        chunk = max(1, _SCREEN_BATCH // (dim * dim))
-        while new_gids:
-            f_gids = np.concatenate(new_gids)
-            f_rows = np.concatenate(new_rows)
-            new_gids.clear()
-            new_rows.clear()
-            base = rounds[-1]
-            rounds.append(base + len(f_gids))
-            for b0 in range(0, len(f_gids), block):
-                src_gids = f_gids[b0:b0 + block]
-                src = idx.coords[src_gids]
-                live = in_box[0][src[:, 0] + idx.R]
-                for a in range(1, N):
-                    live &= in_box[a][src[:, a] + idx.R]
-                ii, jj = np.divmod(np.flatnonzero(live), n_gens)
-                tgt = src_gids[ii] + codes[jj]
-                open_tgt = spans.rank[tgt] < dim
-                ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
-                for c0 in range(0, len(ii), chunk):
-                    i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
-                    y = self._step(src[i], f_rows[b0 + i], j)
-                    absorb(tgt[c0:c0 + chunk], y, base + b0 + i, j)
-        return (np.concatenate(log_gids), np.concatenate(log_parents),
-                np.concatenate(log_gens), rounds)
-
     @cached_property
     def _words(self) -> list:
         """The closed words at grade 0 over the radius-1 generators, as
@@ -716,36 +653,79 @@ class _ClosureEngine:
         """{grade: _IntEchelon} of a family W' inside the closure W of
         ``seed``, nonzero grades only.
 
-        An F_p spin over the engine's box (``_spin``) picks the steps, and
-        an exact integer replay takes only those: the image of the parent's
-        exact row under the step's generator, made primitive and inserted
-        into its grade's echelon.  The row a step inserts, reduced against
-        its grade's earlier rows, is what later steps take images of, as in
-        the spin.  Every row of W' is thus an exact image of a row already
-        in W', the first being the seed, so W' lies in W.  For a good prime
-        W' = W, but only an invariance check of W' (which, holding the seed,
-        then contains W) or a W' that is full where W must be proves it.
+        One pass spins ``seed`` over F_p between the grades of the engine's
+        box and takes the spin's steps exactly.  Each round keeps two
+        frontiers, row for row: the rows the spin inserted over F_p and
+        their exact rows.  The spin picks the round's steps, a parent row
+        and a generator for each row it inserts; at the end of the round the
+        exact image of each step's parent row is made primitive and inserted
+        into its grade's echelon, in the order the spin kept them.  The row
+        an insertion leaves, reduced against its grade's earlier rows, is the
+        next round's exact frontier row.  Every row of W' is thus an exact
+        image of a row already in W', the first being the seed, so W' lies in
+        W for every prime.  For a good prime W' = W, but only an invariance
+        check of W' (which, holding the seed, then contains W) or a W' that
+        is full where W must be proves it.  Transients stay within
+        _SCREEN_BATCH elements per spin batch and _SWEEP_BATCH per exact one.
         """
+        dim = self.dim
+        p = self._modp[0]
         idx = self.index
-        gids, parents, gens, rounds = self._spin(seed)
+        table = self.table
+        offsets = table.offsets
+        n_gens, N = offsets.shape
+        spans = _ModpSpans(p, idx.count, dim)
         echelons: dict = {}
 
         def insert(gid: int, row: tuple) -> tuple:
             ech = echelons.get(gid)
             if ech is None:
-                ech = echelons[gid] = _IntEchelon(self.dim)
+                ech = echelons[gid] = _IntEchelon(dim)
             reduced = ech.insert(row)
             return row if reduced is None else reduced
 
-        rows = [insert(int(gids[0]), _int_row(seed.payload))]
-        chunk = max(1, _SWEEP_BATCH // max(self.dim * self.dim, self.box.N))
-        for lo, hi in zip(rounds[1:], rounds[2:]):
-            for c0 in range(lo, hi, chunk):
-                c1 = min(hi, c0 + chunk)
-                par = parents[c0:c1]
-                x = _rows_array([rows[q] for q in par])
-                y = _images(self.table, idx.coords[gids[par]], x, gens[c0:c1])
-                rows.extend(insert(int(g), _primitive(v)) for g, v in zip(gids[c0:c1], y))
+        # the frontier: gids, F_p rows and exact rows, aligned
+        row = _int_row(seed.payload)
+        f_gids = np.array([idx.encode_one(seed.grade)])
+        f_rows = spans.insert(f_gids, np.array([[v % p for v in row]], dtype=np.int64))
+        x_rows = [insert(int(f_gids[0]), row)]
+        # a target's gid is its source's gid plus the generator's code;
+        # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
+        codes = offsets @ idx.weights
+        side = np.arange(-idx.R, idx.R + 1)[:, None]
+        in_box = [np.abs(side + offsets[:, a]) <= idx.R for a in range(N)]
+        block = max(1, _SCREEN_BATCH // n_gens)
+        chunk = max(1, _SCREEN_BATCH // (dim * dim))
+        exact_chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
+        while True:
+            # the round's steps in the spin's order: (parent, generator, gid, F_p row)
+            steps = []
+            for b0 in range(0, len(f_gids), block):
+                src_gids = f_gids[b0:b0 + block]
+                src = idx.coords[src_gids]
+                live = in_box[0][src[:, 0] + idx.R]
+                for a in range(1, N):
+                    live &= in_box[a][src[:, a] + idx.R]
+                ii, jj = np.divmod(np.flatnonzero(live), n_gens)
+                tgt = src_gids[ii] + codes[jj]
+                open_tgt = spans.rank[tgt] < dim
+                ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
+                for c0 in range(0, len(ii), chunk):
+                    i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
+                    y = self._step(src[i], f_rows[b0 + i], j)
+                    steps.extend((b0 + i[k], j[k], gids, w)
+                                 for k, gids, w in spans.absorb(tgt[c0:c0 + chunk], y))
+            if not steps:
+                break
+            parents, gens, gids, rows = map(np.concatenate, zip(*steps))
+            new_rows = []
+            for c0 in range(0, len(parents), exact_chunk):
+                par = parents[c0:c0 + exact_chunk]
+                x = _rows_array([x_rows[q] for q in par])
+                y = _images(table, idx.coords[f_gids[par]], x, gens[c0:c0 + exact_chunk])
+                new_rows.extend(insert(int(g), _primitive(v))
+                                for g, v in zip(gids[c0:c0 + exact_chunk], y))
+            f_gids, f_rows, x_rows = gids, rows, new_rows
         return {
             tuple(int(v) for v in idx.coords[gid]): ech
             for gid, ech in echelons.items() if ech.rows
@@ -1407,7 +1387,8 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     grade-0 rank reaches that grade's dimension (``_known_closure``); its
     echelons, family key and re-check are the ones a fresh closure would
     give.  Every seed left goes to the guided family W' of
-    ``_ClosureEngine.guided_run``, which lies in W and is taken when it
+    ``_ClosureEngine.guided_run``, made of the exact steps of the seed's
+    F_p spin.  W' lies in W and is taken when it
     fills the inner box (so does W) or when it passes the enumeration re-check
     (invariant and holding the seed, W' contains W).  That re-check is the
     one a PROPER seed's family gets anyway, and its outcome is kept in
@@ -1445,9 +1426,10 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     family the probe already holds, with a grade-0 rank over F_p reaching
     that grade's dimension, has that family as its closure
     (``_known_closure``), so the closure of one family is made once.
-    Every other seed is closed by an exact replay of the steps of a spin
-    over the whole box (``_ClosureEngine.guided_run``), which gives a
-    family inside the closure; the enumeration re-check of that family
+    Every other seed is closed by one pass that spins it over F_p across
+    the whole box and takes the spin's steps exactly as it goes
+    (``_ClosureEngine.guided_run``), which gives a family inside the
+    closure; the enumeration re-check of that family
     proves it is the closure, and a family that fails it is completed by
     the exact engine (``_ClosureEngine.run``).  Either way the echelons are exact, and they
     feed the re-check and the detected family.  A seed that is a multiple

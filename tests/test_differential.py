@@ -984,6 +984,12 @@ def _count_runs(counter: list):
                              lambda self, *a: counter.append(1) or run(self, *a))
 
 
+def _small_prime(*primes):
+    """A patch of ``_spin_prime``: the first of ``primes`` that does not
+    divide L, a prime at which the guide may miss rows."""
+    return lambda dim, L: next(q for q in primes if L % q)
+
+
 def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
     """The probe's ``_close_seed`` by the exact engine alone, or, with
     ``screen``, by the exact engine on the seeds the mod-p screen leaves."""
@@ -1012,7 +1018,7 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
 
     exact = engine.run([seed])
     guided = engine.guided_run(seed)
-    # every replayed row is an exact image inside the closure, and the guided
+    # every guided row is an exact image inside the closure, and the guided
     # family is the closure, as its re-check proves: at every denominator,
     # the spin's default prime included
     assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
@@ -1020,6 +1026,12 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
     family = TruncatedModule(p, box, echelons=guided)
     assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
     assert _family_key(guided) == _family_key(exact)
+    # at a bad prime the guide may miss rows, but every row it takes is
+    # still inside the closure
+    with mock.patch.object(submodules, "_spin_prime", _small_prime(3, 5, 7)):
+        short = _ClosureEngine(p, box, gens).guided_run(seed)
+    assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
+               for g, ech in short.items())
 
     # the probe's step: the closure itself, through the guide alone
     inner = _inner_grades(box, gens)
@@ -1056,39 +1068,15 @@ def test_probe_closes_exactly_where_p_divides_L():
     assert json.dumps(report, indent=2) == json.dumps(exact, indent=2)
 
 
-_SPIN = _ClosureEngine._spin
-
-
-def _short_spin(self, *a):
-    """The spin without its last round: a guided family missing rows."""
-    out = _SPIN(self, *a)
-    if len(out[3]) <= 2:
-        return out
-    gids, parents, gens, rounds = out
-    cut = rounds[-2]
-    return gids[:cut], parents[:cut], gens[:cut], rounds[:-1]
-
-
-def _spin_short_off_grade_zero(self, *a):
-    """The spin without the rows of its last round that lie off the seed's
-    grade: a guided family that may hold the closure's whole grade 0 but
-    misses rows elsewhere.  No row of the last round is a parent."""
-    out = _SPIN(self, *a)
-    gids, parents, gens, rounds = out
-    if len(rounds) <= 2:
-        return out
-    last = np.arange(rounds[-2], len(gids))
-    keep = np.concatenate([np.arange(rounds[-2]), last[gids[last] == gids[0]]])
-    return gids[keep], parents[keep], gens[keep], rounds[:-1] + [len(keep)]
-
-
-def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch):
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch, prime):
     expected = _probe_bytes()
-    # the exact engine completes the short family W' from all of its rows
+    # a small prime makes the guide miss rows, and the exact engine completes
+    # the short family W' from all of its rows
     guided = _ClosureEngine.guided_run
     run = _ClosureEngine.run
     families, completions = [], []
-    monkeypatch.setattr(_ClosureEngine, "_spin", _short_spin)
+    monkeypatch.setattr(submodules, "_spin_prime", _small_prime(prime, 3, 5, 7))
     monkeypatch.setattr(_ClosureEngine, "guided_run",
                         lambda self, seed: families.append(guided(self, seed)) or families[-1])
     monkeypatch.setattr(_ClosureEngine, "run",
@@ -1155,12 +1143,25 @@ def test_known_closure_is_the_exact_closure(monkeypatch, n, spec, alpha, box, ge
     _assert_exact_closures(closed)
 
 
-@pytest.mark.parametrize("short_spin", [_short_spin, _spin_short_off_grade_zero])
-def test_known_closure_is_never_a_family_that_failed_its_recheck(monkeypatch, short_spin):
-    # each guided family misses rows and fails its re-check, and the exact
-    # engine completes it.  Cut off grade 0 only, the short family holds the
-    # completed family's grade 0, which holds a later seed: that seed must
-    # take the completed family, not the short one
+def _use_small_prime(m):
+    m.setattr(submodules, "_spin_prime", _small_prime(3, 5, 7))
+
+
+def _drop_outer_shell(m):
+    """Guided families less their grades on the box's outer shell: each
+    holds the closure's grade 0 but misses rows elsewhere."""
+    guided = _ClosureEngine.guided_run
+    m.setattr(_ClosureEngine, "guided_run",
+              lambda self, seed: {g: ech for g, ech in guided(self, seed).items()
+                                  if max(map(abs, g)) < self.box.radius})
+
+
+@pytest.mark.parametrize("short_guide", [_use_small_prime, _drop_outer_shell])
+def test_known_closure_is_never_a_family_that_failed_its_recheck(monkeypatch, short_guide):
+    # guided families miss rows and fail their re-checks, and the exact
+    # engine completes them.  A short family that holds the completed
+    # family's grade 0 holds a later seed: that seed must take the completed
+    # family, not the short one
     failed = []
     recheck = submodules._recheck
 
@@ -1169,7 +1170,7 @@ def test_known_closure_is_never_a_family_that_failed_its_recheck(monkeypatch, sh
         failed.append(not out[0])
         return out
 
-    monkeypatch.setattr(_ClosureEngine, "_spin", short_spin)
+    short_guide(monkeypatch)
     monkeypatch.setattr(submodules, "_recheck", recheck_spy)
     closed, taken = _closures_by_seed(monkeypatch, *_REUSE_CASES[0])
     assert taken and any(failed)

@@ -332,7 +332,7 @@ def test_enumeration_walk_of_each_bench_shape(monkeypatch, capsys, argv, grid):
 
 
 def _spy_probe_work(monkeypatch) -> dict:
-    """Counts of closures (guided replays and exact runs) and enumeration
+    """Counts of closures (guided runs and exact runs) and enumeration
     re-checks."""
     from hamlie import submodules
 
