@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -414,8 +414,9 @@ _SCREEN_BATCH = 2 ** 15
 
 def _spin_prime(dim: int, L: int) -> int:
     """The largest prime p <= _SCREEN_PRIME that does not divide L (there
-    every generator is a scalar mod p) and keeps (dim+1)(p-1)^2 < 2^63, the
-    bound on an image x @ pt + c x or a reduction v @ P of entries in
+    every generator is a scalar mod p; the engine passes L times its
+    nonzero L alpha_i) and keeps (dim+1)(p-1)^2 < 2^63,
+    the bound on an image x @ pt + c x or a reduction v @ P of entries in
     [0, p).  Primality is tested only below _SCREEN_PRIME."""
     p = min(_SCREEN_PRIME, isqrt((2 ** 63 - 1) // (dim + 1)) + 1)
     while L % p == 0 or (p < _SCREEN_PRIME and not _is_prime(p)):
@@ -430,6 +431,21 @@ def _is_prime(m: int) -> bool:
 def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Elementwise inverses of nonzero residues mod the prime p."""
     return np.array([pow(v, -1, p) for v in a.tolist()], dtype=np.int64)
+
+
+def _rational_lift(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= sqrt(p/2) and n = a d mod p, or None
+    when there is none (rational reconstruction: the extended Euclidean
+    algorithm on p and a, stopped at the first remainder within the
+    bound).  Such a fraction is unique."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 class _ModpSpans:
@@ -488,14 +504,23 @@ class _ClosureEngine:
         self.dim = p.rep.dim
         # inner radius -> whether fullness at grade 0 carries to its box
         self._carried: dict = {}
-        # seed line -> rank over F_p of its spin at grade 0
+        # seed line -> (rank, RREF) over F_p of its spin at grade 0
         self._ranks: dict = {}
 
     @cached_property
     def _modp(self) -> tuple:
-        """(p, generator matrices, L, L alpha), reduced mod the spin's prime."""
+        """(p, generator matrices, L, L alpha), reduced mod the spin's prime.
+
+        The prime divides neither L nor any nonzero L alpha_i: at a prime
+        dividing L alpha_i, a step out of grade 0 whose scalar
+        L (bar r, alpha) is nonzero over Q can read 0 mod p, and the
+        grade-0 spin finds too few rows.  The rule covers grade 0 only: at
+        another grade s a nonzero scalar L (bar r, s + alpha) can still
+        vanish mod p.  Then a spin finds too few rows, the family fails its
+        re-check and the probe falls back, so no report depends on the
+        prime."""
         table = self.table
-        q = _spin_prime(self.dim, table.L)
+        q = _spin_prime(self.dim, table.L * prod(int(a) for a in table.l_alpha.tolist() if a))
         return (q, np.array(np.mod(table.pt, q), dtype=np.int64), table.L % q,
                 np.array(np.mod(table.l_alpha, q), dtype=np.int64))
 
@@ -530,10 +555,11 @@ class _ClosureEngine:
                                   axis=1))
         return [np.stack([unit, index[(1 - r) @ w3]], axis=1), np.concatenate(three)]
 
-    def _grade_zero_rank(self, seed: GradedVector) -> int:
-        """The rank over F_p of the rows of a seed at grade 0 pushed through
-        the closed words (``_words``) until no new row appears, or dim as
-        soon as it is reached; spun once per seed line."""
+    def _grade_zero_spin(self, seed: GradedVector) -> tuple:
+        """(rank, RREF) over F_p of the rows of a seed at grade 0 pushed
+        through the closed words (``_words``) until no new row appears, or
+        dim as soon as it is reached: the rank and the RREF rows as an int64
+        array in pivot order.  Spun once per seed line."""
         key = _seed_key(seed)
         if key in self._ranks:
             return self._ranks[key]
@@ -560,41 +586,52 @@ class _ClosureEngine:
                         y = self._step(src, y, j)
                         src = src + offsets[j]
                     frontier += [new for _, _, new in spans.absorb(zero.repeat(len(y)), y)]
-        self._ranks[key] = int(spans.rank[0])
+        P = spans.P[0]
+        self._ranks[key] = (int(spans.rank[0]), P[P.any(axis=1)])
         return self._ranks[key]
+
+    def _grade_zero_rank(self, seed: GradedVector) -> int:
+        """The rank of the seed's grade-0 spin (``_grade_zero_spin``), at
+        most dim W_0 for the seed's closure W (``screen_full``): the screen
+        asks whether it is dim, the reuse of a known closure whether it
+        reaches that family's dim at grade 0."""
+        return self._grade_zero_spin(seed)[0]
+
+    def _invertible_steps(self, idx: _GradeIndex, gids: np.ndarray) -> np.ndarray:
+        """steps[k, j]: the step from grade ``gids[k]`` of ``idx`` under
+        generator j stays in that box, and its exact scalar
+        L (bar r, s + alpha) is nonzero.  There H_r is that scalar times I
+        plus the nilpotent rho(r bar r^t), so it is invertible and maps the
+        grade's space of any invariant family onto the target's."""
+        table = self.table
+        src = idx.coords[gids]
+        live = np.ones((len(gids), len(table.offsets)), dtype=bool)
+        for a in range(idx.N):
+            live &= np.abs(src[:, a, None] + table.offsets[None, :, a]) <= idx.R
+        if table.c_small.all():
+            s_l = src * table.L + table.l_alpha
+        else:
+            s_l = src.astype(object) * table.L + table.l_alpha.astype(object)
+        return live & (s_l @ table.bars.T != 0)
 
     def _full_from_zero(self, radius: int) -> np.ndarray:
         """Over the gids of the box of ``radius``: whether the grade is full
         in every family that is full at grade 0 and invariant under the
         engine's generators between grades of that box.
 
-        Breadth first from grade 0 along the steps s -> s + r whose exact
-        scalar L (bar r, s + alpha) is nonzero: there H_r is that scalar
-        times I plus the nilpotent rho(r bar r^t), so it is invertible and
-        carries V onto V.  A grade t still open is full when the images
-        H_r(V) from full grades t - r have rank dim mod p (an integer stack
-        of rank dim mod p has rank dim over Q).  Repeated until neither
-        rule fills a grade.
+        Breadth first from grade 0 along the invertible steps
+        (``_invertible_steps``), which carry V onto V.  A grade t still open
+        is full when the images H_r(V) from full grades t - r have rank dim
+        mod p (an integer stack of rank dim mod p has rank dim over Q).
+        Repeated until neither rule fills a grade.
         """
-        N = self.box.N
-        idx = _GradeIndex(radius, N)
-        table = self.table
-        offsets, L = table.offsets, table.L
-        # live[s, j]: the step from s under generator j stays in the box
-        live = np.ones((idx.count, len(offsets)), dtype=bool)
-        for a in range(N):
-            live &= np.abs(idx.coords[:, a, None] + offsets[None, :, a]) <= radius
-        if table.c_small.all():
-            s_l = idx.coords * L + table.l_alpha
-        else:
-            s_l = idx.coords.astype(object) * L + table.l_alpha.astype(object)
-        steps = live & (s_l @ table.bars.T != 0)
-        codes = offsets @ idx.weights
+        idx = _GradeIndex(radius, self.box.N)
+        codes = self.table.offsets @ idx.weights
         full = np.zeros(idx.count, dtype=bool)
-        new = np.array([idx.encode_one((0,) * N)])
+        new = np.array([idx.encode_one((0,) * idx.N)])
         while len(new):
             full[new] = True
-            ii, jj = np.nonzero(steps[new])
+            ii, jj = np.nonzero(self._invertible_steps(idx, new))
             reached = np.zeros(idx.count, dtype=bool)
             reached[new[ii] + codes[jj]] = True
             new = np.flatnonzero(reached & ~full)
@@ -649,9 +686,134 @@ class _ClosureEngine:
             self._carried[radius] = bool(self._full_from_zero(radius).all())
         return self._carried[radius] and self._grade_zero_rank(seed) == self.dim
 
+    @cached_property
+    def _tree(self) -> tuple:
+        """The walk of ``transport``, the same for every seed: (layers, rest).
+
+        ``layers`` runs breadth first from grade 0 over the engine's box
+        along the invertible steps (``_invertible_steps``), one
+        (parents, generators, targets) triple of gid arrays per layer, one
+        parent per newly reached grade: its first step in row-major order.
+        ``rest`` holds the (sources, generators, targets) of every in-box
+        step from a reached grade into a grade no layer reaches (at integral
+        alpha, -alpha: every step into it has scalar (bar r, -r) = 0).
+        """
+        idx = self.index
+        offsets = self.table.offsets
+        codes = offsets @ idx.weights
+        reached = np.zeros(idx.count, dtype=bool)
+        new = np.array([idx.encode_one((0,) * idx.N)])
+        reached[new] = True
+        block = max(1, _SCREEN_BATCH // len(offsets))
+        layers = []
+        while len(new):
+            layer = []
+            for b0 in range(0, len(new), block):
+                src = new[b0:b0 + block]
+                ii, jj = np.nonzero(self._invertible_steps(idx, src))
+                tgt, first = np.unique(src[ii] + codes[jj], return_index=True)
+                fresh = ~reached[tgt]
+                tgt, first = tgt[fresh], first[fresh]
+                reached[tgt] = True
+                layer.append((src[ii[first]], jj[first], tgt))
+            layer = tuple(map(np.concatenate, zip(*layer)))
+            if len(layer[2]):
+                layers.append(layer)
+            new = layer[2]
+        missed = np.flatnonzero(~reached)
+        # starts with an empty triple, for a box with no grade missed
+        rest = [(missed[:0],) * 3]
+        for b0 in range(0, len(missed), block):
+            tgt = missed[b0:b0 + block]
+            src = idx.coords[tgt][:, None, :] - offsets[None]
+            kk, jj = np.nonzero(np.all(np.abs(src) <= idx.R, axis=2))
+            gids = (src[kk, jj] + idx.R) @ idx.weights
+            keep = reached[gids]
+            rest.append((gids[keep], jj[keep], tgt[kk[keep]]))
+        return layers, tuple(map(np.concatenate, zip(*rest)))
+
+    def _push(self, echelons: dict, src: np.ndarray, gens: np.ndarray, tgt: np.ndarray):
+        """Insert into ``echelons[tgt[k]]`` the exact images, made primitive,
+        of every row of ``echelons[src[k]]`` under generator ``gens[k]``, for
+        every k; one ``_images`` call per _SWEEP_BATCH // max(dim^2, N)
+        rows."""
+        dim = self.dim
+        step = [k for k, g in enumerate(src.tolist()) for _ in echelons[g].rows]
+        rows = [row for g in src.tolist() for row in echelons[g].rows]
+        chunk = max(1, _SWEEP_BATCH // max(dim * dim, self.index.N))
+        for c0 in range(0, len(rows), chunk):
+            k = np.array(step[c0:c0 + chunk], dtype=np.intp)
+            y = _images(self.table, self.index.coords[src[k]], _rows_array(rows[c0:c0 + chunk]),
+                        gens[k])
+            if y.dtype == np.int64:
+                y = (y // np.maximum(np.gcd.reduce(y, axis=1), 1)[:, None]).tolist()
+            else:
+                y = map(_primitive, y)
+            for t, v in zip(tgt[k].tolist(), y):
+                ech = echelons.get(t)
+                if ech is None:
+                    ech = echelons[t] = _IntEchelon(dim)
+                ech.insert(v)
+
+    def transport(self, seed: GradedVector) -> dict | None:
+        """{grade: _IntEchelon} of a family U made from the grade-0 spin of
+        ``seed``, a vector at grade 0, nonzero grades only; or None.  U lies
+        in the closure W of the seed when it fills grade 0, and it is W when
+        it passes the enumeration re-check.
+
+        W is fixed by W_0: on an invertible step s -> s + r
+        (``_invertible_steps``) H_r W_s lies in W_{s+r} and has its
+        dimension, as the reverse step (scalar -c, since (bar r, r) = 0) is
+        invertible too, so W_{s+r} = H_r W_s.  U is made the same way:
+        - (a) U_0: the RREF of the seed's grade-0 spin over F_p
+          (``_grade_zero_spin``), each entry lifted by rational
+          reconstruction (``_rational_lift``) and each row scaled to a
+          primitive integer row; one prime, no CRT.  None when the tree
+          reaches no grade (alpha = 0), when an entry does not
+          reconstruct, when dim U_0 is not the spin's rank, or when U_0
+          does not hold the seed exactly;
+        - (b) U_t = H_r U_s along the breadth-first tree of ``_tree``, one
+          layer at a time;
+        - (c) at a grade the tree misses, U_t is the span of H_r U_s over
+          the reached in-box sources s = t - r, in one pass.
+
+        Soundness:
+        - the prime never divides L, so the spin's rank is at most dim W_0,
+          as in ``screen_full``, and dim U_0 is that rank;
+        - if U fills the inner box, then U_0 = V, which is exact (so
+          W_0 = V); every other row of U is an exact image of a row of U,
+          so U lies in W;
+        - if U is invariant and holds the seed, then W lies in U, so
+          dim U_0 <= dim W_0 <= dim U_0, hence U_0 = W_0 and U = W.
+        A wrong lift can therefore only fail the re-check, and report bytes
+        do not change: a fully reduced echelon is unique to its span.
+        """
+        layers, rest = self._tree
+        if any(seed.grade) or not layers:
+            # no invertible step leaves grade 0 (alpha = 0): U would be only
+            # grade 0 and one pass of its images
+            return None
+        rank, rref = self._grade_zero_spin(seed)
+        p = self._modp[0]
+        lifted = [[_rational_lift(v, p) for v in row] for row in rref.tolist()]
+        if any(None in row for row in lifted):
+            return None
+        u0 = _IntEchelon.of_rows(self.dim, map(_int_row, lifted))
+        if u0.dim != rank or not u0.contains(_int_row(seed.payload)):
+            return None
+        echelons = {self.index.encode_one(seed.grade): u0}
+        for steps in layers:
+            self._push(echelons, *steps)
+        self._push(echelons, *rest)
+        return {
+            tuple(int(v) for v in self.index.coords[gid]): ech
+            for gid, ech in echelons.items() if ech.rows
+        }
+
     def guided_run(self, seed: GradedVector) -> dict:
         """{grade: _IntEchelon} of a family W' inside the closure W of
-        ``seed``, nonzero grades only.
+        ``seed``, nonzero grades only; the probe's fallback where
+        ``transport`` gives no family or one that fails its re-check.
 
         One pass spins ``seed`` over F_p between the grades of the engine's
         box and takes the spin's steps exactly.  Each round keeps two
@@ -1386,12 +1548,17 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     ``rechecks`` is W when the seed lies in its grade 0 and the seed's
     grade-0 rank reaches that grade's dimension (``_known_closure``); its
     echelons, family key and re-check are the ones a fresh closure would
-    give.  Every seed left goes to the guided family W' of
-    ``_ClosureEngine.guided_run``, made of the exact steps of the seed's
-    F_p spin.  W' lies in W and is taken when it
-    fills the inner box (so does W) or when it passes the enumeration re-check
-    (invariant and holding the seed, W' contains W).  That re-check is the
-    one a PROPER seed's family gets anyway, and its outcome is kept in
+    give.  Every seed left is closed by transport: the family U that
+    ``_ClosureEngine.transport`` carries from the lifted grade-0 RREF of
+    the seed's spin along invertible steps.  When no invertible step
+    leaves grade 0 (alpha = 0) or the lift fails it gives nothing; when
+    the lift is wrong U fails its re-check.  Only then does
+    the seed go to the guided family W' of ``_ClosureEngine.guided_run``,
+    made of the exact steps of the seed's F_p spin across the whole box.
+    Either family is taken when it fills the inner box (it lies in W, so
+    W does too) or when it passes the enumeration re-check (invariant and
+    holding the seed, it contains W, and then it is W).  That re-check is
+    the one a PROPER seed's family gets anyway, and its outcome is kept in
     ``rechecks``.  Otherwise the exact engine completes W' from its rows:
     W' holds the seed and lies in W, so its closure is W.
     """
@@ -1401,11 +1568,16 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     echelons = _known_closure(engine, seed, rechecks)
     if echelons is not None:
         return echelons
-    echelons = engine.guided_run(seed)
-    if all(g in echelons and echelons[g].dim == dim for g in inner):
-        return None
-    if _recheck(engine, gens, echelons, rechecks)[0]:
-        return echelons
+    # transport first; the guided closure when transport gives no family
+    # or one that fails its re-check
+    for close in (engine.transport, engine.guided_run):
+        echelons = close(seed)
+        if echelons is None:
+            continue
+        if all(g in echelons and echelons[g].dim == dim for g in inner):
+            return None
+        if _recheck(engine, gens, echelons, rechecks)[0]:
+            return echelons
     return engine.run([GradedVector(g, row) for g, ech in echelons.items() for row in ech.rows])
 
 
@@ -1426,12 +1598,16 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     family the probe already holds, with a grade-0 rank over F_p reaching
     that grade's dimension, has that family as its closure
     (``_known_closure``), so the closure of one family is made once.
-    Every other seed is closed by one pass that spins it over F_p across
-    the whole box and takes the spin's steps exactly as it goes
-    (``_ClosureEngine.guided_run``), which gives a family inside the
-    closure; the enumeration re-check of that family
-    proves it is the closure, and a family that fails it is completed by
-    the exact engine (``_ClosureEngine.run``).  Either way the echelons are exact, and they
+    Every other seed is closed by transport (``_ClosureEngine.transport``):
+    the lifted grade-0 RREF of its spin, carried along the invertible
+    steps of a breadth-first tree the engine builds once.  The enumeration
+    re-check of that family proves it is the closure.  Only a seed with no
+    transport (alpha = 0, or a lift that fails) or whose family fails the
+    re-check falls back to one pass
+    that spins it over F_p across the whole box and takes the spin's steps
+    exactly as it goes (``_ClosureEngine.guided_run``), re-checked the
+    same way and, failing that, completed by the exact engine
+    (``_ClosureEngine.run``).  Every path gives exact echelons, and they
     feed the re-check and the detected family.  A seed that is a multiple
     of an earlier one reuses its outcome, and each distinct family is
     re-checked once.

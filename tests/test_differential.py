@@ -21,8 +21,12 @@ must say FULL for every probe seed whose closure is full on a set of small
 shapes, and probe reports must not depend on it.  The same holds for the
 mod-p-guided exact closure: its family must be the exact engine's wherever
 the probe takes it, and a family it gets wrong must send the probe to the
-exact engine.  Nor may reports depend on the probe's reuse of a closure for a
-repeated seed line or of a re-check for a repeated family.
+exact engine.  Transport along invertible steps must give the exact
+engine's family at axis, generic and integral alphas, must refuse a grade 0
+of the wrong dimension or without the seed, and a lift that fails or is
+wrong must send the probe to the guided closure with the same report bytes.
+Nor may reports depend on the probe's reuse of a closure for a repeated
+seed line or of a re-check for a repeated family.
 
 The sparse layer keeps integral scalars as ``int`` and the rest as
 ``Fraction``.  Its arithmetic, ``combine``, ``sp_decompose``, ``act_H``
@@ -986,8 +990,10 @@ def _count_runs(counter: list):
 
 def _small_prime(*primes):
     """A patch of ``_spin_prime``: the first of ``primes`` that does not
-    divide L, a prime at which the guide may miss rows."""
-    return lambda dim, L: next(q for q in primes if L % q)
+    divide L (there L carries the nonzero L alpha_i too), else the first
+    such prime above them; a prime at which the guide may miss rows."""
+    return lambda dim, L: next(q for q in itertools.chain(primes, itertools.count(max(primes)))
+                               if L % q and _prime(q))
 
 
 def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
@@ -1144,16 +1150,22 @@ def test_known_closure_is_the_exact_closure(monkeypatch, n, spec, alpha, box, ge
 
 
 def _use_small_prime(m):
+    """The guide at a small prime, with no transport before it."""
     m.setattr(submodules, "_spin_prime", _small_prime(3, 5, 7))
+    m.setattr(_ClosureEngine, "transport", lambda self, seed: None)
 
 
 def _drop_outer_shell(m):
-    """Guided families less their grades on the box's outer shell: each
-    holds the closure's grade 0 but misses rows elsewhere."""
-    guided = _ClosureEngine.guided_run
-    m.setattr(_ClosureEngine, "guided_run",
-              lambda self, seed: {g: ech for g, ech in guided(self, seed).items()
-                                  if max(map(abs, g)) < self.box.radius})
+    """Transported and guided families less their grades on the box's outer
+    shell: each holds the closure's grade 0 but misses rows elsewhere."""
+    def short(family, radius):
+        if family is not None:
+            return {g: ech for g, ech in family.items() if max(map(abs, g)) < radius}
+
+    for name in ("transport", "guided_run"):
+        close = getattr(_ClosureEngine, name)
+        m.setattr(_ClosureEngine, name,
+                  lambda self, seed, close=close: short(close(self, seed), self.box.radius))
 
 
 @pytest.mark.parametrize("short_guide", [_use_small_prime, _drop_outer_shell])
@@ -1204,6 +1216,185 @@ def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
     assert spins == len(set(asked)) < len(asked)
 
 
+# -- transport along invertible steps --------------------------------------
+
+Q31, Q61 = 2 ** 31 - 1, 2 ** 61 - 1
+# (n, rep, alpha, box, gens): axis and generic alphas (two nonzero
+# coordinates) at q = 7, 2^31-1 and 2^61-1, and integral alphas, where the
+# tree misses the grade -alpha
+_TRANSPORT_CASES = [
+    (2, "natural", (F(2, 7), 0, 0, 0), 2, 1),
+    (2, "fundamental:2", (F(1, 7), F(3, 7), 0, 0), 2, 1),
+    (2, "natural", (F(1, Q31), 0, F(-3, Q31), 0), 2, 1),
+    (2, "fundamental:2", (F(2, Q31), 0, 0, 0), 2, 1),
+    (2, "natural", (F(1, Q61), F(3, Q61), 0, 0), 2, 1),
+    (2, "fundamental:2", (F(2, Q61), 0, 0, 0), 2, 1),
+    (2, "natural", (0, 0, -1, 0), 2, 1),
+    (2, "fundamental:2", (0, 0, -1, 0), 2, 1),
+    (3, "natural", (F(1, 3), 0, 0, 0, 0, 0), 1, 1),
+]
+
+
+def _engine(n, spec, alpha, box, gens) -> _ClosureEngine:
+    N = 2 * n
+    return _ClosureEngine(ModuleParams(alpha, (0,) * N, _rep(n, spec)), Box(box, N),
+                          GeneratorSet(gens, N))
+
+
+@pytest.mark.parametrize("n,spec,alpha,box,gens", _TRANSPORT_CASES)
+def test_transport_is_the_exact_closure(n, spec, alpha, box, gens):
+    engine = _engine(n, spec, alpha, box, gens)
+    seeds = _probe_seeds(engine.dim, 0xC0FFEE, 1)
+    # basis:0, basis:1 and random:0
+    for name, payload in seeds[:2] + seeds[-1:]:
+        seed = GradedVector((0,) * (2 * n), payload)
+        got = engine.transport(seed)
+        assert got is not None, name
+        assert _family_key(got) == _family_key(engine.run([seed])), name
+    missed = {tuple(engine.index.coords[t].tolist()) for t in engine._tree[1][2].tolist()}
+    if all(F(a).denominator == 1 for a in alpha):
+        assert missed == {tuple(-a for a in alpha)}
+    else:
+        assert missed == set()
+
+
+@pytest.mark.parametrize("p", [7, 101, _SCREEN_PRIME])
+def test_rational_lift(p):
+    bound = isqrt(p // 2)
+    rng = random.Random(p)
+    for _ in range(200):
+        x = F(rng.randint(-bound, bound), rng.randint(1, bound))
+        assert submodules._rational_lift(x.numerator * pow(x.denominator, -1, p), p) == x
+    # at p = 7 the bound is 1: only 0 and +-1 reconstruct
+    if p == 7:
+        assert [submodules._rational_lift(a, p) for a in range(7)] == [0, 1, None, None,
+                                                                        None, None, -1]
+
+
+def _exact_probe_bytes() -> list:
+    with mock.patch.object(submodules, "_close_seed", _exact_close_seed):
+        return _probe_bytes()
+
+
+def test_probe_falls_back_when_the_lift_fails(monkeypatch):
+    expected = _exact_probe_bytes()
+    assert _probe_bytes() == expected
+    transported, guided = [], []
+    monkeypatch.setattr(submodules, "_rational_lift", lambda a, p: None)
+    close = _ClosureEngine.transport
+    monkeypatch.setattr(_ClosureEngine, "transport",
+                        lambda self, seed: transported.append(close(self, seed)) or transported[-1])
+    run = _ClosureEngine.guided_run
+    monkeypatch.setattr(_ClosureEngine, "guided_run",
+                        lambda self, seed: guided.append(seed) or run(self, seed))
+    assert _probe_bytes() == expected
+    assert transported and all(t is None for t in transported)
+    assert len(guided) == len(transported)
+
+
+# (n, rep, alpha, box, gens) at alpha = 0, where every step out of grade 0
+# has scalar (bar r, 0) = 0
+_ZERO_ALPHA_CASES = [
+    (1, "natural", (0, 0), 4, 1),
+    (1, "sym:2", (0, 0), 4, 1),
+    (2, "natural", (0, 0, 0, 0), 2, 1),
+]
+
+
+@pytest.mark.parametrize("n,spec,alpha,box,gens", _ZERO_ALPHA_CASES)
+def test_probe_skips_transport_at_alpha_zero(monkeypatch, n, spec, alpha, box, gens):
+    # the tree reaches no grade, so transport gives no family and costs no
+    # re-check; the guide closes every seed, with the exact engine's bytes
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    box, gens = Box(box, N), GeneratorSet(gens, N)
+    with mock.patch.object(submodules, "_close_seed", _exact_close_seed):
+        exact = json.dumps(irreducibility_probe(p, box, gens), indent=2)
+    transported, rechecks = [], []
+    recheck = submodules._enumerate_invariance
+    monkeypatch.setattr(submodules, "_enumerate_invariance",
+                        lambda *a, **k: rechecks.append(1) or recheck(*a, **k))
+    close = _ClosureEngine.transport
+    monkeypatch.setattr(_ClosureEngine, "transport",
+                        lambda self, seed: transported.append((self, close(self, seed)))
+                        or transported[-1][1])
+    assert json.dumps(irreducibility_probe(p, box, gens), indent=2) == exact
+    assert transported and all(eng._tree[0] == [] and u is None for eng, u in transported)
+    with_transport = len(rechecks)
+    rechecks.clear()
+    monkeypatch.setattr(_ClosureEngine, "transport", lambda self, seed: None)
+    assert json.dumps(irreducibility_probe(p, box, gens), indent=2) == exact
+    assert with_transport == len(rechecks)
+
+
+def _perturbed_spin(perturbed: list):
+    """A patch of ``_ClosureEngine._grade_zero_spin``: the RREF with one
+    entry moved by 1 mod p, in a free column of a row the seed does not
+    use, so the lifted U_0 still holds the seed and has the right dimension
+    but is not W_0."""
+    spin = _ClosureEngine._grade_zero_spin
+
+    def wrong(self, seed):
+        rank, rref = spin(self, seed)
+        row = _int_row(seed.payload)
+        pivots = np.argmax(rref != 0, axis=1)
+        free = [m for m in range(self.dim) if m not in pivots]
+        unused = [k for k, q in enumerate(pivots) if row[q] == 0]
+        if not free or not unused:
+            return rank, rref
+        rref = rref.copy()
+        rref[unused[0], free[0]] = (rref[unused[0], free[0]] + 1) % self._modp[0]
+        perturbed.append(seed)
+        return rank, rref
+    return wrong
+
+
+def test_probe_falls_back_when_the_lift_is_wrong(monkeypatch):
+    expected = _exact_probe_bytes()
+    perturbed, rechecked = [], []
+    monkeypatch.setattr(_ClosureEngine, "_grade_zero_spin", _perturbed_spin(perturbed))
+    close = _ClosureEngine.transport
+
+    def transport(self, seed):
+        perturbed.clear()
+        out = close(self, seed)
+        if perturbed:
+            # the wrong U_0 passes the lift's checks, and U its re-check never
+            assert out is not None
+            family = TruncatedModule(self.p, self.box, echelons=out)
+            gens = GeneratorSet(int(self.table.offsets.max()), self.box.N)
+            rechecked.append(bool(_enumerate_invariance(family, gens, engine=self)["failures"]))
+        return out
+
+    monkeypatch.setattr(_ClosureEngine, "transport", transport)
+    assert _probe_bytes() == expected
+    assert rechecked and all(rechecked)
+
+
+def test_transport_refuses_a_grade_zero_that_is_not_the_seeds():
+    # natural V at alpha (0, 0, -2/5, 0): basis:2 closes to the delta1 line,
+    # which lies in basis:1's family, whose grade 0 has dimension 3
+    engine = _engine(*_REUSE_CASES[1])
+    zero = (0, 0, 0, 0)
+    line, big = (GradedVector(zero, tuple(F(int(i == j)) for j in range(4))) for i in (2, 1))
+    rank_line, rref_line = engine._grade_zero_spin(line)
+    rank_big, rref_big = engine._grade_zero_spin(big)
+    assert (rank_line, rank_big) == (1, 3)
+    inner = _inner_grades(engine.box, GeneratorSet(1, 4))
+    with mock.patch.object(_ClosureEngine, "_grade_zero_spin",
+                           lambda self, seed: (rank_line, rref_big)):
+        # an invariant family that holds the seed, but too large at grade 0
+        assert engine.transport(line) is None
+        got = _close_seed(engine, line, GeneratorSet(1, 4), inner, {})
+        assert _family_key(got) == _family_key(engine.run([line]))
+    other = np.zeros_like(rref_line)
+    other[0, 3] = 1
+    with mock.patch.object(_ClosureEngine, "_grade_zero_spin",
+                           lambda self, seed: (rank_line, other)):
+        # a grade 0 of the right dimension that does not hold the seed
+        assert engine.transport(line) is None
+
+
 # (n, rep, alpha, box, gens, seeds or None for the probe's own).  The
 # crafted seeds put multiples of the grade-0 line of the delta1 family, which
 # fill only that line, next to a seed of the same support that fills V.
@@ -1235,16 +1426,15 @@ def _cached_probe_bytes(monkeypatch) -> list:
 
 def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     counts = {"closures": 0, "recheck": 0}
-    guided = _ClosureEngine.guided_run
-    run = _ClosureEngine.run
 
     def count_closure(out):
         counts["closures"] += 1
         return out
 
-    monkeypatch.setattr(_ClosureEngine, "guided_run",
-                        lambda self, *a: count_closure(guided(self, *a)))
-    monkeypatch.setattr(_ClosureEngine, "run", lambda self, *a: count_closure(run(self, *a)))
+    for name in ("transport", "guided_run", "run"):
+        close = getattr(_ClosureEngine, name)
+        monkeypatch.setattr(_ClosureEngine, name,
+                            lambda self, *a, close=close: count_closure(close(self, *a)))
     recheck = submodules._enumerate_invariance
     monkeypatch.setattr(submodules, "_enumerate_invariance",
                         lambda *a, **k: counts.update(recheck=counts["recheck"] + 1)

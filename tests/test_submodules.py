@@ -332,29 +332,26 @@ def test_enumeration_walk_of_each_bench_shape(monkeypatch, capsys, argv, grid):
 
 
 def _spy_probe_work(monkeypatch) -> dict:
-    """Counts of closures (guided runs and exact runs) and enumeration
-    re-checks."""
+    """Counts of closures (transports, guided runs and exact runs) and
+    enumeration re-checks."""
     from hamlie import submodules
 
     counts = {"closures": 0, "recheck": 0}
-    guided = submodules._ClosureEngine.guided_run
-    run = submodules._ClosureEngine.run
     recheck = submodules._enumerate_invariance
 
-    def guided_spy(self, *a, **k):
-        counts["closures"] += 1
-        return guided(self, *a, **k)
-
-    def run_spy(self, *a, **k):
-        counts["closures"] += 1
-        return run(self, *a, **k)
+    def closure_spy(method):
+        def spy(self, *a, **k):
+            counts["closures"] += 1
+            return method(self, *a, **k)
+        return spy
 
     def recheck_spy(*a, **k):
         counts["recheck"] += 1
         return recheck(*a, **k)
 
-    monkeypatch.setattr(submodules._ClosureEngine, "guided_run", guided_spy)
-    monkeypatch.setattr(submodules._ClosureEngine, "run", run_spy)
+    for name in ("transport", "guided_run", "run"):
+        monkeypatch.setattr(submodules._ClosureEngine, name,
+                            closure_spy(getattr(submodules._ClosureEngine, name)))
     monkeypatch.setattr(submodules, "_enumerate_invariance", recheck_spy)
     return counts
 
