@@ -217,6 +217,16 @@ class _GradeIndex:
     def encode_one(self, grade) -> int:
         return int(sum((g + self.R) * w for g, w in zip(grade, self.weights)))
 
+    def steps_in_box(self, src: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """mask[k, j]: the grade with coordinates ``src[k]`` moved by
+        ``offsets[j]`` stays in the box; per coordinate a lookup in the
+        (side x offsets) table of which moves keep each value in [-R, R]."""
+        side = np.arange(-self.R, self.R + 1)[:, None]
+        mask = np.ones((len(src), len(offsets)), dtype=bool)
+        for a in range(self.N):
+            mask &= np.take(np.abs(side + offsets[:, a]) <= self.R, src[:, a] + self.R, axis=0)
+        return mask
+
 
 class _ActionTable:
     """Per-generator integer matrices L*rho(r bar r^t), transposed, and bar
@@ -325,11 +335,7 @@ def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
     block = max(1, _SWEEP_BATCH // n_rows)
     chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
     for j0 in range(0, n_gens, block):
-        offs = table.offsets[j0:j0 + block]
-        live = np.ones((len(offs), n_rows), dtype=bool)
-        for a in range(N):
-            live &= np.abs(src[:, a] + offs[:, a, None]) <= idx.R
-        jj, ii = np.nonzero(live)
+        jj, ii = np.nonzero(idx.steps_in_box(src, table.offsets[j0:j0 + block]).T)
         jj += j0
         tt = src_gids[ii] + codes[jj]
         for c0 in range(0, len(ii), chunk):
@@ -502,8 +508,10 @@ class _ClosureEngine:
         self.index = _GradeIndex(box.radius, box.N)
         self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
-        # inner radius -> whether fullness at grade 0 carries to its box
-        self._carried: dict = {}
+        # the radius of the inner box, whose grades keep every step in the box
+        self.inner_radius = box.radius - gens.radius
+        # box radius -> its breadth-first walk from grade 0 (``_walk``)
+        self._walks: dict = {}
         # seed line -> (rank, RREF) over F_p of its spin at grade 0
         self._ranks: dict = {}
 
@@ -559,7 +567,10 @@ class _ClosureEngine:
         """(rank, RREF) over F_p of the rows of a seed at grade 0 pushed
         through the closed words (``_words``) until no new row appears, or
         dim as soon as it is reached: the rank and the RREF rows as an int64
-        array in pivot order.  Spun once per seed line."""
+        array in pivot order.  Spun once per seed line.  The rank is at most
+        dim W_0 for the seed's closure W (``screen_full``): the screen asks
+        whether it is dim, the reuse of a known closure whether it reaches
+        that family's dim at grade 0; transport lifts the RREF."""
         key = _seed_key(seed)
         if key in self._ranks:
             return self._ranks[key]
@@ -590,13 +601,6 @@ class _ClosureEngine:
         self._ranks[key] = (int(spans.rank[0]), P[P.any(axis=1)])
         return self._ranks[key]
 
-    def _grade_zero_rank(self, seed: GradedVector) -> int:
-        """The rank of the seed's grade-0 spin (``_grade_zero_spin``), at
-        most dim W_0 for the seed's closure W (``screen_full``): the screen
-        asks whether it is dim, the reuse of a known closure whether it
-        reaches that family's dim at grade 0."""
-        return self._grade_zero_spin(seed)[0]
-
     def _invertible_steps(self, idx: _GradeIndex, gids: np.ndarray) -> np.ndarray:
         """steps[k, j]: the step from grade ``gids[k]`` of ``idx`` under
         generator j stays in that box, and its exact scalar
@@ -605,100 +609,30 @@ class _ClosureEngine:
         grade's space of any invariant family onto the target's."""
         table = self.table
         src = idx.coords[gids]
-        live = np.ones((len(gids), len(table.offsets)), dtype=bool)
-        for a in range(idx.N):
-            live &= np.abs(src[:, a, None] + table.offsets[None, :, a]) <= idx.R
         if table.c_small.all():
             s_l = src * table.L + table.l_alpha
         else:
             s_l = src.astype(object) * table.L + table.l_alpha.astype(object)
-        return live & (s_l @ table.bars.T != 0)
+        return idx.steps_in_box(src, table.offsets) & (s_l @ table.bars.T != 0)
 
-    def _full_from_zero(self, radius: int) -> np.ndarray:
-        """Over the gids of the box of ``radius``: whether the grade is full
-        in every family that is full at grade 0 and invariant under the
-        engine's generators between grades of that box.
+    def _walk(self, radius: int) -> tuple:
+        """(index, layers, rest): the walk from grade 0 over the box of
+        ``radius``, as gids of ``index``, that box's grade index.  The same
+        for every seed, so it is built once per radius.
 
-        Breadth first from grade 0 along the invertible steps
-        (``_invertible_steps``), which carry V onto V.  A grade t still open
-        is full when the images H_r(V) from full grades t - r have rank dim
-        mod p (an integer stack of rank dim mod p has rank dim over Q).
-        Repeated until neither rule fills a grade.
+        ``layers`` runs breadth first along the invertible steps
+        (``_invertible_steps``), one (parents, generators, targets) triple of
+        gid arrays per layer, one parent per newly reached grade: its first
+        step in row-major order.  ``rest`` holds the (sources, generators,
+        targets) of every in-box step from a reached grade into a grade no
+        layer reaches, by target and then by generator.  At integral alpha
+        the walk misses -alpha: every step into it has scalar
+        (bar r, -r) = 0.  At alpha = 0 no step leaves grade 0, so there is no
+        layer and the walk misses every other grade.
         """
-        idx = _GradeIndex(radius, self.box.N)
-        codes = self.table.offsets @ idx.weights
-        full = np.zeros(idx.count, dtype=bool)
-        new = np.array([idx.encode_one((0,) * idx.N)])
-        while len(new):
-            full[new] = True
-            ii, jj = np.nonzero(self._invertible_steps(idx, new))
-            reached = np.zeros(idx.count, dtype=bool)
-            reached[new[ii] + codes[jj]] = True
-            new = np.flatnonzero(reached & ~full)
-            if not len(new):
-                new = np.array([t for t in np.flatnonzero(~full).tolist()
-                                if self._images_span(idx, t, full)], dtype=np.int64)
-        return full
-
-    def _images_span(self, idx: _GradeIndex, t: int, full: np.ndarray) -> bool:
-        """True when the images over F_p of V under H_r from the full grades
-        t - r of ``idx`` have rank dim."""
-        dim = self.dim
-        offsets = self.table.offsets
-        src = idx.coords[t] - offsets
-        j = np.flatnonzero(np.all(np.abs(src) <= idx.R, axis=1))
-        j = j[full[(src[j] + idx.R) @ idx.weights]]
-        src = src[j]
-        spans = _ModpSpans(self._modp[0], 1, dim)
-        eye = np.eye(dim, dtype=np.int64)
-        per = max(1, _SCREEN_BATCH // (dim * dim * dim))
-        for b0 in range(0, len(j), per):
-            jb = j[b0:b0 + per]
-            y = self._step(np.repeat(src[b0:b0 + per], dim, axis=0),
-                           np.tile(eye, (len(jb), 1)), np.repeat(jb, dim))
-            spans.absorb(np.zeros(len(y), dtype=np.int64), y)
-            if spans.rank[0] == dim:
-                return True
-        return False
-
-    def screen_full(self, seed: GradedVector, radius: int) -> bool:
-        """True when the closure W over Q of ``seed``, a vector at grade 0,
-        fills every grade of the box of ``radius`` in the engine's box; False
-        proves nothing, and a seed at another grade is never screened.
-
-        Two parts decide it.  The seed's spin over F_p at grade 0 through
-        closed words (``_grade_zero_rank``, spun once per seed line; the
-        probe reads the same rank to reuse a known closure) must reach rank
-        dim.  Let W be the closure: each W_g meet Z^dim is a saturated
-        lattice, and the integer operator L H_r of the action table maps it
-        into the lattice at grade g + r, so the lattice family mod p is
-        invariant, contains the reduced primitive seed and has dimension
-        dim W_g at grade g.  Every word is a path between grades of the
-        radius-1 box, inside the engine's, so the rank mod p is at most
-        dim W_0, for every p.  Then
-        the engine's propagation (``_full_from_zero``, once per radius, the
-        same for every seed) must carry fullness from grade 0 to every grade
-        of the box of ``radius``.
-        """
-        if any(seed.grade):
-            return False
-        if radius not in self._carried:
-            self._carried[radius] = bool(self._full_from_zero(radius).all())
-        return self._carried[radius] and self._grade_zero_rank(seed) == self.dim
-
-    @cached_property
-    def _tree(self) -> tuple:
-        """The walk of ``transport``, the same for every seed: (layers, rest).
-
-        ``layers`` runs breadth first from grade 0 over the engine's box
-        along the invertible steps (``_invertible_steps``), one
-        (parents, generators, targets) triple of gid arrays per layer, one
-        parent per newly reached grade: its first step in row-major order.
-        ``rest`` holds the (sources, generators, targets) of every in-box
-        step from a reached grade into a grade no layer reaches (at integral
-        alpha, -alpha: every step into it has scalar (bar r, -r) = 0).
-        """
-        idx = self.index
+        if radius in self._walks:
+            return self._walks[radius]
+        idx = self.index if radius == self.box.radius else _GradeIndex(radius, self.box.N)
         offsets = self.table.offsets
         codes = offsets @ idx.weights
         reached = np.zeros(idx.count, dtype=bool)
@@ -725,12 +659,69 @@ class _ClosureEngine:
         rest = [(missed[:0],) * 3]
         for b0 in range(0, len(missed), block):
             tgt = missed[b0:b0 + block]
-            src = idx.coords[tgt][:, None, :] - offsets[None]
-            kk, jj = np.nonzero(np.all(np.abs(src) <= idx.R, axis=2))
-            gids = (src[kk, jj] + idx.R) @ idx.weights
-            keep = reached[gids]
-            rest.append((gids[keep], jj[keep], tgt[kk[keep]]))
-        return layers, tuple(map(np.concatenate, zip(*rest)))
+            # the sources t - r in the box
+            kk, jj = np.nonzero(idx.steps_in_box(idx.coords[tgt], -offsets))
+            src = tgt[kk] - codes[jj]
+            keep = reached[src]
+            rest.append((src[keep], jj[keep], tgt[kk[keep]]))
+        self._walks[radius] = idx, layers, tuple(map(np.concatenate, zip(*rest)))
+        return self._walks[radius]
+
+    def _images_span(self, src: np.ndarray, j: np.ndarray) -> bool:
+        """True when the images over F_p of V under the generators ``j``
+        from the grades ``src`` (coordinates, one row per step) have rank
+        dim."""
+        dim = self.dim
+        spans = _ModpSpans(self._modp[0], 1, dim)
+        eye = np.eye(dim, dtype=np.int64)
+        per = max(1, _SCREEN_BATCH // (dim * dim * dim))
+        for b0 in range(0, len(j), per):
+            jb = j[b0:b0 + per]
+            y = self._step(np.repeat(src[b0:b0 + per], dim, axis=0),
+                           np.tile(eye, (len(jb), 1)), np.repeat(jb, dim))
+            spans.absorb(np.zeros(len(y), dtype=np.int64), y)
+            if spans.rank[0] == dim:
+                return True
+        return False
+
+    @cached_property
+    def _carries(self) -> bool:
+        """Whether every family that is full at grade 0 and invariant under
+        the engine's generators is full on every grade of the inner box.
+
+        The walk over the inner box (``_walk``) carries V onto V along
+        invertible steps.  Each grade t it misses must be a target of its
+        ``rest``, and the images H_r(V) over those steps, from reached
+        grades t - r, must have rank dim mod p (an integer stack of rank
+        dim mod p has rank dim over Q)."""
+        idx, layers, (src, gens, tgt) = self._walk(self.inner_radius)
+        # the rest runs by target: one group of steps per missed grade
+        missed, first = np.unique(tgt, return_index=True)
+        # every grade but 0 and the layers' targets must be a target of the rest
+        if len(missed) < idx.count - 1 - sum(len(layer[2]) for layer in layers):
+            return False
+        return all(self._images_span(idx.coords[s], j)
+                   for s, j in zip(np.split(src, first)[1:], np.split(gens, first)[1:]))
+
+    def screen_full(self, seed: GradedVector) -> bool:
+        """True when the closure W over Q of ``seed``, a vector at grade 0,
+        fills every grade of the engine's inner box; False proves nothing,
+        and a seed at another grade is never screened.
+
+        Two parts decide it.  The seed's spin over F_p at grade 0 through
+        closed words (``_grade_zero_spin``, spun once per seed line; the
+        probe reads the same rank to reuse a known closure and the same RREF
+        to transport) must reach rank dim.  Let W be the closure: each
+        W_g meet Z^dim is a saturated lattice, and the integer operator
+        L H_r of the action table maps it into the lattice at grade g + r,
+        so the lattice family mod p is invariant, contains the reduced
+        primitive seed and has dimension dim W_g at grade g.  Every word is
+        a path between grades of the radius-1 box, inside the engine's, so
+        the rank mod p is at most dim W_0, for every p.  Then the walk over
+        the inner box must carry fullness from grade 0 to every inner grade
+        (``_carries``, decided once per engine, the same for every seed).
+        """
+        return not any(seed.grade) and self._carries and self._grade_zero_spin(seed)[0] == self.dim
 
     def _push(self, echelons: dict, src: np.ndarray, gens: np.ndarray, tgt: np.ndarray):
         """Insert into ``echelons[tgt[k]]`` the exact images, made primitive,
@@ -768,14 +759,15 @@ class _ClosureEngine:
         - (a) U_0: the RREF of the seed's grade-0 spin over F_p
           (``_grade_zero_spin``), each entry lifted by rational
           reconstruction (``_rational_lift``) and each row scaled to a
-          primitive integer row; one prime, no CRT.  None when the tree
+          primitive integer row; one prime, no CRT.  None when the walk
           reaches no grade (alpha = 0), when an entry does not
           reconstruct, when dim U_0 is not the spin's rank, or when U_0
           does not hold the seed exactly;
-        - (b) U_t = H_r U_s along the breadth-first tree of ``_tree``, one
-          layer at a time;
-        - (c) at a grade the tree misses, U_t is the span of H_r U_s over
-          the reached in-box sources s = t - r, in one pass.
+        - (b) U_t = H_r U_s along the layers of the walk over the engine's
+          box (``_walk``), one layer at a time;
+        - (c) at a grade the walk misses, U_t is the span of H_r U_s over
+          its ``rest`` steps, from the reached in-box sources s = t - r, in
+          one pass.
 
         Soundness:
         - the prime never divides L, so the spin's rank is at most dim W_0,
@@ -788,7 +780,7 @@ class _ClosureEngine:
         A wrong lift can therefore only fail the re-check, and report bytes
         do not change: a fully reduced echelon is unique to its span.
         """
-        layers, rest = self._tree
+        _, layers, rest = self._walk(self.box.radius)
         if any(seed.grade) or not layers:
             # no invertible step leaves grade 0 (alpha = 0): U would be only
             # grade 0 and one pass of its images
@@ -851,11 +843,8 @@ class _ClosureEngine:
         f_gids = np.array([idx.encode_one(seed.grade)])
         f_rows = spans.insert(f_gids, np.array([[v % p for v in row]], dtype=np.int64))
         x_rows = [insert(int(f_gids[0]), row)]
-        # a target's gid is its source's gid plus the generator's code;
-        # in_box[a][s_a + R, j] says whether s_a + r_a stays in the box
+        # a target's gid is its source's gid plus the generator's code
         codes = offsets @ idx.weights
-        side = np.arange(-idx.R, idx.R + 1)[:, None]
-        in_box = [np.abs(side + offsets[:, a]) <= idx.R for a in range(N)]
         block = max(1, _SCREEN_BATCH // n_gens)
         chunk = max(1, _SCREEN_BATCH // (dim * dim))
         exact_chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
@@ -865,10 +854,7 @@ class _ClosureEngine:
             for b0 in range(0, len(f_gids), block):
                 src_gids = f_gids[b0:b0 + block]
                 src = idx.coords[src_gids]
-                live = in_box[0][src[:, 0] + idx.R]
-                for a in range(1, N):
-                    live &= in_box[a][src[:, a] + idx.R]
-                ii, jj = np.divmod(np.flatnonzero(live), n_gens)
+                ii, jj = np.divmod(np.flatnonzero(idx.steps_in_box(src, offsets)), n_gens)
                 tgt = src_gids[ii] + codes[jj]
                 open_tgt = spans.rank[tgt] < dim
                 ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
@@ -1523,7 +1509,7 @@ def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -
 
     Every invariant family U there is the closure of an earlier seed at
     grade 0.  U is W when ``seed`` lies in U_0 and the seed's rank at grade
-    0 over F_p (``_ClosureEngine._grade_zero_rank``, asked for only then)
+    0 over F_p (``_ClosureEngine._grade_zero_spin``, asked for only then)
     is at least dim U_0: U is invariant and holds the seed, so W lies in U;
     the rank is at most dim W_0 (``screen_full``), so W_0 = U_0, which
     holds the earlier seed, and U lies in W.  A family that failed its
@@ -1532,7 +1518,7 @@ def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -
     row = _int_row(seed.payload)
     for invariant, fam in rechecks.values():
         w0 = fam.int_basis(seed.grade)
-        if invariant and w0.contains(row) and engine._grade_zero_rank(seed) >= w0.dim:
+        if invariant and w0.contains(row) and engine._grade_zero_spin(seed)[0] >= w0.dim:
             return fam._echelons
     return None
 
@@ -1543,16 +1529,16 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     or None when W fills the inner box.
 
     The mod-p screen decides first (``_ClosureEngine.screen_full``: the
-    seed's words fill grade 0 and the engine's propagation carries that to
-    every inner grade).  Next, an invariant family already re-checked in
-    ``rechecks`` is W when the seed lies in its grade 0 and the seed's
-    grade-0 rank reaches that grade's dimension (``_known_closure``); its
-    echelons, family key and re-check are the ones a fresh closure would
-    give.  Every seed left is closed by transport: the family U that
-    ``_ClosureEngine.transport`` carries from the lifted grade-0 RREF of
-    the seed's spin along invertible steps.  When no invertible step
-    leaves grade 0 (alpha = 0) or the lift fails it gives nothing; when
-    the lift is wrong U fails its re-check.  Only then does
+    seed's words fill grade 0 and the engine's walk over the inner box
+    carries that to every inner grade).  Next, an invariant family already
+    re-checked in ``rechecks`` is W when the seed lies in its grade 0 and
+    the seed's grade-0 rank reaches that grade's dimension
+    (``_known_closure``); its echelons, family key and re-check are the ones
+    a fresh closure would give.  Every seed left is closed by transport: the
+    family U that ``_ClosureEngine.transport`` carries from the lifted
+    grade-0 RREF of the seed's spin along the walk over the whole box.  When
+    no invertible step leaves grade 0 (alpha = 0) or the lift fails it gives
+    nothing; when the lift is wrong U fails its re-check.  Only then does
     the seed go to the guided family W' of ``_ClosureEngine.guided_run``,
     made of the exact steps of the seed's F_p spin across the whole box.
     Either family is taken when it fills the inner box (it lies in W, so
@@ -1562,8 +1548,8 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     ``rechecks``.  Otherwise the exact engine completes W' from its rows:
     W' holds the seed and lies in W, so its closure is W.
     """
-    box, dim = engine.box, engine.dim
-    if engine.screen_full(seed, box.radius - gens.radius):
+    dim = engine.dim
+    if engine.screen_full(seed):
         return None
     echelons = _known_closure(engine, seed, rechecks)
     if echelons is not None:
@@ -1592,15 +1578,17 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
 
     Each seed is first screened over F_p (``_ClosureEngine.screen_full``):
     its spin through closed words at grade 0 must span V, and the engine's
-    propagation, made once per probe, must carry a full grade 0 to every
-    inner grade.  A seed screened FULL is full there over Q as well, and
-    needs no exact closure.  A seed that lies at grade 0 in an invariant
+    breadth-first walk from grade 0 over the inner box, made once per
+    probe, must carry a full grade 0 to every inner grade.  The walk
+    follows the invertible steps; a grade it misses needs the images of V
+    over its remaining in-box steps to span V.  A seed screened FULL is
+    full there over Q as well, and needs no exact closure.  A seed that lies at grade 0 in an invariant
     family the probe already holds, with a grade-0 rank over F_p reaching
     that grade's dimension, has that family as its closure
     (``_known_closure``), so the closure of one family is made once.
     Every other seed is closed by transport (``_ClosureEngine.transport``):
-    the lifted grade-0 RREF of its spin, carried along the invertible
-    steps of a breadth-first tree the engine builds once.  The enumeration
+    the lifted grade-0 RREF of its spin, carried along the same walk over
+    the whole box, which the engine also builds once.  The enumeration
     re-check of that family proves it is the closure.  Only a seed with no
     transport (alpha = 0, or a lift that fails) or whose family fails the
     re-check falls back to one pass

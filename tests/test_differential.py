@@ -788,7 +788,7 @@ def test_screen_full_implies_exact_full(n, spec, data):
     engine = _ClosureEngine(p, box, gens)
     inner = box.radius - gens.radius
 
-    verdict = engine.screen_full(seed, inner)
+    verdict = engine.screen_full(seed)
     assert type(verdict) is bool
     if verdict:
         assert _full_on_inner(engine, seed, inner)
@@ -819,7 +819,7 @@ def test_screen_never_fills_a_closure_that_is_not_full(n, spec, alpha):
         seed = GradedVector((0,) * N, payload)
         if not _full_on_inner(engine, seed, inner):
             not_full += 1
-            assert not engine.screen_full(seed, inner), payload
+            assert not engine.screen_full(seed), payload
     assert not_full
 
 
@@ -831,19 +831,22 @@ def test_screen_fills_the_irreducible_cases():
         p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
         engine = _ClosureEngine(p, Box(2, N), GeneratorSet(1, N))
         for _, payload in _probe_seeds(p.rep.dim, 0xC0FFEE, 2):
-            assert engine.screen_full(GradedVector((0,) * N, payload), 1), (spec, payload)
+            assert engine.screen_full(GradedVector((0,) * N, payload)), (spec, payload)
 
 
 # (n, rep, alphas, box, gens): every probe seed whose exact closure fills
-# the inner box must be screened FULL.  Natural n=1 at integral alpha needs
-# the propagation's rank step: every step into grade -alpha has scalar
-# (bar r, -r) = 0, so the scalar walk never reaches it.
+# the inner box must be screened FULL.  The integral alphas need the screen's
+# missed-grade rank rule: every step into grade -alpha has scalar
+# (bar r, -r) = 0, so the walk never reaches it, and the images of V over
+# its other in-box steps must span V.
 DECIDED_SHAPES = [
     (1, "natural", [(1, 0), (0, -1), (-2, 3)], 5, 1),
     (1, "sym:3", [(F(2, 5), 0), (0, F(-3, 7))], 6, 2),
     (2, "natural", [(F(1, 3), 0, 0, 0)], 2, 1),
     (2, "fundamental:2", [(F(1, 3), 0, 0, 0)], 2, 1),
     (2, "trivial", [(F(1, 2), 0, 0, 0)], 2, 1),
+    (2, "natural", [(0, 0, -1, 0)], 2, 1),
+    (2, "fundamental:2", [(1, 0, 0, 0)], 2, 1),
 ]
 
 
@@ -859,7 +862,7 @@ def test_screen_decides_every_full_seed(n, spec, alphas, box, gens):
             seed = GradedVector((0,) * N, payload)
             if _full_on_inner(engine, seed, inner):
                 full += 1
-                assert engine.screen_full(seed, inner), (alpha, payload)
+                assert engine.screen_full(seed), (alpha, payload)
     assert full
 
 
@@ -999,7 +1002,7 @@ def _small_prime(*primes):
 def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
     """The probe's ``_close_seed`` by the exact engine alone, or, with
     ``screen``, by the exact engine on the seeds the mod-p screen leaves."""
-    if screen and engine.screen_full(seed, engine.box.radius - gens.radius):
+    if screen and engine.screen_full(seed):
         return None
     echelons = engine.run([seed])
     full = all(g in echelons and echelons[g].dim == engine.dim for g in inner)
@@ -1190,10 +1193,11 @@ def test_known_closure_is_never_a_family_that_failed_its_recheck(monkeypatch, sh
 
 
 def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
-    # the screen and the reuse of a known closure share one spin per line
+    # the screen, the reuse of a known closure and transport share one spin
+    # per line
     spans = submodules._ModpSpans
     images_span = _ClosureEngine._images_span
-    rank = _ClosureEngine._grade_zero_rank
+    spin = _ClosureEngine._grade_zero_spin
     counts = {"one_grade": 0, "images": 0}
     asked = []
 
@@ -1207,9 +1211,9 @@ def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
 
     monkeypatch.setattr(submodules, "_ModpSpans", one_grade)
     monkeypatch.setattr(_ClosureEngine, "_images_span", count_images)
-    monkeypatch.setattr(_ClosureEngine, "_grade_zero_rank",
+    monkeypatch.setattr(_ClosureEngine, "_grade_zero_spin",
                         lambda self, seed: asked.append(submodules._seed_key(seed))
-                        or rank(self, seed))
+                        or spin(self, seed))
     closed, taken = _closures_by_seed(monkeypatch, *_REUSE_CASES[0])
     assert taken
     spins = counts["one_grade"] - counts["images"]
@@ -1221,7 +1225,7 @@ def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
 Q31, Q61 = 2 ** 31 - 1, 2 ** 61 - 1
 # (n, rep, alpha, box, gens): axis and generic alphas (two nonzero
 # coordinates) at q = 7, 2^31-1 and 2^61-1, and integral alphas, where the
-# tree misses the grade -alpha
+# walk misses the grade -alpha
 _TRANSPORT_CASES = [
     (2, "natural", (F(2, 7), 0, 0, 0), 2, 1),
     (2, "fundamental:2", (F(1, 7), F(3, 7), 0, 0), 2, 1),
@@ -1251,11 +1255,19 @@ def test_transport_is_the_exact_closure(n, spec, alpha, box, gens):
         got = engine.transport(seed)
         assert got is not None, name
         assert _family_key(got) == _family_key(engine.run([seed])), name
-    missed = {tuple(engine.index.coords[t].tolist()) for t in engine._tree[1][2].tolist()}
-    if all(F(a).denominator == 1 for a in alpha):
-        assert missed == {tuple(-a for a in alpha)}
-    else:
-        assert missed == set()
+    # the walk over the whole box, which transport reads, and over the inner
+    # box, which the screen reads
+    for radius in (box, box - gens):
+        idx, layers, (_, _, tgt) = engine._walk(radius)
+        reached = {idx.encode_one((0,) * idx.N)}.union(*(layer[2].tolist() for layer in layers))
+        missed = set(range(idx.count)) - reached
+        # every missed grade is a target of the rest
+        assert set(tgt.tolist()) == missed, radius
+        missed = {tuple(idx.coords[t].tolist()) for t in missed}
+        if all(F(a).denominator == 1 for a in alpha) and max(map(abs, alpha)) <= radius:
+            assert missed == {tuple(-a for a in alpha)}, radius
+        else:
+            assert missed == set(), radius
 
 
 @pytest.mark.parametrize("p", [7, 101, _SCREEN_PRIME])
@@ -1303,7 +1315,7 @@ _ZERO_ALPHA_CASES = [
 
 @pytest.mark.parametrize("n,spec,alpha,box,gens", _ZERO_ALPHA_CASES)
 def test_probe_skips_transport_at_alpha_zero(monkeypatch, n, spec, alpha, box, gens):
-    # the tree reaches no grade, so transport gives no family and costs no
+    # the walk reaches no grade, so transport gives no family and costs no
     # re-check; the guide closes every seed, with the exact engine's bytes
     N = 2 * n
     p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
@@ -1319,12 +1331,49 @@ def test_probe_skips_transport_at_alpha_zero(monkeypatch, n, spec, alpha, box, g
                         lambda self, seed: transported.append((self, close(self, seed)))
                         or transported[-1][1])
     assert json.dumps(irreducibility_probe(p, box, gens), indent=2) == exact
-    assert transported and all(eng._tree[0] == [] and u is None for eng, u in transported)
+    assert transported and all(u is None for _, u in transported)
+    # the walk has no layer, so it misses every grade but 0; the rest holds
+    # the steps out of grade 0, one per grade within the generator radius,
+    # and the screen never carries
+    for eng in {eng for eng, _ in transported}:
+        assert not eng._carries
+        for radius in (eng.box.radius, eng.inner_radius):
+            idx, layers, rest = eng._walk(radius)
+            assert layers == [], radius
+            near = np.abs(idx.coords).max(axis=1)
+            assert (rest[0] == idx.encode_one((0,) * idx.N)).all()
+            assert rest[2].tolist() == np.flatnonzero((near > 0) & (near <= gens.radius)).tolist()
     with_transport = len(rechecks)
     rechecks.clear()
     monkeypatch.setattr(_ClosureEngine, "transport", lambda self, seed: None)
     assert json.dumps(irreducibility_probe(p, box, gens), indent=2) == exact
     assert with_transport == len(rechecks)
+
+
+@pytest.mark.parametrize("n,spec,alpha,box,gens", [
+    (2, "natural", (F(1, 3), 0, 0, 0), 2, 1),
+    (2, "fundamental:2", (1, 0, 0, 0), 2, 1),
+    (1, "natural", (0, 0), 4, 1),
+])
+def test_probe_builds_each_walk_once(monkeypatch, n, spec, alpha, box, gens):
+    # the screen reads the walk over the inner box and transport the walk
+    # over the whole box; each is built once per engine, however many seeds
+    # ask for it
+    asked = []
+    walk = _ClosureEngine._walk
+    monkeypatch.setattr(_ClosureEngine, "_walk",
+                        lambda self, radius: asked.append((self, radius, walk(self, radius)))
+                        or asked[-1][2])
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    irreducibility_probe(p, Box(box, N), GeneratorSet(gens, N))
+    built = {}
+    for engine, radius, out in asked:
+        built.setdefault((engine, radius), set()).add(id(out))
+    assert {radius for _, radius in built} == {box, box - gens}
+    assert len({engine for engine, _ in built}) == 1
+    assert all(len(outs) == 1 for outs in built.values())
+    assert len(asked) > len(built)
 
 
 def _perturbed_spin(perturbed: list):
