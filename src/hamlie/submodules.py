@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
 
@@ -24,9 +24,13 @@ from .linalg import (
     Subspace,
     ZERO,
     ONE,
+    _INT64_SAFE,
     _IntEchelon,
     _annihilator,
+    _annihilator_stack,
+    _echelon_stack,
     _int_row,
+    _max_abs,
     _primitive,
     format_scalar,
     nullspace,
@@ -107,12 +111,14 @@ class GeneratorSet:
 class TruncatedModule:
     """Grade-indexed family of subspaces of V inside a box.
 
-    Every grade is held as an integer echelon (``_IntEchelon``).  A built
-    family makes them lazily from its ``builder``, so grades never asked
-    for are never materialized, which matters for the larger
-    certificate-checked families; a closure hands over its echelons.  A
-    grade's Fraction basis is made from its echelon only when ``space``
-    asks for it.
+    Every grade is a fully reduced integer echelon.  ``grade_rows`` gives
+    the rows of a whole stack of grades as one array: a built family makes
+    them from its ``builder``, one batched call over the stack (grades
+    never asked for are never made, which matters for the larger
+    certificate-checked families); a closure family stacks the echelons
+    (``_IntEchelon``) it was handed.  ``int_basis`` reads one grade as an
+    echelon, kept once made; a grade's Fraction basis is made from it only
+    when ``space`` asks for it.
     """
 
     def __init__(self, params: ModuleParams, box: Box, builder=None,
@@ -135,6 +141,33 @@ class TruncatedModule:
             return list(self.box.grades())
         return sorted(g for g in self._echelons if self.box.contains(g))
 
+    def grade_rows(self, grades: np.ndarray | None = None) -> np.ndarray:
+        """The spaces at the in-box ``grades`` (G x N), or at every grade of
+        the box in lex order when None, as one G x m x dim array, m the
+        largest of their dimensions: each grade's fully reduced echelon of
+        primitive integer rows with positive pivot entries, then zero rows.
+        int64 when every entry is below 2^62 in absolute value, Python
+        integers (object) otherwise."""
+        if self._builder:
+            if grades is None:
+                grades = _lattice_points(self.box.radius, self.box.N)
+            stack = self._builder(grades)
+        else:
+            # the stored echelons at their places in the box's lex order
+            held = [(g, e.rows) for g, e in self._echelons.items()
+                    if e.rows and self.box.contains(g)]
+            big = any(abs(v) >= _INT64_SAFE for _, rows in held for row in rows for v in row)
+            R = self.box.radius
+            weights = (2 * R + 1) ** np.arange(self.box.N - 1, -1, -1)
+            stack = np.zeros((self.box.count(), max((len(r) for _, r in held), default=0),
+                              self.dim_v), dtype=object if big else np.int64)
+            for g, rows in held:
+                stack[sum((a + R) * int(w) for a, w in zip(g, weights)), :len(rows)] = rows
+            if grades is not None:
+                stack = stack[grades @ weights + R * weights.sum()]
+        stack = stack[:, :int(_ranks(stack).max(initial=0))]
+        return stack.astype(np.int64 if _max_abs(stack) < _INT64_SAFE else object, copy=False)
+
     def int_basis(self, grade) -> "_IntEchelon":
         """The space at ``grade`` as a fully reduced echelon of primitive
         integer rows with positive pivot entries (empty for a zero space)."""
@@ -145,7 +178,8 @@ class TruncatedModule:
         if ech is None:
             if not self._builder:
                 return _IntEchelon(self.dim_v)
-            ech = self._echelons[grade] = self._builder(grade)
+            ech = self._echelons[grade] = _IntEchelon.of_echelon(
+                self.dim_v, self.grade_rows(np.array([grade]))[0])
         return ech
 
     def space(self, grade) -> Subspace:
@@ -153,7 +187,11 @@ class TruncatedModule:
 
     def to_obj(self) -> dict:
         """Each grade's RREF basis, read off its echelon: every row divided
-        by its (positive) pivot entry, in lowest terms."""
+        by its (positive) pivot entry, in lowest terms.  A built family
+        makes the echelons of the whole box in one stack first."""
+        if self._builder:
+            for g, rows in zip(self.box.grades(), self.grade_rows()):
+                self._echelons.setdefault(g, _IntEchelon.of_echelon(self.dim_v, rows))
         spaces = {}
         for g in self.box.grades():
             ech = self.int_basis(g)
@@ -178,7 +216,10 @@ def _format_ratio(x: int, d: int) -> str:
 
 # -- int64 bounds for integer rows ----------------------------------------
 
-_INT64_SAFE = 2 ** 62
+
+def _ranks(stack: np.ndarray) -> np.ndarray:
+    """The number of nonzero rows of each matrix of a stack."""
+    return (stack != 0).any(axis=2).sum(axis=1)
 
 
 def _rows_array(rows: list) -> np.ndarray:
@@ -349,12 +390,16 @@ def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
 
 
 class _GradeState:
-    """The echelons of a family on a box's grades (by gid), and what a
-    sweep screens images with: each grade's annihilator rows, zero-padded
-    to dim x dim in int64 (the identity at a grade never set), which
-    grades are ``full``, and which are ``exact``: there the annihilator
-    overflows int64, so the screen is skipped and every image is a
-    candidate to re-test on the echelon."""
+    """A family on a box's grades (by gid), as a sweep screens images with
+    it: each grade's annihilator rows, zero-padded to dim x dim in int64
+    (the identity at an empty grade), which grades are ``full``, and which
+    are ``exact``: there the annihilator overflows int64, so the screen is
+    skipped and every image is a candidate to re-test on the grade's
+    echelon, kept in ``echelons``.
+
+    The exact engine sets one grade at a time (``set``, which keeps every
+    grade's echelon); the enumeration builds the state of a whole family
+    at once (``of_grid``)."""
 
     def __init__(self, count: int, dim: int):
         self.dim = dim
@@ -363,6 +408,27 @@ class _GradeState:
         self.a_pad[:] = np.eye(dim, dtype=np.int64)
         self.full = np.zeros(count, dtype=bool)
         self.exact = np.zeros(count, dtype=bool)
+
+    @classmethod
+    def of_grid(cls, grid: np.ndarray) -> "_GradeState":
+        """The state of the family whose echelon rows at every gid are
+        ``grid`` (count x m x dim, as ``TruncatedModule.grade_rows`` gives
+        them): the annihilators of all its nonzero grades from one
+        ``_annihilator_stack``, and echelons at the exact grades only."""
+        count, _, dim = grid.shape
+        ranks = _ranks(grid)
+        held = np.flatnonzero(ranks > 0)
+        ann = _annihilator_stack(grid[held])
+        state = cls(count, dim)
+        if ann.dtype == object:
+            exact = ((ann > 2 ** 63 - 1) | (ann < -2 ** 63)).any(axis=(1, 2))
+            ann[exact] = 0
+            state.exact[held] = exact
+        state.a_pad[held] = ann
+        state.full = ranks == dim
+        state.echelons = {gid: _IntEchelon.of_echelon(dim, grid[gid])
+                          for gid in np.flatnonzero(state.exact).tolist()}
+        return state
 
     def set(self, gid: int, echelon: _IntEchelon):
         """Make ``echelon`` the space at grade ``gid``."""
@@ -383,8 +449,7 @@ class _GradeState:
         their target gids ``tgt``: a nonzero annihilator residual, or an
         exact target."""
         ann = self.a_pad[tgt]
-        # in Python ints: an entry -2^63 has no int64 absolute value
-        max_a = max(int(ann.max()), -int(ann.min())) if ann.size else 0
+        max_a = _max_abs(ann)
         max_y = int(np.abs(y).max()) if y.dtype == np.int64 and y.size else 0
         if y.dtype == np.int64 and ann.shape[-1] * max_a * max_y < _INT64_SAFE:
             res = np.einsum("rad,rd->ra", ann, y)
@@ -949,34 +1014,28 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     Failures are listed generator-major and then by grade, each pair at its
     first row whose image leaves the target space.  Two walks find them,
     in that order and with the same witnesses, on one grade state:
-    ``_grid_walk`` and ``_sweep_walk``; ``_takes_grid`` picks one."""
+    ``_grid_walk`` and ``_sweep_walk``; ``_takes_grid`` picks one.  Both
+    read the family as one grid, its rows at every grade of the box in gid
+    order (``TruncatedModule.grade_rows``), and the state is built from
+    that grid at once (``_GradeState.of_grid``)."""
     p, box = family.params, family.box
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
     idx = engine.index
     table = engine.table
-    state = _GradeState(idx.count, engine.dim)
-    rows = []
-    row_gids = []
-    for g in family.nonzero_grades():
-        ech = family.int_basis(g)
-        if ech.rows:
-            gid = idx.encode_one(g)
-            state.set(gid, ech)
-            rows.extend(ech.rows)
-            row_gids.extend([gid] * ech.dim)
+    grid = family.grade_rows()
+    state = _GradeState.of_grid(grid)
+    # the nonzero rows, by gid and then in echelon order
+    src_gids, slots = np.divmod(np.flatnonzero((grid != 0).any(axis=2)), grid.shape[1])
 
     failures = []
     failing = 0
-    if rows:
-        x_rows = _rows_array(rows)
-        src_gids = np.array(row_gids, dtype=np.int64)
-        fits = _fits_int64(table, state, x_rows)
+    if len(src_gids):
+        fits = _fits_int64(table, state, grid)
         if _takes_grid(fits, table, idx, src_gids, engine.dim):
-            walk = _grid_walk(table, idx, state, x_rows, src_gids,
-                              np.int64 if fits else object)
+            walk = _grid_walk(table, idx, state, grid, np.int64 if fits else object)
         else:
-            walk = _sweep_walk(table, idx, state, x_rows, src_gids)
+            walk = _sweep_walk(table, idx, state, grid[src_gids, slots], src_gids)
         for gid, j, witness in walk:
             failing += 1
             if len(failures) < _LISTED_FAILURES:
@@ -999,15 +1058,15 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
 
 def _fits_int64(table: _ActionTable, state: _GradeState, x_rows: np.ndarray) -> bool:
     """Whether every image and residual of the enumeration of the rows
-    ``x_rows`` is bounded below 2^62: the bound of ``_images`` and of
-    ``_GradeState.candidates``, taken over the whole table, box and state."""
+    ``x_rows`` (any array of them, zero rows aside) is bounded below 2^62:
+    the bound of ``_images`` and of ``_GradeState.candidates``, taken over
+    the whole table, box and state."""
     if not (x_rows.dtype == table.pt.dtype == table.l_alpha.dtype == np.int64
             and table.c_small.all()):
         return False
     max_x = int(np.abs(x_rows).max())
     max_y = (state.dim * int(table.max_p.max()) + table.max_c) * max_x
-    # in Python ints: an entry -2^63 has no int64 absolute value
-    max_a = max(int(state.a_pad.max()), -int(state.a_pad.min()))
+    max_a = _max_abs(state.a_pad)
     return max_y < _INT64_SAFE and state.dim * max_a * max_y < _INT64_SAFE
 
 
@@ -1051,10 +1110,10 @@ def _sweep_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
 
 
 def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
-               x_rows: np.ndarray, src_gids: np.ndarray, dtype):
+               grid: np.ndarray, dtype):
     """``_sweep_walk``'s failing pairs, in its order, from the box grid.
 
-    Each grade's rows are laid on the grid, zero-padded to the largest
+    ``grid`` holds each grade's rows at its gid, zero-padded to the largest
     grade dimension m.  For each generator r, the grades s with s and s + r
     in the box are one slice of that grid and their targets the slice
     shifted by r, both views; the images are one product with the
@@ -1068,9 +1127,7 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     """
     dim, side = state.dim, idx.side
     shape = (side,) * idx.N
-    slot = np.arange(len(src_gids)) - np.searchsorted(src_gids, src_gids)
-    x_grid = np.zeros((idx.count, int(slot.max()) + 1, dim), dtype=dtype)
-    x_grid[src_gids, slot] = x_rows
+    x_grid = grid.astype(dtype, copy=False)
     X = x_grid.reshape(shape + x_grid.shape[1:])
     A = state.a_pad.astype(dtype, copy=False).reshape(shape + (dim, dim)).swapaxes(-1, -2)
     s_l = (idx.coords.astype(dtype) * table.L + table.l_alpha.astype(dtype)).reshape(
@@ -1081,7 +1138,7 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     # grades holding rows whose targets are re-tested on their echelons
     exact = state.exact.reshape(shape)
     retest = state.exact.any()
-    n_rows = np.bincount(src_gids, minlength=idx.count)
+    n_rows = _ranks(grid)
     for j, r in enumerate(table.offsets.tolist()):
         src = tuple(slice(max(0, -a), side - max(0, a)) for a in r)
         tgt = tuple(slice(max(0, a), side - max(0, -a)) for a in r)
@@ -1217,20 +1274,26 @@ def _certificate_rho_factorization(lam: Representation, k: int) -> bool:
 
 def _spot_check_family(family: TruncatedModule, gens: GeneratorSet, rng,
                        samples: int) -> list:
-    """Direct act_H membership checks on randomly sampled (grade, r) pairs."""
+    """Direct act_H membership checks on randomly sampled (grade, r) pairs.
+
+    The draws never depend on the family, so every in-box pair is drawn
+    first and the grades they touch are built in one ``grade_rows`` stack."""
     box = family.box
     p = family.params
-    failures = []
-    tried = 0
-    while tried < samples:
+    pairs = []
+    while len(pairs) < samples:
         grade = tuple(rng.randint(-box.radius, box.radius) for _ in range(box.N))
         r = gens.vector(rng.randrange(gens.count()))
         tgt = tuple(a + b for a, b in zip(grade, r))
-        if not box.contains(tgt):
-            continue
-        tried += 1
-        dst = family.int_basis(tgt)
-        for row in family.int_basis(grade).rows:
+        if box.contains(tgt):
+            pairs.append((grade, r, tgt))
+    grades = sorted({g for grade, _, tgt in pairs for g in (grade, tgt)})
+    stack = family.grade_rows(np.array(grades, dtype=np.int64).reshape(-1, box.N))
+    spaces = {g: _IntEchelon.of_echelon(family.dim_v, rows) for g, rows in zip(grades, stack)}
+    failures = []
+    for grade, r, tgt in pairs:
+        dst = spaces[tgt]
+        for row in spaces[grade].rows:
             img = act_H(r, GradedVector(grade, row), p)
             if not dst.contains(_int_row(img.payload)):
                 failures.append({"grade": list(grade), "generator": list(r)})
@@ -1339,6 +1402,10 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
     if kind == "trivial_line":
         if rep.name != "trivial":
             raise ValueError("trivial_line requires the trivial representation")
+        if rep.dim != 1:
+            # a file: rep may carry the name with another action
+            raise ValueError(f"trivial_line requires the trivial representation of "
+                             f"dimension 1, not {rep.dim}")
         if not _alpha_integral(p.alpha):
             raise ValueError("trivial_line requires integral alpha")
         neg_alpha = tuple(-int(a) for a in p.alpha)
@@ -1349,23 +1416,14 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         return TruncatedModule(p, box, echelons={neg_alpha: _IntEchelon.of_rows(1, [[1]])},
                                kind="trivial_line")
 
-    # u = L (s + alpha), an integer vector, with L the lcm of the alpha
-    # denominators: it spans the line of s + alpha, and u = 0 exactly when
-    # alpha is integral and s = -alpha
-    L = lcm(*(a.denominator for a in p.alpha))
-    l_alpha = [int(a * L) for a in p.alpha]
-
-    def scaled_u(grade) -> list:
-        return [g * L + la for g, la in zip(grade, l_alpha)]
-
     if kind == "delta1":
         if rep.name != "natural":
             raise ValueError("delta1 requires the natural representation")
-
-        def builder(grade):
-            return _IntEchelon.of_rows(N, [scaled_u(grade)])
-
-        return TruncatedModule(p, box, builder=builder, kind="delta1")
+        if rep.dim != N:
+            # a file: rep may carry the name with another action
+            raise ValueError(f"delta1 requires the natural representation of "
+                             f"dimension {N}, not {rep.dim}")
+        return TruncatedModule(p, box, builder=partial(_delta1_rows, p.alpha), kind="delta1")
 
     if kind == "deltak":
         if not rep.name.startswith("fundamental:"):
@@ -1373,32 +1431,65 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         k = int(rep.name.split(":")[1])
         if k < 2:
             raise ValueError("deltak requires k >= 2")
-        dim = rep.dim
         # (e_a wedge) E : Ker theta_k -> Lambda^{k+1}, E the kernel embedding
         # scaled by the lcm of its entry denominators, as integer entries
         emb = rep.subspace.embedding()
         e_scale = lcm(*(v.denominator for v in emb.entries.values()))
-        wedge_emb = [[(i, j, int(v * e_scale))
-                      for (i, j), v in (wedge_matrix(N, k, a) @ emb).entries.items()]
-                     for a in range(N)]
-        n_rows = comb(N, k + 1)
-
-        def builder(grade):
-            # Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
-            # Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
-            # u ^ Lambda^{k-1} is the kernel of (u ^ .) E, the kernel echelon
-            # of its row echelon.  At u = 0 the matrix is zero and the space
-            # is the whole kernel, as it must be
-            m = [[0] * dim for _ in range(n_rows)]
-            for a, c in enumerate(scaled_u(grade)):
-                if c:
-                    for i, j, v in wedge_emb[a]:
-                        m[i][j] += c * v
-            return _IntEchelon.of_rows(dim, m).kernel()
-
-        return TruncatedModule(p, box, builder=builder, kind="deltak", k=k)
+        wedge_emb = np.zeros((N, comb(N, k + 1), rep.dim), dtype=object)
+        for a in range(N):
+            for (i, j), v in (wedge_matrix(N, k, a) @ emb).entries.items():
+                wedge_emb[a, i, j] = int(v * e_scale)
+        return TruncatedModule(p, box, builder=partial(_deltak_rows, p.alpha, wedge_emb),
+                               kind="deltak", k=k)
 
     raise ValueError(f"unknown submodule kind {kind!r}")
+
+
+def _scaled_u(alpha, grades: np.ndarray) -> np.ndarray:
+    """u = L (s + alpha) at every grade s of ``grades`` (G x N), an integer
+    vector with L the lcm of the alpha denominators: it spans the line of
+    s + alpha, and u = 0 exactly when alpha is integral and s = -alpha.
+    int64 when every |u| < 2^62, Python integers (object) otherwise."""
+    L = lcm(*(a.denominator for a in alpha))
+    l_alpha = [int(a * L) for a in alpha]
+    small = _max_abs(grades) * L + max(map(abs, l_alpha)) < _INT64_SAFE
+    dtype = np.int64 if small else object
+    return grades.astype(dtype) * L + np.array(l_alpha, dtype=dtype)
+
+
+def _delta1_rows(alpha, grades: np.ndarray) -> np.ndarray:
+    """The delta1 family at ``grades``: the line of u (``_scaled_u``) as one
+    primitive row with its first nonzero entry positive, G x 1 x N; a zero
+    row where u = 0."""
+    u = _scaled_u(alpha, grades)
+    d = np.gcd.reduce(u, axis=1)
+    lead = np.take_along_axis(u, (u != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    d = np.where(lead < 0, -d, d)
+    return (u // np.where(d == 0, 1, d)[:, None])[:, None, :]
+
+
+def _deltak_rows(alpha, wedge_emb: np.ndarray, grades: np.ndarray) -> np.ndarray:
+    """The deltak family at ``grades``: per grade the kernel echelon of
+    (u ^ .) E, G x dim x dim, with ``wedge_emb`` the N x C(N, k+1) x dim
+    integer matrices (e_a ^ .) E.
+
+    Koszul exactness (identity S1): for u != 0, u ^ Lambda^{k-1} is
+    Ker(u ^ .) on Lambda^k, so the grade space Ker theta_k meet
+    u ^ Lambda^{k-1} is the kernel of (u ^ .) E: the echelon of the
+    annihilator of its row echelon.  At u = 0 the matrix is zero and the
+    space is the whole kernel, as it must be.  All grades go through the
+    same three stack steps, in ceil(C(N, k+1) / dim) blocks of grades, so
+    that no block's (u ^ .) E stack is larger than the whole stack's
+    dim x dim annihilators."""
+    u = _scaled_u(alpha, grades)
+    _, n_rows, dim = wedge_emb.shape
+    # |sum_a u_a (e_a ^ .) E| <= max|u| times the largest column sum of |wedge_emb|
+    small = u.dtype == np.int64 and (
+        _max_abs(u) * int(np.abs(wedge_emb).sum(axis=0).max()) < _INT64_SAFE)
+    wedge = wedge_emb.astype(np.int64 if small else object)
+    return np.concatenate([
+        _echelon_stack(_annihilator_stack(_echelon_stack(np.einsum("ga,aij->gij", ub, wedge))))
+        for ub in np.array_split(u.astype(wedge.dtype, copy=False), -(-n_rows // dim))])
 
 
 def claim2_witness(p: ModuleParams, r, k: int):

@@ -61,6 +61,23 @@ def test_rep_build_malformed_file(tmp_path):
     assert main(["probe"] + head + ["--alpha=1/3,0", "--box", "3", "--gens", "1"]) == 2
 
 
+@pytest.mark.parametrize("method", ["enumerate", "certificate"])
+@pytest.mark.parametrize("spec,name,kind,dim", [("trivial", "natural", "delta1", 4),
+                                                ("natural", "trivial", "trivial_line", 1)])
+def test_renamed_rep_of_another_dimension_exits_2(tmp_path, capsys, spec, name, kind, dim,
+                                                  method):
+    # a file: rep under a builtin name keeps the bracket law, but the family
+    # of that name needs the builtin's dimension
+    obj = build_rep(build_sp(2, verify=False), spec).to_obj()
+    obj["name"] = name
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(obj))
+    assert main(["submodule-check", kind, "--n", "2", "--rep", f"file:{path}",
+                 "--alpha", "1,0,0,0", "--box", "1", "--gens", "1", "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert kind in err and f"dimension {dim}" in err, err
+
+
 def test_float_literals_rejected(capsys):
     for literal in ("0.5", "1/2/3"):
         assert main(["ham-bracket", "--n", "1", "--rep", "natural",

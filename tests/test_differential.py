@@ -49,7 +49,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamlie.hamiltonian import GradedVector, MatrixPolynomial, ModuleParams, act_H
-from hamlie.linalg import SparseMatrix, Subspace, _IntEchelon, _annihilator, _int_row, nullspace
+from hamlie.linalg import (
+    SparseMatrix,
+    Subspace,
+    _IntEchelon,
+    _annihilator,
+    _annihilator_stack,
+    _echelon_stack,
+    _int_row,
+    nullspace,
+)
 from hamlie.reps import (
     build_rep,
     contraction_theta,
@@ -392,6 +401,69 @@ def test_integer_annihilator_matches_fraction_reference(data):
     assert Subspace.from_vectors(ann, d).dim == d - space.dim
 
 
+# int64 entries whose products pass 2^62: after one elimination step
+# (2^31 - 1, 3^19), so the stack turns to Python integers part way, or at
+# once (2^40 + 1, 3^27)
+_int64_entries = st.one_of(
+    st.integers(-3, 3), st.sampled_from((2 ** 31 - 1, -(3 ** 19), 2 ** 40 + 1, -(3 ** 27))))
+
+
+def _stack_matrix(data, entries, r, c) -> list:
+    """An r x c integer matrix: zero, drawn entry by entry, or of full rank
+    min(r, c) (a staircase of nonzero entries with drawn entries to its
+    right, rows and columns shuffled), so pivots differ between matrices."""
+    kind = data.draw(st.sampled_from(["zero", "drawn", "full"]))
+    if kind == "zero":
+        return [[0] * c for _ in range(r)]
+    m = [[data.draw(entries) for _ in range(c)] for _ in range(r)]
+    if kind == "full":
+        for i in range(min(r, c)):
+            m[i][:i] = [0] * i
+            m[i][i] = data.draw(entries.filter(bool))
+        rows = data.draw(st.permutations(range(r)))
+        cols = data.draw(st.permutations(range(c)))
+        m = [[m[i][j] for j in cols] for i in rows]
+    return m
+
+
+def _int_stack(mats, shape) -> np.ndarray:
+    """Matrices as one stack: int64 when every entry is below 2^62."""
+    big = any(abs(v) >= 2 ** 62 for m in mats for row in m for v in row)
+    return np.array(mats, dtype=object if big else np.int64).reshape(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacks_match_the_one_matrix_echelon_and_annihilator(data):
+    # row for row on every matrix of a stack: int64 stacks that turn to
+    # Python integers part way or at once, and stacks in Python integers
+    # from the start (an entry past 2^62 turns the whole stack, small
+    # matrices too).  The annihilators are taken of the reference echelons
+    # in int64 where they fit, so large pivots meet the lcm and entry bounds
+    c = data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(0, c + 1))
+    h = min(r, c)
+    entries = data.draw(st.sampled_from([_int64_entries, _entries]))
+    mats = [_stack_matrix(data, entries, r, c) for _ in range(data.draw(st.integers(1, 5)))]
+    echs = [_IntEchelon.of_rows(c, m) for m in mats]
+    want = [[list(row) for row in e.rows] + [[0] * c] * (h - e.dim) for e in echs]
+    assert _echelon_stack(_int_stack(mats, (len(mats), r, c))).tolist() == want
+    got = _annihilator_stack(_int_stack(want, (len(mats), h, c))).tolist()
+    assert got == [[list(w) for w in _annihilator(e.rows, e.pivots, c)] + [[0] * c] * e.dim
+                   for e in echs]
+
+
+@pytest.mark.parametrize("rows", [
+    # the lcm of the pivots, (2^31 - 1) 3^21, passes 2^63
+    [[[2 ** 31 - 1, 0, 1], [0, 3 ** 21, 1]], [[1, 0, 1], [0, 2, 1]]],
+    # the pivot lcm times an entry, 4 (2^61 + 1), passes 2^63
+    [[[1, 0, 2 ** 61 + 1], [0, 4, 1]], [[1, 0, 1], [0, 2, 1]]],
+])
+def test_annihilator_stack_leaves_int64_before_it_overflows(rows):
+    got = _annihilator_stack(np.array(rows, dtype=np.int64)).tolist()
+    assert got == [[list(_annihilator(m, [0, 1], 3)[0]), [0] * 3, [0] * 3] for m in rows]
+
+
 NULLSPACE_DENOMINATORS = (1, 7, 2 ** 61 - 1, 3 ** 40)
 _kernel_entries = st.one_of(
     _entries,
@@ -426,9 +498,14 @@ def test_grade_state_screen_bounds_minus_2_63_exactly():
     ech = _IntEchelon.of_rows(3, [(1, 0, 2 ** 61), (0, 4, 1)])
     state = _GradeState(1, 3)
     state.set(0, ech)
-    assert not state.exact[0] and not ech.contains((-2, 0, 0))
+    # the same grade through the whole-family state: its annihilator is
+    # made in Python integers (4 * 2^61 passes 2^62) and still fits int64
+    grid_state = _GradeState.of_grid(np.array([ech.rows], dtype=np.int64))
+    assert list(grid_state.a_pad[0, 0]) == [-2 ** 63, -1, 4]
     y = np.array([[-2, 0, 0], [0, -8, -2]], dtype=np.int64)
-    assert list(state.candidates(np.array([0, 0]), y)) == [0]
+    for state in (state, grid_state):
+        assert not state.exact[0] and not ech.contains((-2, 0, 0))
+        assert list(state.candidates(np.array([0, 0]), y)) == [0]
 
 
 @settings(max_examples=8, deadline=None)
@@ -486,6 +563,12 @@ def test_int64_grid_walk_retests_exact_grades():
         rows += family.int_basis(g).rows
     assert state.exact[engine.index.encode_one((0, 0))]
     assert submodules._fits_int64(engine.table, state, submodules._rows_array(rows))
+    # the same family through the whole-family state the enumeration builds
+    grid = family.grade_rows(engine.index.coords)
+    grid_state = _GradeState.of_grid(grid)
+    assert grid_state.exact[engine.index.encode_one((0, 0))]
+    assert submodules._fits_int64(engine.table, grid_state, grid)
+    assert list(np.flatnonzero(grid_state.exact)) == list(np.flatnonzero(state.exact))
     _assert_walks_match_naive(family, gens)
 
 
@@ -701,8 +784,16 @@ def test_built_families_match_fraction_builders(kind, n, k, q):
         oracle = functools.partial(_delta1_space_by_fractions, p)
     else:
         oracle = _deltak_builder_by_fractions(p, k)
+    # the whole box in one stack: each grade's echelon rows, then zero rows
+    coords = list(box.grades())
+    stack = family.grade_rows(np.array(coords)).tolist()
+    at = {g: i for i, g in enumerate(coords)}
     for g in grades:
-        _assert_grade_matches(family, g, oracle(g))
+        want = oracle(g)
+        _assert_grade_matches(family, g, want)
+        rows = stack[at[g]]
+        assert rows[:want.dim] == [_primitive_row(r) for r in want.basis], g
+        assert not any(map(any, rows[want.dim:])), g
 
 
 def _readout_by_position(m, alg):

@@ -5,8 +5,9 @@ code, stdout and report file of every run feed one sha256 in order.  A
 change to what any report says, or how it is printed, fails here; a
 change meant to alter report bytes updates ``GOLDEN`` and says why in
 CHANGES.md.  ``REUSE_GOLDEN`` pins, the same way, two probes whose closures
-take the probe's reuse of a known family, and ``ENUMERATE_GOLDEN`` two
-enumeration checks that take the grid walk.
+take the probe's reuse of a known family, ``ENUMERATE_GOLDEN`` two
+enumeration checks that take the grid walk, and ``ENUMERATE_EDGE_GOLDEN``
+five enumeration checks on the edges of the family build.
 """
 
 import hashlib
@@ -66,6 +67,26 @@ ENUMERATE_ARGV = [
 
 ENUMERATE_GOLDEN = "25a07791bf27ffdd267a5ac530b74ac5128d5bd12ef9d74609ceec892f9d275e"
 
+# Enumeration checks on the edges of the family build, hashed from the
+# per-grade builders: deltak at integral alpha (u = 0 at grade -alpha, which
+# holds the whole kernel); deltak with an alpha denominator 3^40 (rows and
+# annihilators past int64); delta1 at denominator 2^61 - 1 (object rows, so
+# the sweep); delta1 at alpha = 0 (an empty grade 0); delta1 at n = 3
+ENUMERATE_EDGE_ARGV = [
+    ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2", "--alpha", "1,0,-1,0",
+     "--box", "2", "--gens", "1", "--method", "enumerate"],
+    ["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2",
+     "--alpha", f"1/{3 ** 40},0,0,0", "--box", "1", "--gens", "1", "--method", "enumerate"],
+    ["submodule-check", "delta1", "--n", "2", "--rep", "natural",
+     "--alpha", f"0,1/{2 ** 61 - 1},0,0", "--box", "2", "--gens", "1", "--method", "enumerate"],
+    ["submodule-check", "delta1", "--n", "2", "--rep", "natural", "--alpha", "0,0,0,0",
+     "--box", "2", "--gens", "1", "--method", "enumerate"],
+    ["submodule-check", "delta1", "--n", "3", "--rep", "natural", "--alpha", "1/3,0,0,0,0,0",
+     "--box", "1", "--gens", "1", "--method", "enumerate"],
+]
+
+ENUMERATE_EDGE_GOLDEN = "21e87d3c2da7f12cc10717f18852dcdba2ded358333b856b3a71330d873e0760"
+
 
 def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
@@ -90,3 +111,7 @@ def test_reuse_report_bytes_match_golden(tmp_path):
 
 def test_enumerate_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path, ENUMERATE_ARGV) == ENUMERATE_GOLDEN
+
+
+def test_enumerate_edge_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, ENUMERATE_EDGE_ARGV) == ENUMERATE_EDGE_GOLDEN
