@@ -111,35 +111,29 @@ class GeneratorSet:
 class TruncatedModule:
     """Grade-indexed family of subspaces of V inside a box.
 
-    Every grade is a fully reduced integer echelon.  ``grade_rows`` gives
-    the rows of a whole stack of grades as one array: a built family makes
-    them from its ``builder``, one batched call over the stack (grades
-    never asked for are never made, which matters for the larger
-    certificate-checked families); a closure family stacks the echelons
-    (``_IntEchelon``) it was handed.  ``int_basis`` reads one grade as an
-    echelon, kept once made; a grade's Fraction basis is made from it only
-    when ``space`` asks for it.
+    Every grade is a fully reduced integer echelon, and the family's one
+    layout is its grid (``grade_rows``): the rows of every grade of the box
+    in lex (gid) order, zero-padded to the largest grade dimension.  A
+    built family makes the grid from its ``builder``, one batched call over
+    any stack of grades (grades never asked for are never made, which
+    matters for the larger certificate-checked families); a closure family
+    holds the normalized ``grid`` it was handed.  ``int_basis`` reads one
+    grade off the grid as an echelon, and a grade's Fraction basis is made
+    from that only when ``space`` asks for it.
     """
 
     def __init__(self, params: ModuleParams, box: Box, builder=None,
-                 kind=None, k=None, echelons=None):
+                 kind=None, k=None, grid=None):
         self.params = params
         self.box = box
         self.kind = kind
         self.k = k
-        self._echelons = {tuple(g): e for g, e in (echelons or {}).items()}
+        self._grid = grid
         self._builder = builder
 
     @property
     def dim_v(self) -> int:
         return self.params.rep.dim
-
-    def nonzero_grades(self) -> list:
-        """In-box grades that may hold a nonzero space, in lex order: the
-        whole box for a built family, the stored grades otherwise."""
-        if self._builder:
-            return list(self.box.grades())
-        return sorted(g for g in self._echelons if self.box.contains(g))
 
     def grade_rows(self, grades: np.ndarray | None = None) -> np.ndarray:
         """The spaces at the in-box ``grades`` (G x N), or at every grade of
@@ -148,25 +142,15 @@ class TruncatedModule:
         primitive integer rows with positive pivot entries, then zero rows.
         int64 when every entry is below 2^62 in absolute value, Python
         integers (object) otherwise."""
-        if self._builder:
+        if not self._builder:
             if grades is None:
-                grades = _lattice_points(self.box.radius, self.box.N)
-            stack = self._builder(grades)
-        else:
-            # the stored echelons at their places in the box's lex order
-            held = [(g, e.rows) for g, e in self._echelons.items()
-                    if e.rows and self.box.contains(g)]
-            big = any(abs(v) >= _INT64_SAFE for _, rows in held for row in rows for v in row)
-            R = self.box.radius
-            weights = (2 * R + 1) ** np.arange(self.box.N - 1, -1, -1)
-            stack = np.zeros((self.box.count(), max((len(r) for _, r in held), default=0),
-                              self.dim_v), dtype=object if big else np.int64)
-            for g, rows in held:
-                stack[sum((a + R) * int(w) for a, w in zip(g, weights)), :len(rows)] = rows
-            if grades is not None:
-                stack = stack[grades @ weights + R * weights.sum()]
-        stack = stack[:, :int(_ranks(stack).max(initial=0))]
-        return stack.astype(np.int64 if _max_abs(stack) < _INT64_SAFE else object, copy=False)
+                return self._grid
+            side = 2 * self.box.radius + 1
+            gids = np.ravel_multi_index(tuple((grades + self.box.radius).T), (side,) * self.box.N)
+            return _normalized(self._grid[gids])
+        if grades is None:
+            grades = _lattice_points(self.box.radius, self.box.N)
+        return _normalized(self._builder(grades))
 
     def int_basis(self, grade) -> "_IntEchelon":
         """The space at ``grade`` as a fully reduced echelon of primitive
@@ -174,31 +158,19 @@ class TruncatedModule:
         grade = tuple(int(g) for g in grade)
         if not self.box.contains(grade):
             raise ValueError(f"grade {grade} outside the box")
-        ech = self._echelons.get(grade)
-        if ech is None:
-            if not self._builder:
-                return _IntEchelon(self.dim_v)
-            ech = self._echelons[grade] = _IntEchelon.of_echelon(
-                self.dim_v, self.grade_rows(np.array([grade]))[0])
-        return ech
+        return _IntEchelon.of_echelon(self.dim_v, self.grade_rows(np.array([grade]))[0])
 
     def space(self, grade) -> Subspace:
         return self.int_basis(grade).subspace()
 
     def to_obj(self) -> dict:
-        """Each grade's RREF basis, read off its echelon: every row divided
-        by its (positive) pivot entry, in lowest terms.  A built family
-        makes the echelons of the whole box in one stack first."""
-        if self._builder:
-            for g, rows in zip(self.box.grades(), self.grade_rows()):
-                self._echelons.setdefault(g, _IntEchelon.of_echelon(self.dim_v, rows))
-        spaces = {}
-        for g in self.box.grades():
-            ech = self.int_basis(g)
-            if ech.rows:
-                key = ",".join(str(x) for x in g)
-                spaces[key] = [[_format_ratio(x, row[p]) for x in row]
-                               for row, p in zip(ech.rows, ech.pivots)]
+        """Each grade's RREF basis, read off the grid: every row divided by
+        its (positive) pivot entry, in lowest terms."""
+        grid = self.grade_rows()
+        held = np.flatnonzero(_ranks(grid))
+        spaces = {",".join(map(str, g)): [_format_row(row) for row in rows if any(row)]
+                  for g, rows in zip(_lattice_points(self.box.radius, self.box.N)[held].tolist(),
+                                     grid[held].tolist())}
         return {
             "alpha": [format_scalar(a) for a in self.params.alpha],
             "beta": [format_scalar(b) for b in self.params.beta],
@@ -208,10 +180,12 @@ class TruncatedModule:
         }
 
 
-def _format_ratio(x: int, d: int) -> str:
-    """format_scalar(Fraction(x, d)) for d > 0, in integers."""
-    g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+def _format_row(row: list) -> list:
+    """format_scalar(Fraction(x, d)) of each entry x of the integer ``row``,
+    d > 0 its first nonzero entry (the pivot), in integers."""
+    d = next(filter(None, row))
+    return [str(x // g) if g == d else f"{x // g}/{d // g}"
+            for x, g in ((x, gcd(x, d)) for x in row)]
 
 
 # -- int64 bounds for integer rows ----------------------------------------
@@ -222,14 +196,32 @@ def _ranks(stack: np.ndarray) -> np.ndarray:
     return (stack != 0).any(axis=2).sum(axis=1)
 
 
-def _rows_array(rows: list) -> np.ndarray:
-    big = any(abs(v) >= _INT64_SAFE for row in rows for v in row)
-    return np.array(rows, dtype=object if big else np.int64)
+def _normalized(stack: np.ndarray) -> np.ndarray:
+    """A stack of echelons (nonzero rows first) cut to its largest rank,
+    int64 when every entry is below 2^62 in absolute value and Python
+    integers (object) otherwise: the form a family grid is kept and
+    compared in."""
+    stack = stack[:, :int(_ranks(stack).max(initial=0))]
+    return stack.astype(np.int64 if _max_abs(stack) < _INT64_SAFE else object, copy=False)
 
 
-def _int_vector(values: list) -> np.ndarray:
-    big = any(abs(v) >= _INT64_SAFE for v in values)
-    return np.array(values, dtype=object if big else np.int64)
+def _echelon_grid(count: int, dim: int, echelons: dict) -> np.ndarray:
+    """The normalized grid (``_normalized``) of the family that holds
+    ``echelons[gid]`` (an ``_IntEchelon``) at each gid and zero elsewhere,
+    of ``count`` grades."""
+    held = {gid: e.rows for gid, e in echelons.items() if e.rows}
+    dtype = _int_array([row for rows in held.values() for row in rows]).dtype
+    grid = np.zeros((count, max(map(len, held.values()), default=0), dim), dtype=dtype)
+    for gid, rows in held.items():
+        grid[gid, :len(rows)] = rows
+    return grid
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Integers, or equal-length rows of them, as an int64 array when every
+    |v| < 2^62 and as Python integers (object) otherwise."""
+    array = np.array(values, dtype=object)
+    return array if _max_abs(array) >= _INT64_SAFE else array.astype(np.int64)
 
 
 def _lattice_points(radius: int, N: int) -> np.ndarray:
@@ -313,10 +305,10 @@ class _ActionTable:
         left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         coef = (self.offsets[:, left] * self.offsets[:, right]).astype(dtype)
         self.pt = np.einsum("gk,kij->gji", coef, T)
-        self.max_p = _int_vector(np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist())
+        self.max_p = _int_array(np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist())
 
         l_alpha = [int(a * L) for a in p.alpha]
-        self.l_alpha = _int_vector(l_alpha)
+        self.l_alpha = _int_array(l_alpha)
         # bar(r) = (r_{n+1}..r_{2n}, -r_1..-r_n)
         n = N // 2
         self.bars = np.concatenate([self.offsets[:, n:], -self.offsets[:, :n]], axis=1)
@@ -468,11 +460,12 @@ def _seed_key(gv: GradedVector) -> tuple:
     return tuple(gv.grade), row
 
 
-def _family_key(echelons: dict) -> tuple:
-    """The canonical echelon rows per grade: a fully reduced echelon of
-    primitive rows with positive pivots is unique to its span, so equal
-    keys mean equal families."""
-    return tuple(sorted((g, tuple(map(tuple, e.rows))) for g, e in echelons.items()))
+def _family_key(grid: np.ndarray) -> tuple:
+    """The shape and entries of a normalized family grid (``_normalized``):
+    a fully reduced echelon of primitive rows with positive pivots is
+    unique to its span, and the height and dtype follow from the rows, so
+    equal keys mean equal families."""
+    return grid.shape, grid.tobytes() if grid.dtype == np.int64 else tuple(grid.ravel().tolist())
 
 
 # -- the mod-p FULL screen ------------------------------------------------
@@ -788,32 +781,25 @@ class _ClosureEngine:
         """
         return not any(seed.grade) and self._carries and self._grade_zero_spin(seed)[0] == self.dim
 
-    def _push(self, echelons: dict, src: np.ndarray, gens: np.ndarray, tgt: np.ndarray):
-        """Insert into ``echelons[tgt[k]]`` the exact images, made primitive,
-        of every row of ``echelons[src[k]]`` under generator ``gens[k]``, for
-        every k; one ``_images`` call per _SWEEP_BATCH // max(dim^2, N)
-        rows."""
-        dim = self.dim
-        step = [k for k, g in enumerate(src.tolist()) for _ in echelons[g].rows]
-        rows = [row for g in src.tolist() for row in echelons[g].rows]
+    def _carry(self, grid: np.ndarray, src: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The exact images, made primitive, of the rows of ``grid`` at the
+        gids ``src[k]`` under the generators ``gens[k]``: a (steps, m, dim)
+        stack, m the grid's height; one ``_images`` call per
+        _SWEEP_BATCH // max(dim^2, N) rows."""
+        m, dim = grid.shape[1:]
+        x = grid[src].reshape(-1, dim)
+        k = np.repeat(np.arange(len(src)), m)
         chunk = max(1, _SWEEP_BATCH // max(dim * dim, self.index.N))
-        for c0 in range(0, len(rows), chunk):
-            k = np.array(step[c0:c0 + chunk], dtype=np.intp)
-            y = _images(self.table, self.index.coords[src[k]], _rows_array(rows[c0:c0 + chunk]),
-                        gens[k])
-            if y.dtype == np.int64:
-                y = (y // np.maximum(np.gcd.reduce(y, axis=1), 1)[:, None]).tolist()
-            else:
-                y = map(_primitive, y)
-            for t, v in zip(tgt[k].tolist(), y):
-                ech = echelons.get(t)
-                if ech is None:
-                    ech = echelons[t] = _IntEchelon(dim)
-                ech.insert(v)
+        y = np.concatenate([
+            _images(self.table, self.index.coords[src[k[c0:c0 + chunk]]], x[c0:c0 + chunk],
+                    gens[k[c0:c0 + chunk]])
+            for c0 in range(0, len(x), chunk)])
+        d = np.gcd.reduce(y, axis=1)
+        return (y // np.where(d == 0, 1, d)[:, None]).reshape(len(src), m, dim)
 
-    def transport(self, seed: GradedVector) -> dict | None:
-        """{grade: _IntEchelon} of a family U made from the grade-0 spin of
-        ``seed``, a vector at grade 0, nonzero grades only; or None.  U lies
+    def transport(self, seed: GradedVector) -> np.ndarray | None:
+        """The grid (``TruncatedModule.grade_rows``) of a family U made from
+        the grade-0 spin of ``seed``, a vector at grade 0; or None.  U lies
         in the closure W of the seed when it fills grade 0, and it is W when
         it passes the enumeration re-check.
 
@@ -829,10 +815,13 @@ class _ClosureEngine:
           reconstruct, when dim U_0 is not the spin's rank, or when U_0
           does not hold the seed exactly;
         - (b) U_t = H_r U_s along the layers of the walk over the engine's
-          box (``_walk``), one layer at a time;
+          box (``_walk``), one ``_echelon_stack`` of the (targets, rank,
+          dim) images per layer: each step is invertible, so each target
+          gets rank independent rows;
         - (c) at a grade the walk misses, U_t is the span of H_r U_s over
           its ``rest`` steps, from the reached in-box sources s = t - r, in
-          one pass.
+          one pass: one more stack of each missed grade's images, padded
+          to the largest group, which may make the grid taller.
 
         Soundness:
         - the prime never divides L, so the spin's rank is at most dim W_0,
@@ -845,7 +834,7 @@ class _ClosureEngine:
         A wrong lift can therefore only fail the re-check, and report bytes
         do not change: a fully reduced echelon is unique to its span.
         """
-        _, layers, rest = self._walk(self.box.radius)
+        _, layers, (src, gens, tgt) = self._walk(self.box.radius)
         if any(seed.grade) or not layers:
             # no invertible step leaves grade 0 (alpha = 0): U would be only
             # grade 0 and one pass of its images
@@ -855,22 +844,36 @@ class _ClosureEngine:
         lifted = [[_rational_lift(v, p) for v in row] for row in rref.tolist()]
         if any(None in row for row in lifted):
             return None
-        u0 = _IntEchelon.of_rows(self.dim, map(_int_row, lifted))
-        if u0.dim != rank or not u0.contains(_int_row(seed.payload)):
+        # U_0, and U_0 with the seed: both of the spin's rank when U_0 has
+        # that dimension and holds the seed
+        rows = [_int_row(row) for row in lifted]
+        u0 = _echelon_stack(_int_array([rows + [(0,) * self.dim], rows + [_int_row(seed.payload)]]))
+        if (_ranks(u0) != rank).any():
             return None
-        echelons = {self.index.encode_one(seed.grade): u0}
-        for steps in layers:
-            self._push(echelons, *steps)
-        self._push(echelons, *rest)
-        return {
-            tuple(int(v) for v in self.index.coords[gid]): ech
-            for gid, ech in echelons.items() if ech.rows
-        }
+        grid = np.zeros((self.index.count, rank, self.dim), dtype=u0.dtype)
+        grid[self.index.encode_one(seed.grade)] = u0[0, :rank]
+        for parents, steps, targets in layers:
+            ech = _echelon_stack(self._carry(grid, parents, steps))
+            grid = grid.astype(np.result_type(grid, ech), copy=False)
+            grid[targets] = ech
+        if len(tgt):
+            missed, first, counts = np.unique(tgt, return_index=True, return_counts=True)
+            images = self._carry(grid, src, gens)
+            # each missed grade's images, zero-padded to the largest group
+            pad = np.zeros((len(missed), counts.max()) + images.shape[1:], dtype=images.dtype)
+            pad[np.repeat(np.arange(len(missed)), counts),
+                np.arange(len(tgt)) - np.repeat(first, counts)] = images
+            ech = _normalized(_echelon_stack(pad.reshape(len(missed), -1, self.dim)))
+            # taller where a missed grade's span exceeds the rank
+            grid = np.concatenate([grid, np.zeros(
+                (len(grid), max(0, ech.shape[1] - rank), self.dim), dtype=ech.dtype)], axis=1)
+            grid[missed, :ech.shape[1]] = ech
+        return _normalized(grid)
 
-    def guided_run(self, seed: GradedVector) -> dict:
-        """{grade: _IntEchelon} of a family W' inside the closure W of
-        ``seed``, nonzero grades only; the probe's fallback where
-        ``transport`` gives no family or one that fails its re-check.
+    def guided_run(self, seed: GradedVector) -> np.ndarray:
+        """The grid (``_echelon_grid``) of a family W' inside the closure W
+        of ``seed``; the probe's fallback where ``transport`` gives no
+        family or one that fails its re-check.
 
         One pass spins ``seed`` over F_p between the grades of the engine's
         box and takes the spin's steps exactly.  Each round keeps two
@@ -878,9 +881,10 @@ class _ClosureEngine:
         their exact rows.  The spin picks the round's steps, a parent row
         and a generator for each row it inserts; at the end of the round the
         exact image of each step's parent row is made primitive and inserted
-        into its grade's echelon, in the order the spin kept them.  The row
-        an insertion leaves, reduced against its grade's earlier rows, is the
-        next round's exact frontier row.  Every row of W' is thus an exact
+        into its grade's echelon (``_IntEchelon``, one row at a time), in the
+        order the spin kept them.  The row an insertion leaves, reduced
+        against its grade's earlier rows, is the next round's exact frontier
+        row; the echelons become the grid at the end.  Every row of W' is thus an exact
         image of a row already in W', the first being the seed, so W' lies in
         W for every prime.  For a good prime W' = W, but only an invariance
         check of W' (which, holding the seed, then contains W) or a W' that
@@ -934,15 +938,12 @@ class _ClosureEngine:
             new_rows = []
             for c0 in range(0, len(parents), exact_chunk):
                 par = parents[c0:c0 + exact_chunk]
-                x = _rows_array([x_rows[q] for q in par])
+                x = _int_array([x_rows[q] for q in par])
                 y = _images(table, idx.coords[f_gids[par]], x, gens[c0:c0 + exact_chunk])
                 new_rows.extend(insert(int(g), _primitive(v))
                                 for g, v in zip(gids[c0:c0 + exact_chunk], y))
             f_gids, f_rows, x_rows = gids, rows, new_rows
-        return {
-            tuple(int(v) for v in idx.coords[gid]): ech
-            for gid, ech in echelons.items() if ech.rows
-        }
+        return _echelon_grid(idx.count, dim, echelons)
 
     def run(self, seeds: list) -> dict:
         """{grade: _IntEchelon} of the closure, nonzero grades only."""
@@ -966,7 +967,7 @@ class _ClosureEngine:
             frontier.extend((gid, row) for row in insert(gid, [_int_row(gv.payload)]))
 
         while frontier:
-            x_rows = _rows_array([row for _, row in frontier])
+            x_rows = _int_array([row for _, row in frontier])
             src_gids = np.array([g for g, _ in frontier], dtype=np.int64)
             frontier = []
             for _, _, tgt, y in _sweep(self.table, idx, src_gids, x_rows, closed=state.full):
@@ -981,12 +982,16 @@ class _ClosureEngine:
             for gid, ech in sorted(state.echelons.items())
         }
 
+    def run_grid(self, seeds: list) -> np.ndarray:
+        """``run`` as the closure's grid (``_echelon_grid``)."""
+        return _echelon_grid(self.index.count, self.dim, {
+            self.index.encode_one(g): ech for g, ech in self.run(seeds).items()})
+
 
 def closure(seeds: list, p: ModuleParams, box: Box, gens: GeneratorSet) -> TruncatedModule:
     """Smallest family containing the seeds and closed under all H_r with
     r in gens whenever the target grade stays in the box."""
-    engine = _ClosureEngine(p, box, gens)
-    return TruncatedModule(p, box, echelons=engine.run(seeds))
+    return TruncatedModule(p, box, grid=_ClosureEngine(p, box, gens).run_grid(seeds))
 
 
 def _pair_count(box: Box, gens: GeneratorSet) -> int:
@@ -1315,9 +1320,10 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         )
         # H_r acts on a line at grade s by the scalar (bar r, s + alpha),
         # which vanishes for every r only at s = -alpha
+        held = np.flatnonzero(_ranks(family.grade_rows()))
         checks["scalar_vanishes"] = all(
             pairing(bar(r), tuple(g + a for g, a in zip(s, p.alpha))) == 0
-            for s in family.nonzero_grades() if family.int_basis(s).rows
+            for s in _lattice_points(family.box.radius, family.box.N)[held].tolist()
             for r in gens.vectors()
         )
     elif family.kind == "delta1":
@@ -1413,8 +1419,10 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
             # the family would be empty and pass every check vacuously
             raise ValueError(f"trivial_line lives at grade -alpha = {neg_alpha}, "
                              f"outside the box of radius {box.radius}")
-        return TruncatedModule(p, box, echelons={neg_alpha: _IntEchelon.of_rows(1, [[1]])},
-                               kind="trivial_line")
+        side = 2 * box.radius + 1
+        grid = np.zeros((box.count(), 1, 1), dtype=np.int64)
+        grid[np.ravel_multi_index([a + box.radius for a in neg_alpha], (side,) * box.N)] = 1
+        return TruncatedModule(p, box, grid=grid, kind="trivial_line")
 
     if kind == "delta1":
         if rep.name != "natural":
@@ -1557,12 +1565,6 @@ def claim1_inequality(n_max: int) -> dict:
 # -- the irreducibility probe --------------------------------------------
 
 
-def _inner_grades(box: Box, gens: GeneratorSet):
-    inner = box.radius - gens.radius
-    rng = range(-inner, inner + 1)
-    return list(itertools.product(rng, repeat=box.N))
-
-
 def _random_payload(rng, dim: int) -> tuple:
     while True:
         v = tuple(
@@ -1583,19 +1585,19 @@ def _probe_seeds(dim: int, rng_seed: int, extra_seeds: int) -> list:
     return seeds
 
 
-def _recheck(engine: _ClosureEngine, gens: GeneratorSet, echelons: dict,
+def _recheck(engine: _ClosureEngine, gens: GeneratorSet, grid: np.ndarray,
              rechecks: dict) -> tuple:
-    """(invariant, family) of the enumeration re-check of ``echelons``, made
-    once per distinct family and kept in ``rechecks``."""
-    fkey = _family_key(echelons)
+    """(invariant, family) of the enumeration re-check of the family
+    ``grid``, made once per distinct family and kept in ``rechecks``."""
+    fkey = _family_key(grid)
     if fkey not in rechecks:
-        fam = TruncatedModule(engine.p, engine.box, echelons=echelons)
+        fam = TruncatedModule(engine.p, engine.box, grid=grid)
         rechecks[fkey] = (not _enumerate_invariance(fam, gens, engine=engine)["failures"], fam)
     return rechecks[fkey]
 
 
-def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -> dict | None:
-    """Echelons of a family in ``rechecks`` that is the closure W of
+def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -> np.ndarray | None:
+    """The grid of a family in ``rechecks`` that is the closure W of
     ``seed``, a vector at grade 0, or None.
 
     Every invariant family U there is the closure of an earlier seed at
@@ -1610,21 +1612,21 @@ def _known_closure(engine: _ClosureEngine, seed: GradedVector, rechecks: dict) -
     for invariant, fam in rechecks.values():
         w0 = fam.int_basis(seed.grade)
         if invariant and w0.contains(row) and engine._grade_zero_spin(seed)[0] >= w0.dim:
-            return fam._echelons
+            return fam.grade_rows()
     return None
 
 
 def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
-                inner: list, rechecks: dict) -> dict | None:
-    """Echelons of the closure W of ``seed``, a vector at grade 0, over Q,
-    or None when W fills the inner box.
+                inner: np.ndarray, rechecks: dict) -> np.ndarray | None:
+    """The grid of the closure W of ``seed``, a vector at grade 0, over Q,
+    or None when W fills the inner box, whose gids are ``inner``.
 
     The mod-p screen decides first (``_ClosureEngine.screen_full``: the
     seed's words fill grade 0 and the engine's walk over the inner box
     carries that to every inner grade).  Next, an invariant family already
     re-checked in ``rechecks`` is W when the seed lies in its grade 0 and
     the seed's grade-0 rank reaches that grade's dimension
-    (``_known_closure``); its echelons, family key and re-check are the ones
+    (``_known_closure``); its grid, family key and re-check are the ones
     a fresh closure would give.  Every seed left is closed by transport: the
     family U that ``_ClosureEngine.transport`` carries from the lifted
     grade-0 RREF of the seed's spin along the walk over the whole box.  When
@@ -1639,23 +1641,24 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     ``rechecks``.  Otherwise the exact engine completes W' from its rows:
     W' holds the seed and lies in W, so its closure is W.
     """
-    dim = engine.dim
     if engine.screen_full(seed):
         return None
-    echelons = _known_closure(engine, seed, rechecks)
-    if echelons is not None:
-        return echelons
+    grid = _known_closure(engine, seed, rechecks)
+    if grid is not None:
+        return grid
     # transport first; the guided closure when transport gives no family
     # or one that fails its re-check
     for close in (engine.transport, engine.guided_run):
-        echelons = close(seed)
-        if echelons is None:
+        grid = close(seed)
+        if grid is None:
             continue
-        if all(g in echelons and echelons[g].dim == dim for g in inner):
+        if (_ranks(grid)[inner] == engine.dim).all():
             return None
-        if _recheck(engine, gens, echelons, rechecks)[0]:
-            return echelons
-    return engine.run([GradedVector(g, row) for g, ech in echelons.items() for row in ech.rows])
+        if _recheck(engine, gens, grid, rechecks)[0]:
+            return grid
+    gids, slots = np.nonzero((grid != 0).any(axis=2))
+    return engine.run_grid([GradedVector(tuple(g), row) for g, row in
+                            zip(engine.index.coords[gids].tolist(), grid[gids, slots].tolist())])
 
 
 def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
@@ -1673,23 +1676,20 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     probe, must carry a full grade 0 to every inner grade.  The walk
     follows the invertible steps; a grade it misses needs the images of V
     over its remaining in-box steps to span V.  A seed screened FULL is
-    full there over Q as well, and needs no exact closure.  A seed that lies at grade 0 in an invariant
-    family the probe already holds, with a grade-0 rank over F_p reaching
-    that grade's dimension, has that family as its closure
-    (``_known_closure``), so the closure of one family is made once.
-    Every other seed is closed by transport (``_ClosureEngine.transport``):
-    the lifted grade-0 RREF of its spin, carried along the same walk over
-    the whole box, which the engine also builds once.  The enumeration
-    re-check of that family proves it is the closure.  Only a seed with no
-    transport (alpha = 0, or a lift that fails) or whose family fails the
-    re-check falls back to one pass
-    that spins it over F_p across the whole box and takes the spin's steps
-    exactly as it goes (``_ClosureEngine.guided_run``), re-checked the
-    same way and, failing that, completed by the exact engine
-    (``_ClosureEngine.run``).  Every path gives exact echelons, and they
-    feed the re-check and the detected family.  A seed that is a multiple
-    of an earlier one reuses its outcome, and each distinct family is
-    re-checked once.
+    full there over Q as well, and needs no exact closure.  A seed that
+    lies at grade 0 in an invariant family the probe already holds, with a
+    grade-0 rank over F_p reaching that grade's dimension, has that family
+    as its closure (``_known_closure``).  Every other seed is closed by
+    transport (``_ClosureEngine.transport``) along the walk over the whole
+    box, and the enumeration re-check of that family proves it is the
+    closure.  A seed with no transport (alpha = 0, or a lift that fails) or
+    whose family fails the re-check falls back to the guided closure
+    (``_ClosureEngine.guided_run``) and, failing that, the exact engine
+    (``_ClosureEngine.run``).  Every path hands over the family as one
+    grid (``TruncatedModule.grade_rows``): its ranks at the inner gids give
+    the seed's dims, and it feeds the re-check and the detected family.  A
+    seed that is a multiple of an earlier one reuses its outcome, and each
+    distinct family is re-checked once.
     """
     if box.radius < gens.radius:
         # the inner box would be empty and every seed would count as FULL
@@ -1700,12 +1700,13 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     N = p.rep.alg.N
     zero = (0,) * N
     engine = _ClosureEngine(p, box, gens)
-    inner = _inner_grades(box, gens)
+    # the gids of the inner box, in lex order
+    inner = np.flatnonzero(np.abs(engine.index.coords).max(axis=1) <= engine.inner_radius)
 
     seed_reports = []
     proper_families = []
     all_full = True
-    # seed key -> echelons of its closure, None when it fills the inner box
+    # seed key -> grid of its closure, None when it fills the inner box
     closures = {}
     # family key -> (invariant, family) of its enumeration re-check
     rechecks = {}
@@ -1715,29 +1716,25 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
         key = _seed_key(seed)
         if key not in closures:
             closures[key] = _close_seed(engine, seed, gens, inner, rechecks)
-        echelons = closures[key]
-        if echelons is None:
-            dims = dict.fromkeys(inner, dim)
-        else:
-            dims = {g: echelons[g].dim if g in echelons else 0 for g in inner}
-        vals = list(dims.values())
-        full = all(d == dim for d in vals)
+        grid = closures[key]
+        dims = [dim] * len(inner) if grid is None else _ranks(grid)[inner].tolist()
+        full = all(d == dim for d in dims)
         entry = {
             "seed": name,
             "vector": [format_scalar(x) for x in payload],
             "full_on_inner": full,
-            "min_inner_dim": min(vals),
-            "max_inner_dim": max(vals),
+            "min_inner_dim": min(dims),
+            "max_inner_dim": max(dims),
         }
         # the seed lies at inner grade 0, so a closure that is not full is proper
         if not full:
             all_full = False
-            entry["invariant"], fam = _recheck(engine, gens, echelons, rechecks)
+            entry["invariant"], fam = _recheck(engine, gens, grid, rechecks)
             entry["inner_dims"] = {
-                ",".join(str(x) for x in g): dims[g] for g in inner
+                ",".join(map(str, g)): d for g, d in zip(engine.index.coords[inner].tolist(), dims)
             }
             if entry["invariant"]:
-                proper_families.append((sum(e.dim for e in echelons.values()), fam))
+                proper_families.append((int(_ranks(grid).sum()), fam))
         seed_reports.append(entry)
 
     report = {

@@ -80,10 +80,11 @@ from hamlie.submodules import (
     _GradeIndex,
     _GradeState,
     _close_seed,
+    _echelon_grid,
     _enumerate_invariance,
     _family_key,
-    _inner_grades,
     _probe_seeds,
+    _ranks,
     build_submodule,
     closure,
     invariance_check,
@@ -201,9 +202,24 @@ def test_rho_rank_one_matches_direct_decomposition(n, spec, data):
 
 
 def _family(p, box, spaces) -> TruncatedModule:
-    """A family holding the given Subspaces, as integer echelons."""
-    return TruncatedModule(p, box, echelons={
-        g: _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis)) for g, s in spaces.items()})
+    """A family holding the given Subspaces, as the grid of their integer
+    echelons."""
+    idx = _GradeIndex(box.radius, box.N)
+    return TruncatedModule(p, box, grid=_echelon_grid(box.count(), p.rep.dim, {
+        idx.encode_one(g): _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis))
+        for g, s in spaces.items()}))
+
+
+def _by_grade(engine, grid) -> dict:
+    """{grade: _IntEchelon} of the nonzero grades of a family grid of the
+    engine's box."""
+    return {tuple(engine.index.coords[gid].tolist()): _IntEchelon.of_echelon(engine.dim, grid[gid])
+            for gid in np.flatnonzero(_ranks(grid))}
+
+
+def _inner_gids(engine) -> np.ndarray:
+    """The gids of the engine's inner box, where the probe reads its dims."""
+    return np.flatnonzero(np.abs(engine.index.coords).max(axis=1) <= engine.inner_radius)
 
 
 def _naive_closure(seeds, p, box, gens) -> dict:
@@ -558,11 +574,12 @@ def test_int64_grid_walk_retests_exact_grades():
     engine = _ClosureEngine(p, box, gens)
     state = _GradeState(engine.index.count, 3)
     rows = []
-    for g in family.nonzero_grades():
-        state.set(engine.index.encode_one(g), family.int_basis(g))
+    for gid in np.flatnonzero(_ranks(family.grade_rows())).tolist():
+        g = tuple(engine.index.coords[gid].tolist())
+        state.set(gid, family.int_basis(g))
         rows += family.int_basis(g).rows
     assert state.exact[engine.index.encode_one((0, 0))]
-    assert submodules._fits_int64(engine.table, state, submodules._rows_array(rows))
+    assert submodules._fits_int64(engine.table, state, submodules._int_array(rows))
     # the same family through the whole-family state the enumeration builds
     grid = family.grade_rows(engine.index.coords)
     grid_state = _GradeState.of_grid(grid)
@@ -576,8 +593,9 @@ def test_int64_grid_walk_retests_exact_grades():
 @given(data=st.data())
 def test_closure_echelons_convert_to_canonical_spaces(data):
     p, box, gens, seed = _closure_case(data)
-    echelons = _ClosureEngine(p, box, gens).run([seed])
-    family = TruncatedModule(p, box, echelons=echelons)
+    engine = _ClosureEngine(p, box, gens)
+    echelons = engine.run([seed])
+    family = TruncatedModule(p, box, grid=engine.run_grid([seed]))
     for g, ech in echelons.items():
         want = Subspace.from_vectors(ech.rows, p.rep.dim)
         got = family.space(g)
@@ -1095,9 +1113,8 @@ def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
     ``screen``, by the exact engine on the seeds the mod-p screen leaves."""
     if screen and engine.screen_full(seed):
         return None
-    echelons = engine.run([seed])
-    full = all(g in echelons and echelons[g].dim == engine.dim for g in inner)
-    return None if full else echelons
+    grid = engine.run_grid([seed])
+    return None if (_ranks(grid)[inner] == engine.dim).all() else grid
 
 
 @pytest.mark.parametrize("n,spec", SCREEN_REPS)
@@ -1122,26 +1139,27 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
     # family is the closure, as its re-check proves: at every denominator,
     # the spin's default prime included
     assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
-               for g, ech in guided.items())
-    family = TruncatedModule(p, box, echelons=guided)
+               for g, ech in _by_grade(engine, guided).items())
+    family = TruncatedModule(p, box, grid=guided)
     assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
-    assert _family_key(guided) == _family_key(exact)
+    exact_grid = engine.run_grid([seed])
+    assert _family_key(guided) == _family_key(exact_grid)
     # at a bad prime the guide may miss rows, but every row it takes is
     # still inside the closure
     with mock.patch.object(submodules, "_spin_prime", _small_prime(3, 5, 7)):
         short = _ClosureEngine(p, box, gens).guided_run(seed)
     assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
-               for g, ech in short.items())
+               for g, ech in _by_grade(engine, short).items())
 
     # the probe's step: the closure itself, through the guide alone
-    inner = _inner_grades(box, gens)
+    inner = _inner_gids(engine)
     runs = []
     with _count_runs(runs):
         closed = _close_seed(engine, seed, gens, inner, {})
     if closed is None:
-        assert all(g in exact and exact[g].dim == engine.dim for g in inner)
+        assert (_ranks(exact_grid)[inner] == engine.dim).all()
     else:
-        assert _family_key(closed) == _family_key(exact)
+        assert _family_key(closed) == _family_key(exact_grid)
     assert runs == []
 
     # and the probe's report is the one the exact engine alone gives
@@ -1180,7 +1198,8 @@ def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch, prime):
     monkeypatch.setattr(_ClosureEngine, "guided_run",
                         lambda self, seed: families.append(guided(self, seed)) or families[-1])
     monkeypatch.setattr(_ClosureEngine, "run",
-                        lambda self, seeds: completions.append((families[-1], seeds))
+                        lambda self, seeds: completions.append((_by_grade(self, families[-1]),
+                                                                seeds))
                         or run(self, seeds))
     assert _probe_bytes() == expected
     assert completions
@@ -1233,7 +1252,7 @@ def _assert_exact_closures(closed: list):
         if got is None:
             assert _full_on_inner(engine, seed, inner), seed.payload
         else:
-            assert _family_key(got) == _family_key(engine.run([seed])), seed.payload
+            assert _family_key(got) == _family_key(engine.run_grid([seed])), seed.payload
 
 
 @pytest.mark.parametrize("n,spec,alpha,box,gens", _REUSE_CASES)
@@ -1252,14 +1271,16 @@ def _use_small_prime(m):
 def _drop_outer_shell(m):
     """Transported and guided families less their grades on the box's outer
     shell: each holds the closure's grade 0 but misses rows elsewhere."""
-    def short(family, radius):
+    def short(engine, family):
         if family is not None:
-            return {g: ech for g, ech in family.items() if max(map(abs, g)) < radius}
+            family = family.copy()
+            family[np.abs(engine.index.coords).max(axis=1) == engine.box.radius] = 0
+            return submodules._normalized(family)
 
     for name in ("transport", "guided_run"):
         close = getattr(_ClosureEngine, name)
         m.setattr(_ClosureEngine, name,
-                  lambda self, seed, close=close: short(close(self, seed), self.box.radius))
+                  lambda self, seed, close=close: short(self, close(self, seed)))
 
 
 @pytest.mark.parametrize("short_guide", [_use_small_prime, _drop_outer_shell])
@@ -1313,10 +1334,11 @@ def test_grade_zero_spin_runs_once_per_seed_line(monkeypatch):
 
 # -- transport along invertible steps --------------------------------------
 
-Q31, Q61 = 2 ** 31 - 1, 2 ** 61 - 1
+Q31, Q61, Q40 = 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40
 # (n, rep, alpha, box, gens): axis and generic alphas (two nonzero
-# coordinates) at q = 7, 2^31-1 and 2^61-1, and integral alphas, where the
-# walk misses the grade -alpha
+# coordinates) at q = 7, 2^31-1, 2^61-1 and 3^40 (past int64 from the first
+# images of U_0 on), and integral alphas, where the walk misses the grade
+# -alpha
 _TRANSPORT_CASES = [
     (2, "natural", (F(2, 7), 0, 0, 0), 2, 1),
     (2, "fundamental:2", (F(1, 7), F(3, 7), 0, 0), 2, 1),
@@ -1327,6 +1349,7 @@ _TRANSPORT_CASES = [
     (2, "natural", (0, 0, -1, 0), 2, 1),
     (2, "fundamental:2", (0, 0, -1, 0), 2, 1),
     (3, "natural", (F(1, 3), 0, 0, 0, 0, 0), 1, 1),
+    (2, "natural", (F(1, Q40), 0, F(2, Q40), 0), 2, 1),
 ]
 
 
@@ -1345,7 +1368,15 @@ def test_transport_is_the_exact_closure(n, spec, alpha, box, gens):
         seed = GradedVector((0,) * (2 * n), payload)
         got = engine.transport(seed)
         assert got is not None, name
-        assert _family_key(got) == _family_key(engine.run([seed])), name
+        # the grid the helper makes of the exact engine's echelons, entry for
+        # entry and in the same shape and dtype
+        want = engine.run_grid([seed])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+        assert (got == want).all(), name
+        assert _family_key(got) == _family_key(want), name
+        if n == 2 and spec in ("natural", "fundamental:2"):
+            # every closure path hands over the same family key
+            assert _family_key(engine.guided_run(seed)) == _family_key(want), name
     # the walk over the whole box, which transport reads, and over the inner
     # box, which the screen reads
     for radius in (box, box - gens):
@@ -1501,7 +1532,7 @@ def test_probe_falls_back_when_the_lift_is_wrong(monkeypatch):
         if perturbed:
             # the wrong U_0 passes the lift's checks, and U its re-check never
             assert out is not None
-            family = TruncatedModule(self.p, self.box, echelons=out)
+            family = TruncatedModule(self.p, self.box, grid=out)
             gens = GeneratorSet(int(self.table.offsets.max()), self.box.N)
             rechecked.append(bool(_enumerate_invariance(family, gens, engine=self)["failures"]))
         return out
@@ -1520,13 +1551,13 @@ def test_transport_refuses_a_grade_zero_that_is_not_the_seeds():
     rank_line, rref_line = engine._grade_zero_spin(line)
     rank_big, rref_big = engine._grade_zero_spin(big)
     assert (rank_line, rank_big) == (1, 3)
-    inner = _inner_grades(engine.box, GeneratorSet(1, 4))
+    inner = _inner_gids(engine)
     with mock.patch.object(_ClosureEngine, "_grade_zero_spin",
                            lambda self, seed: (rank_line, rref_big)):
         # an invariant family that holds the seed, but too large at grade 0
         assert engine.transport(line) is None
         got = _close_seed(engine, line, GeneratorSet(1, 4), inner, {})
-        assert _family_key(got) == _family_key(engine.run([line]))
+        assert _family_key(got) == _family_key(engine.run_grid([line]))
     other = np.zeros_like(rref_line)
     other[0, 3] = 1
     with mock.patch.object(_ClosureEngine, "_grade_zero_spin",
@@ -1585,7 +1616,7 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     # a fresh key on every call and no known closure: no seed, no family and
     # no closure is ever reused
     monkeypatch.setattr(submodules, "_seed_key", lambda gv: object())
-    monkeypatch.setattr(submodules, "_family_key", lambda echelons: object())
+    monkeypatch.setattr(submodules, "_family_key", lambda grid: object())
     monkeypatch.setattr(submodules, "_known_closure", lambda *a: None)
     assert _cached_probe_bytes(monkeypatch) == cached
     assert with_caches["closures"] < counts["closures"]

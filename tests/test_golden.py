@@ -6,8 +6,9 @@ change to what any report says, or how it is printed, fails here; a
 change meant to alter report bytes updates ``GOLDEN`` and says why in
 CHANGES.md.  ``REUSE_GOLDEN`` pins, the same way, two probes whose closures
 take the probe's reuse of a known family, ``ENUMERATE_GOLDEN`` two
-enumeration checks that take the grid walk, and ``ENUMERATE_EDGE_GOLDEN``
-five enumeration checks on the edges of the family build.
+enumeration checks that take the grid walk, ``ENUMERATE_EDGE_GOLDEN``
+five enumeration checks on the edges of the family build, and
+``PROBE_EDGE_GOLDEN`` seven probes on the edges of the probe's family grid.
 """
 
 import hashlib
@@ -87,6 +88,27 @@ ENUMERATE_EDGE_ARGV = [
 
 ENUMERATE_EDGE_GOLDEN = "21e87d3c2da7f12cc10717f18852dcdba2ded358333b856b3a71330d873e0760"
 
+# Probes on the edges of the family grid, hashed from the per-grade echelon
+# dicts the probe kept before the grid: the walk misses grade -alpha at
+# integral alpha (natural at (0,0,-1,0), fundamental:2 at (1,0,-1,0));
+# alpha denominators 2^61 - 1 and 3^40 (transport past int64); alpha = 0
+# (no transport, so the guided closure); the trivial rep at integral alpha
+# (a family at one grade); and a generic alpha
+PROBE_EDGE_ARGV = [
+    ["probe", "--n", "2", "--rep", "natural", "--alpha=0,0,-1,0", "--box", "2", "--gens", "1"],
+    ["probe", "--n", "2", "--rep", "fundamental:2", "--alpha=1,0,-1,0", "--box", "2",
+     "--gens", "1"],
+    ["probe", "--n", "1", "--rep", "natural", f"--alpha=1/{2 ** 61 - 1},0", "--box", "3",
+     "--gens", "1"],
+    ["probe", "--n", "1", "--rep", "natural", f"--alpha=1/{3 ** 40},0", "--box", "3",
+     "--gens", "1"],
+    ["probe", "--n", "2", "--rep", "natural", "--alpha=0,0,0,0", "--box", "2", "--gens", "1"],
+    ["probe", "--n", "2", "--rep", "trivial", "--alpha=0,1,0,0", "--box", "2", "--gens", "1"],
+    ["probe", "--n", "2", "--rep", "natural", "--alpha=1/3,2/5,0,0", "--box", "2", "--gens", "1"],
+]
+
+PROBE_EDGE_GOLDEN = "7404c4c29c5f456968a48a555e35a0852f44d20810ca45b5144c00c32263d26e"
+
 
 def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
@@ -115,3 +137,7 @@ def test_enumerate_report_bytes_match_golden(tmp_path):
 
 def test_enumerate_edge_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path, ENUMERATE_EDGE_ARGV) == ENUMERATE_EDGE_GOLDEN
+
+
+def test_probe_edge_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, PROBE_EDGE_ARGV) == PROBE_EDGE_GOLDEN

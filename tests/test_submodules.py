@@ -13,6 +13,8 @@ from hamlie.submodules import (
     Box,
     GeneratorSet,
     TruncatedModule,
+    _GradeIndex,
+    _echelon_grid,
     build_submodule,
     claim1_inequality,
     claim2_witness,
@@ -34,10 +36,13 @@ def _params(n, spec, alpha=None, beta=None):
     return ModuleParams(alpha, beta, rep)
 
 
-def _family(p, box, spaces):
-    """A family holding the given Subspaces, as integer echelons."""
-    return TruncatedModule(p, box, echelons={
-        g: _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis)) for g, s in spaces.items()})
+def _family(p, box, spaces, kind=None):
+    """A family holding the given Subspaces, as the grid of their integer
+    echelons."""
+    idx = _GradeIndex(box.radius, box.N)
+    return TruncatedModule(p, box, kind=kind, grid=_echelon_grid(box.count(), p.rep.dim, {
+        idx.encode_one(g): _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis))
+        for g, s in spaces.items()}))
 
 
 def test_box_and_gens():
@@ -190,8 +195,7 @@ def test_certificate_catches_misplaced_trivial_line():
     # which is nonzero for some r, so the family is not invariant
     p = _params(2, "trivial", alpha=(1, 0, 0, 0))
     box, gens = Box(2, 4), GeneratorSet(1, 4)
-    fam = TruncatedModule(p, box, echelons={(0,) * 4: _IntEchelon.of_rows(1, [[1]])},
-                          kind="trivial_line")
+    fam = _family(p, box, {(0,) * 4: Subspace.from_vectors([[1]], 1)}, kind="trivial_line")
     report = invariance_check(fam, gens, method="certificate")
     assert report["identities"]["scalar_vanishes"] is False
     assert report["passes"] == 0
@@ -411,7 +415,7 @@ def test_family_key_is_the_family():
         ech = _IntEchelon(2)
         for row in rows:
             ech.insert(row)
-        return {(0, 0): ech}
+        return _echelon_grid(1, 2, {0: ech})
 
     assert _family_key(family((1, 0))) == _family_key(family((-3, 0)))
     assert _family_key(family((1, 1), (1, 2))) == _family_key(family((0, 5), (2, 0)))
