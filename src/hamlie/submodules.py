@@ -497,6 +497,20 @@ def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     return np.array([pow(v, -1, p) for v in a.tolist()], dtype=np.int64)
 
 
+def _reduce_mod_p(v: np.ndarray, rref: np.ndarray, pivots: np.ndarray, p: int,
+                  block: int) -> np.ndarray:
+    """The residuals over F_p of the rows ``v``, entries in [0, p), against
+    the fully reduced echelon rows ``rref`` with pivot columns ``pivots``:
+    v - v[:, pivots] @ rref mod p, summed ``block`` pivots at a time.  A
+    fully reduced row is 0 at every other pivot, so the blocks reduce one
+    after another, and each partial sum stays below (block + 1)(p - 1)^2:
+    with block = dim that is ``_spin_prime``'s bound, where one sum over
+    dim^2 pivots could pass 2^63 and wrap."""
+    for b0 in range(0, len(pivots), block):
+        v = (v - v[:, pivots[b0:b0 + block]] @ rref[b0:b0 + block]) % p
+    return v
+
+
 def _rational_lift(a: int, p: int) -> Fraction | None:
     """The fraction n/d with |n|, d <= sqrt(p/2) and n = a d mod p, or None
     when there is none (rational reconstruction: the extended Euclidean
@@ -572,6 +586,10 @@ class _ClosureEngine:
         self._walks: dict = {}
         # seed line -> (rank, RREF) over F_p of its spin at grade 0
         self._ranks: dict = {}
+        # an F_p basis of the span S of the closed words (``_word_span``),
+        # built by the first grade-0 spin that one round over the words
+        # leaves below dim
+        self._span: np.ndarray | None = None
 
     @cached_property
     def _modp(self) -> tuple:
@@ -590,13 +608,23 @@ class _ClosureEngine:
         return (q, np.array(np.mod(table.pt, q), dtype=np.int64), table.L % q,
                 np.array(np.mod(table.l_alpha, q), dtype=np.int64))
 
-    def _step(self, src: np.ndarray, x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    def _step(self, src: np.ndarray, x: np.ndarray | None, j: np.ndarray) -> np.ndarray:
         """Images over F_p of rows ``x`` at grades ``src`` under the
-        generators ``j``: L*((bar r, s+alpha)I + rho(r bar r^t)) x mod p."""
+        generators ``j``: L*((bar r, s+alpha)I + rho(r bar r^t)) x mod p.
+        ``x`` holds one row or one (m, dim) stack of rows per step; None
+        stands for the identity, so the images are the steps' matrices."""
         p, pt, l_mod, l_alpha = self._modp
         u = (src * l_mod + l_alpha) % p
         c = np.einsum("cn,cn->c", u, self.table.bars[j]) % p
-        return (np.einsum("cd,cde->ce", x, pt[j]) + c[:, None] * x) % p
+        if x is None:
+            y = pt[j]
+            diag = np.arange(self.dim)
+            y[:, diag, diag] += c[:, None]
+        else:
+            y = np.matmul(x.reshape(len(x), -1, self.dim), pt[j]).reshape(x.shape)
+            y += c.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        y %= p
+        return y
 
     @cached_property
     def _words(self) -> list:
@@ -621,6 +649,48 @@ class _ClosureEngine:
                                   axis=1))
         return [np.stack([unit, index[(1 - r) @ w3]], axis=1), np.concatenate(three)]
 
+    def _word_images(self, x: np.ndarray | None, per: int):
+        """The images over F_p of the rows ``x`` at grade 0 under the closed
+        words (``_words``), ``per`` words at a time: one (words, rows, dim)
+        stack per batch, in word order.  For x None (the identity, as in
+        ``_step``) they are the words' matrices."""
+        offsets = self.table.offsets
+        for words in self._words:
+            for w0 in range(0, len(words), per):
+                w = words[w0:w0 + per]
+                y = None if x is None else np.broadcast_to(x, (len(w),) + x.shape)
+                src = np.zeros((len(w), offsets.shape[1]), dtype=np.int64)
+                for j in w.T:
+                    y = self._step(src, y, j)
+                    src = src + offsets[j]
+                yield y
+
+    def _word_span(self) -> np.ndarray:
+        """An F_p basis of S, the linear span of the closed words' matrices
+        (``_words``), as a (dim S, dim, dim) stack; dim S <= dim^2.  Each
+        word's matrix (``_word_images`` of the identity) is flattened to a
+        dim^2-vector and reduced against the fully reduced rows of S found
+        so far (``_reduce_mod_p``, blocks of dim pivots); a residual that is
+        not zero joins them, and the rest of its batch is reduced by it.
+        The batches hold _SCREEN_BATCH // dim^2 words."""
+        dim = self.dim
+        p = self._modp[0]
+        rref = np.zeros((0, dim * dim), dtype=np.int64)
+        pivots = np.zeros(0, dtype=np.int64)
+        for y in self._word_images(None, max(1, _SCREEN_BATCH // (dim * dim))):
+            res = _reduce_mod_p(y.reshape(len(y), -1), rref, pivots, p, dim)
+            res = res[res.any(axis=1)]
+            while len(res):
+                q = int(np.argmax(res[0] != 0))
+                w = res[0] * pow(int(res[0, q]), -1, p) % p
+                rref = np.concatenate([(rref - rref[:, q, None] * w) % p, w[None]])
+                pivots = np.append(pivots, q)
+                res = (res[1:] - res[1:, q, None] * w) % p
+                res = res[res.any(axis=1)]
+            if len(pivots) == dim * dim:
+                break
+        return rref.reshape(-1, dim, dim)
+
     def _grade_zero_spin(self, seed: GradedVector) -> tuple:
         """(rank, RREF) over F_p of the rows of a seed at grade 0 pushed
         through the closed words (``_words``) until no new row appears, or
@@ -628,33 +698,42 @@ class _ClosureEngine:
         array in pivot order.  Spun once per seed line.  The rank is at most
         dim W_0 for the seed's closure W (``screen_full``): the screen asks
         whether it is dim, the reuse of a known closure whether it reaches
-        that family's dim at grade 0; transport lifts the RREF."""
+        that family's dim at grade 0; transport lifts the RREF.
+
+        Each round applies the new rows to every word, or, once the engine
+        holds it, to the basis of the words' span S (``_word_span``), which
+        has at most dim^2 matrices where the words number 2,240 at n=2 and
+        116,192 at n=3.  A row space is closed under every word exactly when
+        it is closed under their span, so both give the same rank and,
+        since an RREF is unique to its span, the same RREF.  S is built
+        when a round over the words ends below dim, once per engine: a
+        probe whose seeds all fill grade 0 never builds it.
+        """
         key = _seed_key(seed)
         if key in self._ranks:
             return self._ranks[key]
         dim = self.dim
-        offsets = self.table.offsets
         p = self._modp[0]
         spans = _ModpSpans(p, 1, dim)
         zero = np.zeros(1, dtype=np.int64)
         row = np.array([[v % p for v in _int_row(seed.payload)]], dtype=np.int64)
         frontier = [spans.insert(zero, row)]
+        # candidate rows per batch
         chunk = max(1, _SCREEN_BATCH // (dim * dim))
         while frontier and spans.rank[0] < dim:
             rows = np.concatenate(frontier)
             frontier = []
-            for words in self._words:
-                pairs = len(words) * len(rows)
-                for c0 in range(0, pairs, chunk):
-                    if spans.rank[0] == dim:
-                        break
-                    w, i = np.divmod(np.arange(c0, min(pairs, c0 + chunk)), len(rows))
-                    y = rows[i]
-                    src = np.zeros((len(i), offsets.shape[1]), dtype=np.int64)
-                    for j in words[w].T:
-                        y = self._step(src, y, j)
-                        src = src + offsets[j]
-                    frontier += [new for _, _, new in spans.absorb(zero.repeat(len(y)), y)]
+            per = max(1, chunk // len(rows))
+            span = self._span
+            images = self._word_images(rows, per) if span is None else (
+                rows @ span[k0:k0 + per] % p for k0 in range(0, len(span), per))
+            for y in images:
+                y = y.reshape(-1, dim)
+                frontier += [new for _, _, new in spans.absorb(zero.repeat(len(y)), y)]
+                if spans.rank[0] == dim:
+                    break
+            if span is None and spans.rank[0] < dim:
+                self._span = self._word_span()
         P = spans.P[0]
         self._ranks[key] = (int(spans.rank[0]), P[P.any(axis=1)])
         return self._ranks[key]
@@ -731,12 +810,9 @@ class _ClosureEngine:
         dim."""
         dim = self.dim
         spans = _ModpSpans(self._modp[0], 1, dim)
-        eye = np.eye(dim, dtype=np.int64)
         per = max(1, _SCREEN_BATCH // (dim * dim * dim))
         for b0 in range(0, len(j), per):
-            jb = j[b0:b0 + per]
-            y = self._step(np.repeat(src[b0:b0 + per], dim, axis=0),
-                           np.tile(eye, (len(jb), 1)), np.repeat(jb, dim))
+            y = self._step(src[b0:b0 + per], None, j[b0:b0 + per]).reshape(-1, dim)
             spans.absorb(np.zeros(len(y), dtype=np.int64), y)
             if spans.rank[0] == dim:
                 return True
@@ -769,7 +845,11 @@ class _ClosureEngine:
         Two parts decide it.  The seed's spin over F_p at grade 0 through
         closed words (``_grade_zero_spin``, spun once per seed line; the
         probe reads the same rank to reuse a known closure and the same RREF
-        to transport) must reach rank dim.  Let W be the closure: each
+        to transport) must reach rank dim.  Once a spin stays below dim
+        after a round over the words, the engine spins under a basis of
+        their span S instead (``_word_span``, built once): a subspace is
+        closed under every word exactly when it is closed under S, so the
+        rank does not change.  Let W be the closure: each
         W_g meet Z^dim is a saturated lattice, and the integer operator
         L H_r of the action table maps it into the lattice at grade g + r,
         so the lattice family mod p is invariant, contains the reduced
@@ -1144,9 +1224,14 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     exact = state.exact.reshape(shape)
     retest = state.exact.any()
     n_rows = _ranks(grid)
-    for j, r in enumerate(table.offsets.tolist()):
-        src = tuple(slice(max(0, -a), side - max(0, a)) for a in r)
-        tgt = tuple(slice(max(0, a), side - max(0, -a)) for a in r)
+    # per generator and axis: the grades s with s and s + r in the box run
+    # from neg to side - pos, their targets from pos to side - neg
+    pos = np.maximum(table.offsets, 0)
+    neg = np.maximum(-table.offsets, 0)
+    bounds = zip(neg.tolist(), (side - pos).tolist(), pos.tolist(), (side - neg).tolist())
+    for j, (s0, s1, t0, t1) in enumerate(bounds):
+        src = tuple(map(slice, s0, s1))
+        tgt = tuple(map(slice, t0, t1))
         x = X[src]
         y = x @ pt[j] + (s_l[src] @ bars[j])[..., None, None] * x
         res = y @ A[tgt]

@@ -1623,6 +1623,128 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
     assert with_caches["recheck"] < counts["recheck"]
 
 
+# -- the span of the closed words at grade 0 --------------------------------
+
+# alpha = (c_0/q, ..., c_{N-1}/q) at the alpha denominators q of the spin:
+# 134217689 is the default spin prime, which the spin then steps below
+SPAN_DENOMINATORS = (1, 7, Q31, Q61, Q40, _SCREEN_PRIME)
+_SPAN_NUMERATORS = {1: (1, -2), 2: (1, 0, -3, 0)}
+_SPAN_CASES = [(n, spec, tuple(F(c, q) for c in _SPAN_NUMERATORS[n]), 1, 1)
+               for n, spec in [(1, "natural"), (1, "sym:2"), (1, "trivial"), (2, "natural"),
+                               (2, "fundamental:2"), (2, "sym:2"), (2, "trivial")]
+               for q in SPAN_DENOMINATORS]
+_SPAN_CASES += [(n, spec, (0,) * (2 * n), 1, 1)
+                for n, spec in [(1, "natural"), (2, "natural"), (2, "fundamental:2")]]
+_SPAN_CASES += [(3, "natural", (F(1, 3), 0, 0, 0, 0, 0), 1, 1)]
+
+
+def _word_spin(engine: _ClosureEngine, seed: GradedVector) -> tuple:
+    """The oracle of ``_ClosureEngine._grade_zero_spin``: (rank, RREF) over
+    F_p of the seed's rows at grade 0 pushed through every closed word,
+    round by round, until no new row appears or the rank is dim."""
+    dim, p = engine.dim, engine._modp[0]
+    offsets = engine.table.offsets
+    spans = submodules._ModpSpans(p, 1, dim)
+    zero = np.zeros(1, dtype=np.int64)
+    frontier = spans.insert(zero, np.array([[v % p for v in _int_row(seed.payload)]]))
+    while len(frontier) and spans.rank[0] < dim:
+        new = []
+        for words in engine._words:
+            for w0 in range(0, len(words), 2048):
+                w, i = np.divmod(np.arange(min(2048, len(words) - w0) * len(frontier)),
+                                 len(frontier))
+                y, src = frontier[i], np.zeros((len(i), offsets.shape[1]), dtype=np.int64)
+                for j in words[w0 + w].T:
+                    y = engine._step(src, y, j)
+                    src = src + offsets[j]
+                new += [rows for _, _, rows in spans.absorb(zero.repeat(len(y)), y)]
+        frontier = np.concatenate(new) if new else []
+    P = spans.P[0]
+    return int(spans.rank[0]), P[P.any(axis=1)]
+
+
+def _span_mismatches(n, spec, alpha, box, gens) -> list:
+    """The probe seeds whose grade-0 spin under the basis of the words'
+    span S gives another (rank, RREF) than the spin through every word."""
+    engine = _engine(n, spec, alpha, box, gens)
+    engine._span = engine._word_span()
+    assert len(engine._span) <= engine.dim ** 2
+    bad = []
+    for name, payload in _probe_seeds(engine.dim, 0xC0FFEE, 4):
+        seed = GradedVector((0,) * (2 * n), payload)
+        rank, rref = engine._grade_zero_spin(seed)
+        want_rank, want_rref = _word_spin(engine, seed)
+        if rank != want_rank or not np.array_equal(rref, want_rref):
+            bad.append(name)
+    return bad
+
+
+@pytest.mark.parametrize("n,spec,alpha,box,gens", _SPAN_CASES)
+def test_spin_under_the_word_span_is_the_word_spin(n, spec, alpha, box, gens):
+    assert _span_mismatches(n, spec, alpha, box, gens) == []
+
+
+def test_a_word_span_short_by_one_matrix_is_caught(monkeypatch):
+    span = _ClosureEngine._word_span
+    monkeypatch.setattr(_ClosureEngine, "_word_span", lambda self: span(self)[:-1])
+    assert any(_span_mismatches(*case) for case in _SPAN_CASES
+               if case[:2] in {(1, "natural"), (2, "natural"), (2, "fundamental:2")})
+
+
+def test_word_span_reduction_stays_in_int64():
+    # dim^2 pivots of residues near p - 1: one sum over all of them passes
+    # 2^63, so the reduction must sum at most dim pivots at a time
+    dim = 24
+    p = submodules._spin_prime(dim, 1)
+    k = dim * dim
+    assert k * (p - 1) ** 2 >= 2 ** 63 > (dim + 1) * (p - 1) ** 2
+    rng = np.random.default_rng(26)
+    width = k + 8
+    pivots = rng.permutation(width)[:k]
+    rref = rng.integers(p - 1000, p, (k, width))
+    rref[:, pivots] = np.eye(k, dtype=np.int64)
+    v = rng.integers(p - 1000, p, (3, width))
+    got = submodules._reduce_mod_p(v, rref, pivots, p, dim)
+    rows = rref.tolist()
+    for row, res in zip(v.tolist(), got.tolist()):
+        want = list(row)
+        for q, pivot_row in zip(pivots.tolist(), rows):
+            want = [a - row[q] * b for a, b in zip(want, pivot_row)]
+        assert res == [a % p for a in want]
+
+
+def test_word_span_is_built_only_by_a_spin_below_dim(monkeypatch):
+    built = []
+    span = _ClosureEngine._word_span
+    monkeypatch.setattr(_ClosureEngine, "_word_span",
+                        lambda self: built.append(self) or span(self))
+    # probes where every seed fills grade 0 never build S
+    for spec, alpha in [("sym:2", (F(1, 3), 0, 0, 0)), ("trivial", (F(1, 2), 0, F(2, 7), 0))]:
+        p = ModuleParams(alpha, (0,) * 4, _rep(2, spec))
+        assert irreducibility_probe(p, Box(2, 4), GeneratorSet(1, 4))["verdict"] == "FULL"
+    # nor do the exact closure and the enumeration
+    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "natural"))
+    box, gens = Box(2, 2), GeneratorSet(1, 2)
+    closure([GradedVector((0, 0), (1, 0))], p, box, gens)
+    invariance_check(build_submodule("delta1", p, box), gens, method="enumerate")
+    assert built == []
+    # a PROPER probe builds it once, for its one engine, though several of
+    # its seed lines stay below dim
+    below = set()
+    spin = _ClosureEngine._grade_zero_spin
+
+    def spin_spy(self, seed):
+        out = spin(self, seed)
+        if out[0] < self.dim:
+            below.add(submodules._seed_key(seed))
+        return out
+
+    monkeypatch.setattr(_ClosureEngine, "_grade_zero_spin", spin_spy)
+    p = ModuleParams((F(1, 3), 0, 0, 0), (0,) * 4, _rep(2, "natural"))
+    assert irreducibility_probe(p, Box(2, 4), GeneratorSet(1, 4))["verdict"] == "PROPER"
+    assert len(built) == 1 and len(below) > 1
+
+
 # -- canonical scalars against a pure-Fraction oracle ----------------------
 
 CANON_DENOMINATORS = (1, 2, 7, 2 ** 61 - 1, 3 ** 40)

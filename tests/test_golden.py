@@ -7,8 +7,9 @@ change meant to alter report bytes updates ``GOLDEN`` and says why in
 CHANGES.md.  ``REUSE_GOLDEN`` pins, the same way, two probes whose closures
 take the probe's reuse of a known family, ``ENUMERATE_GOLDEN`` two
 enumeration checks that take the grid walk, ``ENUMERATE_EDGE_GOLDEN``
-five enumeration checks on the edges of the family build, and
-``PROBE_EDGE_GOLDEN`` seven probes on the edges of the probe's family grid.
+five enumeration checks on the edges of the family build,
+``PROBE_EDGE_GOLDEN`` seven probes on the edges of the probe's family grid,
+and ``N3_PROBE_GOLDEN`` one PROPER probe at n=3.
 """
 
 import hashlib
@@ -109,6 +110,16 @@ PROBE_EDGE_ARGV = [
 
 PROBE_EDGE_GOLDEN = "7404c4c29c5f456968a48a555e35a0852f44d20810ca45b5144c00c32263d26e"
 
+# A PROPER probe at n=3, whose seed lines below dim spin under the span of
+# the closed words and whose families are transported at n=3; hashed from
+# the spin through every word
+N3_PROBE_ARGV = [
+    ["probe", "--n", "3", "--rep", "natural", "--alpha=1/3,0,0,0,0,0", "--box", "1",
+     "--gens", "1"],
+]
+
+N3_PROBE_GOLDEN = "113d2af4c79219a74e60e8f77de105df5a7dbc2841f5fb37fa415c0a419203bd"
+
 
 def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
@@ -141,3 +152,7 @@ def test_enumerate_edge_report_bytes_match_golden(tmp_path):
 
 def test_probe_edge_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path, PROBE_EDGE_ARGV) == PROBE_EDGE_GOLDEN
+
+
+def test_n3_probe_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, N3_PROBE_ARGV) == N3_PROBE_GOLDEN
