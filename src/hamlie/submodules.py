@@ -201,8 +201,7 @@ def _normalized(stack: np.ndarray) -> np.ndarray:
     int64 when every entry is below 2^62 in absolute value and Python
     integers (object) otherwise: the form a family grid is kept and
     compared in."""
-    stack = stack[:, :int(_ranks(stack).max(initial=0))]
-    return stack.astype(np.int64 if _max_abs(stack) < _INT64_SAFE else object, copy=False)
+    return _int_array(stack[:, :int(_ranks(stack).max(initial=0))])
 
 
 def _echelon_grid(count: int, dim: int, echelons: dict) -> np.ndarray:
@@ -217,11 +216,11 @@ def _echelon_grid(count: int, dim: int, echelons: dict) -> np.ndarray:
     return grid
 
 
-def _int_array(values: list) -> np.ndarray:
-    """Integers, or equal-length rows of them, as an int64 array when every
-    |v| < 2^62 and as Python integers (object) otherwise."""
-    array = np.array(values, dtype=object)
-    return array if _max_abs(array) >= _INT64_SAFE else array.astype(np.int64)
+def _int_array(values) -> np.ndarray:
+    """Integers, equal-length rows of them or an integer array, as an int64
+    array when every |v| < 2^62 and as Python integers (object) otherwise."""
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    return array.astype(np.int64 if _max_abs(array) < _INT64_SAFE else object, copy=False)
 
 
 def _lattice_points(radius: int, N: int) -> np.ndarray:
@@ -304,7 +303,7 @@ class _ActionTable:
         # the monomials r_a r_b, one column per pair (a, b)
         left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         coef = (self.offsets[:, left] * self.offsets[:, right]).astype(dtype)
-        self.pt = np.einsum("gk,kij->gji", coef, T)
+        self.pt = _int_array(np.einsum("gk,kij->gji", coef, T))
         self.max_p = _int_array(np.abs(self.pt).reshape(len(self.gens), -1).max(axis=1).tolist())
 
         l_alpha = [int(a * L) for a in p.alpha]
@@ -383,71 +382,56 @@ def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
 
 class _GradeState:
     """A family on a box's grades (by gid), as a sweep screens images with
-    it: each grade's annihilator rows, zero-padded to dim x dim in int64
-    (the identity at an empty grade), which grades are ``full``, and which
-    are ``exact``: there the annihilator overflows int64, so the screen is
-    skipped and every image is a candidate to re-test on the grade's
-    echelon, kept in ``echelons``.
+    it: each grade's annihilator rows, zero-padded to dim x dim (the
+    identity at an empty grade), and which grades are ``full``.  The
+    annihilators are int64 until one leaves it (``of_grid``: until an entry
+    reaches 2^62), and Python integers (object) from then on.
 
-    The exact engine sets one grade at a time (``set``, which keeps every
-    grade's echelon); the enumeration builds the state of a whole family
-    at once (``of_grid``)."""
+    The exact engine sets one grade at a time (``set``); the enumeration
+    builds the state of a whole family at once (``of_grid``)."""
 
-    def __init__(self, count: int, dim: int):
+    def __init__(self, count: int, dim: int, dtype=np.int64):
         self.dim = dim
-        self.echelons: dict = {}
-        self.a_pad = np.zeros((count, dim, dim), dtype=np.int64)
-        self.a_pad[:] = np.eye(dim, dtype=np.int64)
+        self.a_pad = np.tile(np.eye(dim, dtype=dtype), (count, 1, 1))
         self.full = np.zeros(count, dtype=bool)
-        self.exact = np.zeros(count, dtype=bool)
 
     @classmethod
     def of_grid(cls, grid: np.ndarray) -> "_GradeState":
         """The state of the family whose echelon rows at every gid are
         ``grid`` (count x m x dim, as ``TruncatedModule.grade_rows`` gives
         them): the annihilators of all its nonzero grades from one
-        ``_annihilator_stack``, and echelons at the exact grades only."""
+        ``_annihilator_stack``."""
         count, _, dim = grid.shape
         ranks = _ranks(grid)
         held = np.flatnonzero(ranks > 0)
-        ann = _annihilator_stack(grid[held])
-        state = cls(count, dim)
-        if ann.dtype == object:
-            exact = ((ann > 2 ** 63 - 1) | (ann < -2 ** 63)).any(axis=(1, 2))
-            ann[exact] = 0
-            state.exact[held] = exact
+        ann = _int_array(_annihilator_stack(grid[held]))
+        state = cls(count, dim, ann.dtype)
         state.a_pad[held] = ann
         state.full = ranks == dim
-        state.echelons = {gid: _IntEchelon.of_echelon(dim, grid[gid])
-                          for gid in np.flatnonzero(state.exact).tolist()}
         return state
 
     def set(self, gid: int, echelon: _IntEchelon):
         """Make ``echelon`` the space at grade ``gid``."""
-        self.echelons[gid] = echelon
-        self.a_pad[gid] = 0
+        ann = _annihilator(echelon.rows, echelon.pivots, self.dim)
+        ann += [(0,) * self.dim] * (self.dim - len(ann))
         try:
-            ann = _annihilator(echelon.rows, echelon.pivots, self.dim)
-            if ann:
-                self.a_pad[gid, :len(ann)] = ann
-            self.exact[gid] = False
+            self.a_pad[gid] = ann
         except OverflowError:
-            self.a_pad[gid] = 0
-            self.exact[gid] = True
+            self.a_pad = self.a_pad.astype(object)
+            self.a_pad[gid] = ann
         self.full[gid] = echelon.dim == self.dim
 
     def candidates(self, tgt: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Indices of the images ``y`` that may lie outside the spaces at
-        their target gids ``tgt``: a nonzero annihilator residual, or an
-        exact target."""
+        """Indices of the images ``y`` that lie outside the spaces at their
+        target gids ``tgt``: a nonzero annihilator residual."""
         ann = self.a_pad[tgt]
         max_a = _max_abs(ann)
         max_y = int(np.abs(y).max()) if y.dtype == np.int64 and y.size else 0
         if y.dtype == np.int64 and ann.shape[-1] * max_a * max_y < _INT64_SAFE:
-            res = np.einsum("rad,rd->ra", ann, y)
+            res = np.einsum("rad,rd->ra", ann.astype(np.int64, copy=False), y)
         else:
             res = np.einsum("rad,rd->ra", ann.astype(object), y.astype(object))
-        return np.flatnonzero(np.any(res != 0, axis=1) | self.exact[tgt])
+        return np.flatnonzero(np.any(res != 0, axis=1))
 
 
 def _seed_key(gv: GradedVector) -> tuple:
@@ -476,13 +460,18 @@ _SCREEN_PRIME = 134217689
 _SCREEN_BATCH = 2 ** 15
 
 
+def _modulus_cap(dim: int) -> int:
+    """The largest m <= _SCREEN_PRIME with (dim+1)(m-1)^2 < 2^63, the
+    bound on an image x @ pt + c x or a reduction v @ P of entries in
+    [0, m)."""
+    return min(_SCREEN_PRIME, isqrt((2 ** 63 - 1) // (dim + 1)) + 1)
+
+
 def _spin_prime(dim: int, L: int) -> int:
-    """The largest prime p <= _SCREEN_PRIME that does not divide L (there
-    every generator is a scalar mod p; the engine passes L times its
-    nonzero L alpha_i) and keeps (dim+1)(p-1)^2 < 2^63,
-    the bound on an image x @ pt + c x or a reduction v @ P of entries in
-    [0, p).  Primality is tested only below _SCREEN_PRIME."""
-    p = min(_SCREEN_PRIME, isqrt((2 ** 63 - 1) // (dim + 1)) + 1)
+    """The largest prime p <= ``_modulus_cap(dim)`` that does not divide L
+    (there every generator is a scalar mod p; the engine passes L times its
+    nonzero L alpha_i).  Primality is tested only below _SCREEN_PRIME."""
+    p = _modulus_cap(dim)
     while L % p == 0 or (p < _SCREEN_PRIME and not _is_prime(p)):
         p -= 1
     return p
@@ -1029,9 +1018,10 @@ class _ClosureEngine:
         """{grade: _IntEchelon} of the closure, nonzero grades only."""
         idx = self.index
         state = _GradeState(idx.count, self.dim)
+        echelons: dict = {}
 
         def insert(gid: int, rows) -> list:
-            ech = state.echelons.get(gid) or _IntEchelon(self.dim)
+            ech = echelons.setdefault(gid, _IntEchelon(self.dim))
             new_rows = [r for r in (ech.insert(row) for row in rows) if r is not None]
             if new_rows:
                 state.set(gid, ech)
@@ -1059,7 +1049,7 @@ class _ClosureEngine:
 
         return {
             tuple(int(v) for v in idx.coords[gid]): ech
-            for gid, ech in sorted(state.echelons.items())
+            for gid, ech in sorted(echelons.items())
         }
 
     def run_grid(self, seeds: list) -> np.ndarray:
@@ -1102,7 +1092,9 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     ``_grid_walk`` and ``_sweep_walk``; ``_takes_grid`` picks one.  Both
     read the family as one grid, its rows at every grade of the box in gid
     order (``TruncatedModule.grade_rows``), and the state is built from
-    that grid at once (``_GradeState.of_grid``)."""
+    that grid at once (``_GradeState.of_grid``).  Every residual is exact
+    in int64 or decided by its residues (``_residue_moduli``), so neither
+    walk does arithmetic on Python integers."""
     p, box = family.params, family.box
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
@@ -1116,9 +1108,9 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     failures = []
     failing = 0
     if len(src_gids):
-        fits = _fits_int64(table, state, grid)
-        if _takes_grid(fits, table, idx, src_gids, engine.dim):
-            walk = _grid_walk(table, idx, state, grid, np.int64 if fits else object)
+        moduli = _residue_moduli(table, state, grid)
+        if _takes_grid(moduli, table, idx, src_gids, engine.dim):
+            walk = _grid_walk(table, idx, state, grid, moduli)
         else:
             walk = _sweep_walk(table, idx, state, grid[src_gids, slots], src_gids)
         for gid, j, witness in walk:
@@ -1141,28 +1133,35 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     }
 
 
-def _fits_int64(table: _ActionTable, state: _GradeState, x_rows: np.ndarray) -> bool:
-    """Whether every image and residual of the enumeration of the rows
-    ``x_rows`` (any array of them, zero rows aside) is bounded below 2^62:
-    the bound of ``_images`` and of ``_GradeState.candidates``, taken over
-    the whole table, box and state."""
-    if not (x_rows.dtype == table.pt.dtype == table.l_alpha.dtype == np.int64
-            and table.c_small.all()):
-        return False
-    max_x = int(np.abs(x_rows).max())
-    max_y = (state.dim * int(table.max_p.max()) + table.max_c) * max_x
-    max_a = _max_abs(state.a_pad)
-    return max_y < _INT64_SAFE and state.dim * max_a * max_y < _INT64_SAFE
+def _residue_moduli(table: _ActionTable, state: _GradeState, grid: np.ndarray) -> list:
+    """The moduli the walks over the rows of ``grid`` run on.
+
+    B = dim max|A| (dim max_p + max_c) max|x|, over the whole table, box
+    and state, bounds every entry of every residual A_t y; the last three
+    factors bound each image y = x pt + c x, and max|A| is taken as at
+    least 1, so B bounds the images too.  Below 2^62 there are no moduli:
+    the walks run exactly in int64.  Otherwise the moduli are pairwise
+    coprime, each m <= ``_modulus_cap(dim)`` and so exact in int64 on
+    residues in [0, m), and their product exceeds B: greedily downward,
+    every m coprime to the product so far (a gcd, not a primality test).
+    A residual z with |z| <= B that is 0 mod every modulus is then 0
+    (Chinese remaindering)."""
+    max_y = (state.dim * int(table.max_p.max()) + table.max_c) * _max_abs(grid)
+    bound = state.dim * max(_max_abs(state.a_pad), 1) * max_y
+    moduli, m = [], _modulus_cap(state.dim)
+    while bound >= _INT64_SAFE and prod(moduli) <= bound:
+        if gcd(m, prod(moduli)) == 1:
+            moduli.append(m)
+        m -= 1
+    return moduli
 
 
-def _takes_grid(fits: bool, table: _ActionTable, idx: _GradeIndex,
+def _takes_grid(moduli: list, table: _ActionTable, idx: _GradeIndex,
                 src_gids: np.ndarray, dim: int) -> bool:
-    """The grid walk when the enumeration stays in int64 (``fits``) and a
-    generator's in-box rows fill, on average, at least half a ``_sweep``
-    chunk; the sweep otherwise, where the grid would spend its per-generator
-    products on padding and empty grades."""
-    if not fits:
-        return False
+    """The grid walk when it runs on residues (``moduli``) or a generator's
+    in-box rows fill, on average, at least half a ``_sweep`` chunk; the
+    sweep for the sparser int64 families, where the grid would spend its
+    per-generator products on padding and empty grades."""
     R = idx.R
     Rg = int(table.offsets.max())
     # per coordinate s_a: the offsets r_a in [-Rg, Rg] with |s_a + r_a| <= R
@@ -1171,7 +1170,7 @@ def _takes_grid(fits: bool, table: _ActionTable, idx: _GradeIndex,
     # (row, generator r != 0) pairs whose target stays in the box
     pairs = int((span[idx.coords[src_gids] + R].prod(axis=1) - 1).sum())
     chunk = max(1, _SWEEP_BATCH // max(dim * dim, idx.N))
-    return 2 * pairs >= chunk * len(table.offsets)
+    return bool(moduli) or 2 * pairs >= chunk * len(table.offsets)
 
 
 def _sweep_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
@@ -1179,23 +1178,27 @@ def _sweep_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     """The failing (source gid, generator index, witness row) of the rows
     ``x_rows`` at ``src_gids``, through ``_sweep``: generator-major, then in
     row order, each pair once, at its first row whose image is a candidate
-    (``_GradeState.candidates``) and, at an exact target, not in the
-    target's echelon."""
+    (``_GradeState.candidates``).  Taken only where ``_residue_moduli``
+    gives none, so images and residuals are int64."""
     bad_pairs = set()
     for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=state.full):
         for c in state.candidates(tgt, y):
-            row, ridx, gid = int(i[c]), int(j[c]), int(tgt[c])
-            pair = (int(src_gids[row]), ridx)
-            if pair in bad_pairs:
-                continue
-            if state.exact[gid] and state.echelons[gid].contains(y[c]):
-                continue
-            bad_pairs.add(pair)
-            yield pair[0], ridx, x_rows[row]
+            pair = (int(src_gids[i[c]]), int(j[c]))
+            if pair not in bad_pairs:
+                bad_pairs.add(pair)
+                yield *pair, x_rows[i[c]]
+
+
+def _residuals(x: np.ndarray, pt: np.ndarray, c: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+    """The residuals y @ a of the images y = x @ pt + c x, summed in int64
+    with pt and c: exact when m is 0, and mod m when x, pt and a are residues
+    in [0, m) (c is reduced here), each sum below (dim+1)(m-1)^2 < 2^63."""
+    y = x @ pt + (c % m if m else c) * x
+    return (y % m) @ a % m if m else y @ a
 
 
 def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
-               grid: np.ndarray, dtype):
+               grid: np.ndarray, moduli: list):
     """``_sweep_walk``'s failing pairs, in its order, from the box grid.
 
     ``grid`` holds each grade's rows at its gid, zero-padded to the largest
@@ -1204,26 +1207,26 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     shifted by r, both views; the images are one product with the
     generator's matrix plus c x, and the residuals one product with the
     annihilators of ``state`` on the target slice.  A padding row is zero
-    and passes.  Rows at an exact target are re-tested on its echelon.
-    Arithmetic is in ``dtype``: int64 where ``_fits_int64`` holds, Python
-    integers (object) otherwise.  The grid holds count x m x dim elements,
-    and each generator's transients a few arrays of its slice's grades x m
-    x dim.
+    and passes.  Without ``moduli`` this runs once, exactly in int64;
+    otherwise once per modulus on residues (grid and annihilators reduced up
+    front), and a row fails where any modulus sees a nonzero residual, ORed
+    before each pair takes its first failing row.  The k int32 reduced grids
+    hold k x count x (m + dim) x dim residues, and each generator's
+    transients, one modulus at a time, a few arrays of slice grades x m x dim.
     """
     dim, side = state.dim, idx.side
     shape = (side,) * idx.N
-    x_grid = grid.astype(dtype, copy=False)
-    X = x_grid.reshape(shape + x_grid.shape[1:])
-    A = state.a_pad.astype(dtype, copy=False).reshape(shape + (dim, dim)).swapaxes(-1, -2)
-    s_l = (idx.coords.astype(dtype) * table.L + table.l_alpha.astype(dtype)).reshape(
-        shape + (idx.N,))
-    pt = table.pt.astype(dtype, copy=False)
-    bars = table.bars.astype(dtype, copy=False)
+    layers = []
+    for mod in moduli or [0]:
+        X, A, l_alpha, pt = (np.asarray(np.mod(a, mod) if mod else a, dtype=np.int64)
+                             for a in (grid, state.a_pad, table.l_alpha, table.pt))
+        if mod:  # in half the memory; their products with pt still form in int64
+            X, A = X.astype(np.int32), A.astype(np.int32)
+        s_l = idx.coords * (table.L % mod if mod else table.L) + l_alpha
+        layers.append((mod, X.reshape(shape + grid.shape[1:]),
+                       A.reshape(shape + (dim, dim)).swapaxes(-1, -2),
+                       s_l.reshape(shape + (idx.N,)), pt))
     gid_grid = np.arange(idx.count).reshape(shape)
-    # grades holding rows whose targets are re-tested on their echelons
-    exact = state.exact.reshape(shape)
-    retest = state.exact.any()
-    n_rows = _ranks(grid)
     # per generator and axis: the grades s with s and s + r in the box run
     # from neg to side - pos, their targets from pos to side - neg
     pos = np.maximum(table.offsets, 0)
@@ -1232,22 +1235,19 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     for j, (s0, s1, t0, t1) in enumerate(bounds):
         src = tuple(map(slice, s0, s1))
         tgt = tuple(map(slice, t0, t1))
-        x = X[src]
-        y = x @ pt[j] + (s_l[src] @ bars[j])[..., None, None] * x
-        res = y @ A[tgt]
-        if not (retest or res.any()):
+        bad = False
+        for mod, X, A, s_l, pt in layers:
+            c = (s_l[src] @ table.bars[j])[..., None, None]
+            res = _residuals(X[src], pt[j], c, A[tgt], mod)
+            if res.any():
+                bad = bad | res.any(axis=-1)
+        if bad is False:
             continue
-        bad = res.any(axis=-1).reshape(-1, x.shape[-2])
+        bad = bad.reshape(-1, bad.shape[-1])
         gids = gid_grid[src].ravel()
-        if retest:
-            y = y.reshape(bad.shape + (dim,))
-            for k in np.flatnonzero(exact[tgt].ravel() & (n_rows[gids] > 0)).tolist():
-                ech = state.echelons[int(gid_grid[tgt].flat[k])]
-                for m in range(n_rows[gids[k]]):
-                    bad[k, m] = not ech.contains(y[k, m])
         fail = np.flatnonzero(bad.any(axis=1))
-        for k, m in zip(fail.tolist(), bad[fail].argmax(axis=1).tolist()):
-            yield int(gids[k]), j, x_grid[gids[k], m]
+        for k, r in zip(fail.tolist(), bad[fail].argmax(axis=1).tolist()):
+            yield int(gids[k]), j, grid[gids[k], r]
 
 
 def _family_params(family: TruncatedModule, gens: GeneratorSet) -> dict:

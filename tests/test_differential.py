@@ -41,7 +41,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from unittest import mock
 
 import numpy as np
@@ -290,22 +290,40 @@ def _naive_pairs(box, gens) -> int:
                for s in box.grades() for r in gens.vectors())
 
 
-# alpha denominators of the enumeration tests
-ENUM_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
+# alpha denominators of the enumeration tests; the last two make L a
+# multiple of the first residue moduli (``_residue_moduli``)
+ENUM_DENOMINATORS = (1, 7, 2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40, _SCREEN_PRIME,
+                     _SCREEN_PRIME * (_SCREEN_PRIME - 1))
 
 
 def _each_walk(family, gens) -> list:
     """The enumeration reports of ``family`` with the grid walk forced and
-    then the sweep forced, asserting that the forced walk ran."""
+    then the sweep forced, asserting that the forced walk ran.  The sweep
+    runs only in int64, so a family past the int64 bound (one that
+    ``_residue_moduli`` gives moduli) takes the grid both times."""
     reports = []
     for grid in (True, False):
-        with mock.patch.object(submodules, "_takes_grid", return_value=grid), \
+        moduli = []
+        with mock.patch.object(submodules, "_takes_grid",
+                               side_effect=lambda m, *a: moduli.append(m) or grid or bool(m)), \
                 mock.patch.object(submodules, "_grid_walk", wraps=submodules._grid_walk) as g, \
                 mock.patch.object(submodules, "_sweep_walk", wraps=submodules._sweep_walk) as w:
             reports.append(_enumerate_invariance(family, gens))
         rows = any(family.int_basis(t).rows for t in family.box.grades())
-        assert (g.called, w.called) == ((grid, not grid) if rows else (False, False))
+        took_grid = grid or any(moduli)
+        assert (g.called, w.called) == ((took_grid, not took_grid) if rows else (False, False))
     return reports
+
+
+def _moduli_taken(family, gens) -> list:
+    """The residue moduli of the enumeration of ``family``: none when it
+    runs in int64."""
+    taken = []
+    choose = submodules._residue_moduli
+    with mock.patch.object(submodules, "_residue_moduli",
+                           side_effect=lambda *a: taken.append(choose(*a)) or taken[-1]):
+        _enumerate_invariance(family, gens)
+    return taken[0]
 
 
 def _assert_walks_match_naive(family, gens):
@@ -514,13 +532,14 @@ def test_grade_state_screen_bounds_minus_2_63_exactly():
     ech = _IntEchelon.of_rows(3, [(1, 0, 2 ** 61), (0, 4, 1)])
     state = _GradeState(1, 3)
     state.set(0, ech)
-    # the same grade through the whole-family state: its annihilator is
-    # made in Python integers (4 * 2^61 passes 2^62) and still fits int64
+    assert state.a_pad.dtype == np.int64
+    # the same grade through the whole-family state, which keeps it in
+    # Python integers (past 2^62)
     grid_state = _GradeState.of_grid(np.array([ech.rows], dtype=np.int64))
-    assert list(grid_state.a_pad[0, 0]) == [-2 ** 63, -1, 4]
+    assert grid_state.a_pad.dtype == object
     y = np.array([[-2, 0, 0], [0, -8, -2]], dtype=np.int64)
     for state in (state, grid_state):
-        assert not state.exact[0] and not ech.contains((-2, 0, 0))
+        assert list(state.a_pad[0, 0]) == [-2 ** 63, -1, 4] and not ech.contains((-2, 0, 0))
         assert list(state.candidates(np.array([0, 0]), y)) == [0]
 
 
@@ -528,9 +547,9 @@ def test_grade_state_screen_bounds_minus_2_63_exactly():
 @given(data=st.data())
 def test_enumeration_of_big_integer_family_matches_naive(data):
     # each grade holds nothing, its delta1 line (pairs between two lines pass
-    # through the annihilator screen) or a span of entries >= 2^63 (object
-    # rows and, where the annihilator overflows int64, the exact re-test)
-    # or the line of another grade; each walk runs in turn
+    # through the annihilator screen) or a span of entries >= 2^63 (rows
+    # and, often, annihilators past int64, so the residue walk) or the
+    # line of another grade; each walk runs in turn
     p = ModuleParams(_alpha(data, 2, ENUM_DENOMINATORS), (0, 0), _rep(1, "natural"))
     box, gens = Box(1, 2), GeneratorSet(1, 2)
     spaces = {}
@@ -550,12 +569,13 @@ def test_enumeration_of_big_integer_family_matches_naive(data):
 def test_walks_retest_exact_grades():
     # grade (1, 0) holds the span of (2^63, 3^41), whose annihilator
     # overflows int64, and grade (0, 0) all of V.  At alpha = 0, H_r with
-    # r = (1, 0) maps e_0 to 0, which passes the exact re-test, and e_1 to
-    # a multiple of r, which fails it: the witness is the second row
+    # r = (1, 0) maps e_0 to 0, which passes on its residues, and e_1 to a
+    # multiple of r, which fails on them: the witness is the second row
     p = ModuleParams((0, 0), (0, 0), _rep(1, "natural"))
     box, gens = Box(1, 2), GeneratorSet(1, 2)
     family = _family(p, box, {(0, 0): Subspace.from_vectors([[1, 0], [0, 1]], 2),
                               (1, 0): Subspace.from_vectors([[2 ** 63, 3 ** 41]], 2)})
+    assert len(_moduli_taken(family, gens)) >= 1
     _assert_walks_match_naive(family, gens)
     failures = _enumerate_invariance(family, gens)["failures"]
     assert {"grade": [0, 0], "generator": [1, 0], "witness": ["0", "1"]} in failures
@@ -564,8 +584,8 @@ def test_walks_retest_exact_grades():
 def test_int64_grid_walk_retests_exact_grades():
     # sym:2 at n=1: the span of (p1, 0, 1) and (0, p2, 1), p1 = 2^31 - 1 and
     # p2 = 2^32 + 15, has the annihilator (-p2, -p1, p1 p2) with p1 p2 > 2^63,
-    # while its rows keep every image and residual inside int64; grade
-    # (-1, 0) holds all of V, so its images are re-tested there
+    # while its rows are small; grade (-1, 0) holds all of V, so its images
+    # under r = (1, 0) are tested at (0, 0) on their residues
     p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "sym:2"))
     box, gens = Box(1, 2), GeneratorSet(1, 2)
     p1, p2 = 2 ** 31 - 1, 2 ** 32 + 15
@@ -573,20 +593,98 @@ def test_int64_grid_walk_retests_exact_grades():
                               (0, 0): Subspace.from_vectors([[p1, 0, 1], [0, p2, 1]], 3)})
     engine = _ClosureEngine(p, box, gens)
     state = _GradeState(engine.index.count, 3)
-    rows = []
     for gid in np.flatnonzero(_ranks(family.grade_rows())).tolist():
-        g = tuple(engine.index.coords[gid].tolist())
-        state.set(gid, family.int_basis(g))
-        rows += family.int_basis(g).rows
-    assert state.exact[engine.index.encode_one((0, 0))]
-    assert submodules._fits_int64(engine.table, state, submodules._int_array(rows))
+        state.set(gid, family.int_basis(tuple(engine.index.coords[gid].tolist())))
+    gid = engine.index.encode_one((0, 0))
+    assert state.a_pad.dtype == object and list(state.a_pad[gid, 0]) == [-p2, -p1, p1 * p2]
     # the same family through the whole-family state the enumeration builds
     grid = family.grade_rows(engine.index.coords)
     grid_state = _GradeState.of_grid(grid)
-    assert grid_state.exact[engine.index.encode_one((0, 0))]
-    assert submodules._fits_int64(engine.table, grid_state, grid)
-    assert list(np.flatnonzero(grid_state.exact)) == list(np.flatnonzero(state.exact))
+    assert grid.dtype == np.int64 and grid_state.a_pad.dtype == object
+    assert (grid_state.a_pad == state.a_pad).all()
+    assert len(_moduli_taken(family, gens)) >= 1
     _assert_walks_match_naive(family, gens)
+
+
+def _first_moduli(count: int) -> list:
+    """The first ``count`` residue moduli at dim 1: greedily down from the
+    cap, each coprime to those before it."""
+    first, m = [], submodules._modulus_cap(1)
+    while len(first) < count:
+        first += [m] if gcd(m, prod(first)) == 1 else []
+        m -= 1
+    return first
+
+
+def _trivial_lines(a: int, empty: set):
+    """The trivial rep at n=1, alpha = (a/(a+1), 0), box and generators of
+    radius 1, the line at every grade but those in ``empty``, and its
+    generators.  A pair into an empty grade fails exactly when its scalar
+    z = (sL + L alpha) . bar r is nonzero; along r = (0, 1), z = s_1 L + a.
+    The bound on z is 2(L + a) = 4a + 2."""
+    p = ModuleParams((F(a, a + 1), 0), (0, 0), _rep(1, "trivial"))
+    box = Box(1, 2)
+    family = _family(p, box, {g: Subspace.from_vectors([[1]], 1)
+                              for g in box.grades() if g not in empty})
+    return family, GeneratorSet(1, 2)
+
+
+def test_residues_one_modulus_short_miss_a_failure():
+    # a = M, the product of the first three moduli: 4M + 2 is below M times
+    # the fourth, so four moduli are taken; from s = (0, 0) along r = (0, 1)
+    # into the empty grade (0, 1), z = M, a nonzero multiple of the first
+    # three, so a list one modulus short passes that pair
+    first = _first_moduli(4)
+    family, gens = _trivial_lines(prod(first[:3]), {(0, 1)})
+    assert _moduli_taken(family, gens) == first
+    want = (_naive_passes(family, gens), _naive_failures(family, gens))
+    missed = {"grade": [0, 0], "generator": [0, 1], "witness": ["1"]}
+    assert missed in want[1]
+    for report in _each_walk(family, gens):
+        assert (report["passes"], report["failures"]) == want
+    choose = submodules._residue_moduli
+    with mock.patch.object(submodules, "_residue_moduli", lambda *a: choose(*a)[:-1]):
+        short = _enumerate_invariance(family, gens)
+    assert short["passes"] == want[0] + 1
+    assert short["failures"] == [f for f in want[1] if f != missed]
+
+
+def test_residue_walk_ors_the_moduli():
+    # a = m1 m2 m4 takes the same four moduli.  Along r = (0, 1), the pair
+    # from (0, 0) has z = a, nonzero mod m3 only, and the pair from (1, 0)
+    # has z = 2a + 1, nonzero mod m4: a walk that let the last modulus's
+    # mask stand for all of them would pass the first pair
+    first = _first_moduli(4)
+    family, gens = _trivial_lines(first[0] * first[1] * first[3], {(0, 1), (1, 1)})
+    assert _moduli_taken(family, gens) == first
+    want = _naive_failures(family, gens)
+    assert {"grade": [0, 0], "generator": [0, 1], "witness": ["1"]} in want
+    for report in _each_walk(family, gens):
+        assert (report["passes"], report["failures"]) == (_naive_passes(family, gens), want)
+
+
+def test_residuals_stay_in_int64_at_the_largest_modulus():
+    # at dim 511, the largest with _SCREEN_PRIME as the modulus cap, image
+    # sums of entries m - 1 reach (dim+1)(m-1)^2, just below 2^63: every
+    # residual must equal the Python-integer one.  Rows and annihilators
+    # are int32, as the grid walk holds them, and pt and c int64
+    dim = 511
+    m = submodules._modulus_cap(dim)
+    assert m == _SCREEN_PRIME and (dim + 1) * (m - 1) ** 2 < 2 ** 63 <= (dim + 2) * (m - 1) ** 2
+    rng = np.random.default_rng(27)
+    x = np.full((2, dim), m - 1, dtype=np.int32)
+    x[1] = rng.integers(m - 1000, m, dim)
+    pt = np.full((dim, dim), m - 1, dtype=np.int64)
+    a = np.full((dim, dim), m - 1, dtype=np.int32)
+    a[:, 1] = rng.integers(m - 1000, m, dim)
+    c = np.array([[m - 1], [m - 2]], dtype=np.int64)
+    got = submodules._residuals(x, pt, c, a, m)
+    X, P, A = x.tolist(), pt.tolist(), a.tolist()
+    for i in range(2):
+        y = [(sum(X[i][k] * P[k][e] for k in range(dim)) + int(c[i, 0]) * X[i][e]) % m
+             for e in range(dim)]
+        assert got[i].tolist() == [sum(y[k] * A[k][e] for k in range(dim)) % m
+                                   for e in range(dim)]
 
 
 @settings(max_examples=8, deadline=None)

@@ -9,7 +9,8 @@ take the probe's reuse of a known family, ``ENUMERATE_GOLDEN`` two
 enumeration checks that take the grid walk, ``ENUMERATE_EDGE_GOLDEN``
 five enumeration checks on the edges of the family build,
 ``PROBE_EDGE_GOLDEN`` seven probes on the edges of the probe's family grid,
-and ``N3_PROBE_GOLDEN`` one PROPER probe at n=3.
+``N3_PROBE_GOLDEN`` one PROPER probe at n=3, and ``RESIDUE_GOLDEN`` an
+enumeration and a probe at n=3 whose residuals pass int64.
 """
 
 import hashlib
@@ -120,6 +121,18 @@ N3_PROBE_ARGV = [
 
 N3_PROBE_GOLDEN = "113d2af4c79219a74e60e8f77de105df5a7dbc2841f5fb37fa415c0a419203bd"
 
+# An enumeration and a probe at n=3 whose residuals pass int64, so the
+# enumeration decides them on residues; hashed from the walks on Python
+# integers with echelon re-tests at the grades whose annihilator overflows
+RESIDUE_ARGV = [
+    ["submodule-check", "delta1", "--n", "3", "--rep", "natural",
+     f"--alpha=0,0,0,5/{2 ** 61 - 1},0,0", "--box", "1", "--gens", "1", "--method", "enumerate"],
+    ["probe", "--n", "3", "--rep", "natural", "--alpha=1/134217689,-2,0,-1/7,2,0", "--box", "1",
+     "--gens", "1"],
+]
+
+RESIDUE_GOLDEN = "f36e6e8ae2ed8ee4f2e784bf7a66642e36cbc89c22444c49c7416d4b8d83bd38"
+
 
 def _digest(tmp_path, argvs=ARGV) -> str:
     h = hashlib.sha256()
@@ -156,3 +169,7 @@ def test_probe_edge_report_bytes_match_golden(tmp_path):
 
 def test_n3_probe_report_bytes_match_golden(tmp_path):
     assert _digest(tmp_path, N3_PROBE_ARGV) == N3_PROBE_GOLDEN
+
+
+def test_residue_report_bytes_match_golden(tmp_path):
+    assert _digest(tmp_path, RESIDUE_ARGV) == RESIDUE_GOLDEN

@@ -296,7 +296,8 @@ def test_probe_rechecks_on_its_own_action_table(monkeypatch):
 
 # One argv per benchmark shape that runs an enumeration, with the walk it
 # must take: the grid where a generator's in-box rows fill half a sweep
-# chunk, the sweep for one-row families, n=1 probe closures and q = 2^61-1
+# chunk or the residuals pass int64 (q = 2^31-1 and 2^61-1), the sweep for
+# one-row families and n=1 probe closures
 _ENUM = ["--method", "enumerate"]
 WALK_SHAPES = [
     (["submodule-check", "deltak", "--n", "2", "--rep", "fundamental:2", "--alpha=1/3,0,0,0",
@@ -316,11 +317,11 @@ WALK_SHAPES = [
     (["probe", "--n", "1", "--rep", "natural", "--alpha=-3/7,0", "--box", "6", "--gens", "2"],
      False),
     (["probe", "--n", "1", "--rep", "natural", "--alpha=0,-17/2147483647", "--box", "6",
-      "--gens", "2"], False),
+      "--gens", "2"], True),
     (["submodule-check", "delta1", "--n", "2", "--rep", "natural",
-      "--alpha=0,-2/2305843009213693951,0,0", "--box", "2", "--gens", "1"] + _ENUM, False),
+      "--alpha=0,-2/2305843009213693951,0,0", "--box", "2", "--gens", "1"] + _ENUM, True),
     (["probe", "--n", "1", "--rep", "natural", "--alpha=5/2305843009213693951,0", "--box", "3",
-      "--gens", "1"], False),
+      "--gens", "1"], True),
 ]
 
 
