@@ -6,6 +6,9 @@ invariance checker has two modes: direct enumeration over (grade,
 generator) pairs, batched through integer matrix arithmetic, and a
 certificate mode for the explicitly built families that verifies a small
 set of polynomial identities implying invariance at every grade at once.
+One exact closure serves ``closure`` and the probe: a family inside the
+closure grows by the exact images of the pairs that the enumeration's own
+walks find failing, until none fails.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .linalg import (
     ONE,
     _INT64_SAFE,
     _IntEchelon,
-    _annihilator,
     _annihilator_stack,
     _echelon_stack,
     _int_row,
@@ -216,6 +218,26 @@ def _echelon_grid(count: int, dim: int, echelons: dict) -> np.ndarray:
     return grid
 
 
+def _grid_with_rows(grid: np.ndarray, gids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The normalized grid (``_normalized``) of the family ``grid`` with the
+    integer ``rows`` added at their ``gids``, by one ``_echelon_stack`` over
+    the touched grades: each its rows, then its new ones, zero-padded to the
+    largest group (no grade's new echelon is shorter than its old one)."""
+    order = np.argsort(gids, kind="stable")
+    touched, first, counts = np.unique(gids[order], return_index=True, return_counts=True)
+    m, dim = grid.shape[1:]
+    pad = np.zeros((len(touched), m + counts.max(), dim), dtype=np.result_type(grid, rows))
+    pad[:, :m] = grid[touched]
+    pad[np.repeat(np.arange(len(touched)), counts),
+        m + np.arange(len(gids)) - np.repeat(first, counts)] = rows[order]
+    ech = _normalized(_echelon_stack(pad))
+    grid = np.concatenate([grid, np.zeros((len(grid), max(0, ech.shape[1] - m), dim),
+                                          dtype=grid.dtype)], axis=1)
+    grid = grid.astype(np.result_type(grid, ech), copy=False)
+    grid[touched, :ech.shape[1]] = ech
+    return _normalized(grid)
+
+
 def _int_array(values) -> np.ndarray:
     """Integers, equal-length rows of them or an integer array, as an int64
     array when every |v| < 2^62 and as Python integers (object) otherwise."""
@@ -346,54 +368,17 @@ def _images(table: _ActionTable, src: np.ndarray, x: np.ndarray, j: np.ndarray) 
     return np.einsum("cd,cde->ce", xo, pt.astype(object)) + c.astype(object)[:, None] * xo
 
 
-def _sweep(table: _ActionTable, idx: _GradeIndex, src_gids: np.ndarray,
-           x_rows: np.ndarray, closed: np.ndarray):
-    """Every (row, generator) pair whose target grade is in the box and not
-    ``closed``, generator-major and then in row order, as chunks
-    (i, j, tgt, y): row indices, generator indices, target gids and the
-    exact images (``_images``) of the rows at their source grades.
-
-    ``closed`` is read as each chunk is formed, so a target the consumer
-    closes meanwhile is skipped from the next chunk on.  Generators go in
-    blocks whose in-box mask has at most about _SWEEP_BATCH elements, and
-    a chunk holds at most _SWEEP_BATCH // max(dim^2, N) pairs, so its
-    gathered generator matrices stay within _SWEEP_BATCH elements too.
-    """
-    n_rows, dim = x_rows.shape
-    n_gens, N = table.offsets.shape
-    src = idx.coords[src_gids]
-    # a target's gid is its source's gid plus the generator's code
-    codes = table.offsets @ idx.weights
-    block = max(1, _SWEEP_BATCH // n_rows)
-    chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
-    for j0 in range(0, n_gens, block):
-        jj, ii = np.nonzero(idx.steps_in_box(src, table.offsets[j0:j0 + block]).T)
-        jj += j0
-        tt = src_gids[ii] + codes[jj]
-        for c0 in range(0, len(ii), chunk):
-            i, j, tgt = ii[c0:c0 + chunk], jj[c0:c0 + chunk], tt[c0:c0 + chunk]
-            keep = ~closed[tgt]
-            if not keep.all():
-                i, j, tgt = i[keep], j[keep], tgt[keep]
-                if not len(i):
-                    continue
-            yield i, j, tgt, _images(table, src[i], x_rows[i], j)
-
-
+@dataclass(frozen=True)
 class _GradeState:
-    """A family on a box's grades (by gid), as a sweep screens images with
-    it: each grade's annihilator rows, zero-padded to dim x dim (the
-    identity at an empty grade), and which grades are ``full``.  The
-    annihilators are int64 until one leaves it (``of_grid``: until an entry
-    reaches 2^62), and Python integers (object) from then on.
+    """A family on a box's grades (by gid), as the enumeration walks screen
+    images with it: each grade's annihilator rows, zero-padded to dim x dim
+    (the identity at an empty grade), and which grades are ``full``.  A
+    value built once per family grid (``of_grid``): the annihilators are
+    int64 while every entry is below 2^62, and Python integers (object)
+    otherwise."""
 
-    The exact engine sets one grade at a time (``set``); the enumeration
-    builds the state of a whole family at once (``of_grid``)."""
-
-    def __init__(self, count: int, dim: int, dtype=np.int64):
-        self.dim = dim
-        self.a_pad = np.tile(np.eye(dim, dtype=dtype), (count, 1, 1))
-        self.full = np.zeros(count, dtype=bool)
+    a_pad: np.ndarray
+    full: np.ndarray
 
     @classmethod
     def of_grid(cls, grid: np.ndarray) -> "_GradeState":
@@ -405,33 +390,16 @@ class _GradeState:
         ranks = _ranks(grid)
         held = np.flatnonzero(ranks > 0)
         ann = _int_array(_annihilator_stack(grid[held]))
-        state = cls(count, dim, ann.dtype)
-        state.a_pad[held] = ann
-        state.full = ranks == dim
-        return state
-
-    def set(self, gid: int, echelon: _IntEchelon):
-        """Make ``echelon`` the space at grade ``gid``."""
-        ann = _annihilator(echelon.rows, echelon.pivots, self.dim)
-        ann += [(0,) * self.dim] * (self.dim - len(ann))
-        try:
-            self.a_pad[gid] = ann
-        except OverflowError:
-            self.a_pad = self.a_pad.astype(object)
-            self.a_pad[gid] = ann
-        self.full[gid] = echelon.dim == self.dim
+        a_pad = np.tile(np.eye(dim, dtype=ann.dtype), (count, 1, 1))
+        a_pad[held] = ann
+        return cls(a_pad, ranks == dim)
 
     def candidates(self, tgt: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Indices of the images ``y`` that lie outside the spaces at their
-        target gids ``tgt``: a nonzero annihilator residual."""
-        ann = self.a_pad[tgt]
-        max_a = _max_abs(ann)
-        max_y = int(np.abs(y).max()) if y.dtype == np.int64 and y.size else 0
-        if y.dtype == np.int64 and ann.shape[-1] * max_a * max_y < _INT64_SAFE:
-            res = np.einsum("rad,rd->ra", ann.astype(np.int64, copy=False), y)
-        else:
-            res = np.einsum("rad,rd->ra", ann.astype(object), y.astype(object))
-        return np.flatnonzero(np.any(res != 0, axis=1))
+        target gids ``tgt``: a nonzero annihilator residual.  The sweep asks
+        only where ``_residue_moduli`` gives no moduli, so the annihilators
+        and images are int64 and every residual is below 2^62."""
+        return np.flatnonzero(np.einsum("rad,rd->ra", self.a_pad[tgt], y).any(axis=1))
 
 
 def _seed_key(gv: GradedVector) -> tuple:
@@ -569,6 +537,8 @@ class _ClosureEngine:
         self.index = _GradeIndex(box.radius, box.N)
         self.table = _ActionTable(p, gens, box.radius)
         self.dim = p.rep.dim
+        # a target's gid is its source's gid plus the generator's code
+        self.codes = self.table.offsets @ self.index.weights
         # the radius of the inner box, whose grades keep every step in the box
         self.inner_radius = box.radius - gens.radius
         # box radius -> its breadth-first walk from grade 0 (``_walk``)
@@ -850,13 +820,13 @@ class _ClosureEngine:
         """
         return not any(seed.grade) and self._carries and self._grade_zero_spin(seed)[0] == self.dim
 
-    def _carry(self, grid: np.ndarray, src: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        """The exact images, made primitive, of the rows of ``grid`` at the
-        gids ``src[k]`` under the generators ``gens[k]``: a (steps, m, dim)
-        stack, m the grid's height; one ``_images`` call per
+    def _carry(self, x: np.ndarray, src: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        """The exact images, made primitive, of the rows ``x[k]`` (a
+        steps x m x dim stack) at the gids ``src[k]`` under the generators
+        ``gens[k]``, in the same shape; one ``_images`` call per
         _SWEEP_BATCH // max(dim^2, N) rows."""
-        m, dim = grid.shape[1:]
-        x = grid[src].reshape(-1, dim)
+        m, dim = x.shape[1:]
+        x = x.reshape(-1, dim)
         k = np.repeat(np.arange(len(src)), m)
         chunk = max(1, _SWEEP_BATCH // max(dim * dim, self.index.N))
         y = np.concatenate([
@@ -922,43 +892,37 @@ class _ClosureEngine:
         grid = np.zeros((self.index.count, rank, self.dim), dtype=u0.dtype)
         grid[self.index.encode_one(seed.grade)] = u0[0, :rank]
         for parents, steps, targets in layers:
-            ech = _echelon_stack(self._carry(grid, parents, steps))
+            ech = _echelon_stack(self._carry(grid[parents], parents, steps))
             grid = grid.astype(np.result_type(grid, ech), copy=False)
             grid[targets] = ech
         if len(tgt):
-            missed, first, counts = np.unique(tgt, return_index=True, return_counts=True)
-            images = self._carry(grid, src, gens)
-            # each missed grade's images, zero-padded to the largest group
-            pad = np.zeros((len(missed), counts.max()) + images.shape[1:], dtype=images.dtype)
-            pad[np.repeat(np.arange(len(missed)), counts),
-                np.arange(len(tgt)) - np.repeat(first, counts)] = images
-            ech = _normalized(_echelon_stack(pad.reshape(len(missed), -1, self.dim)))
             # taller where a missed grade's span exceeds the rank
-            grid = np.concatenate([grid, np.zeros(
-                (len(grid), max(0, ech.shape[1] - rank), self.dim), dtype=ech.dtype)], axis=1)
-            grid[missed, :ech.shape[1]] = ech
+            grid = _grid_with_rows(grid, np.repeat(tgt, rank),
+                                   self._carry(grid[src], src, gens).reshape(-1, self.dim))
         return _normalized(grid)
 
-    def guided_run(self, seed: GradedVector) -> np.ndarray:
-        """The grid (``_echelon_grid``) of a family W' inside the closure W
-        of ``seed``; the probe's fallback where ``transport`` gives no
-        family or one that fails its re-check.
+    def guided_run(self, seeds: list) -> np.ndarray:
+        """The grid (``_echelon_grid``) of a family W' that holds ``seeds``
+        and lies in their closure W: the start of every closure the engine
+        completes (``run_grid``), and the probe's fallback where
+        ``transport`` gives no family or one that fails its re-check.
 
-        One pass spins ``seed`` over F_p between the grades of the engine's
-        box and takes the spin's steps exactly.  Each round keeps two
-        frontiers, row for row: the rows the spin inserted over F_p and
-        their exact rows.  The spin picks the round's steps, a parent row
-        and a generator for each row it inserts; at the end of the round the
-        exact image of each step's parent row is made primitive and inserted
-        into its grade's echelon (``_IntEchelon``, one row at a time), in the
-        order the spin kept them.  The row an insertion leaves, reduced
-        against its grade's earlier rows, is the next round's exact frontier
-        row; the echelons become the grid at the end.  Every row of W' is thus an exact
-        image of a row already in W', the first being the seed, so W' lies in
-        W for every prime.  For a good prime W' = W, but only an invariance
-        check of W' (which, holding the seed, then contains W) or a W' that
-        is full where W must be proves it.  Transients stay within
-        _SCREEN_BATCH elements per spin batch and _SWEEP_BATCH per exact one.
+        One pass spins the seeds over F_p between the grades of the engine's
+        box and takes the spin's steps exactly.  Every seed enters its
+        grade's echelon (``_IntEchelon``) exactly.  Each round keeps two
+        frontiers, row for row: the rows the spin inserted over F_p (first
+        the seeds) and their exact rows.  The spin picks the round's steps,
+        a parent row and a generator for each row it inserts; at the end of
+        the round the exact image of each step's parent row is made
+        primitive and inserted into its grade's echelon, one row at a time,
+        in the order the spin kept them.  The row an insertion leaves,
+        reduced against its grade's earlier rows, is the next round's exact
+        frontier row.  Every row of W' is thus a seed or an exact image of a
+        row already in W', so W' lies in W for every prime.  For a good
+        prime W' = W, but only an invariance check of W' (which, holding the
+        seeds, then contains W) or a W' that is full where W must be proves
+        it.  Transients stay within _SCREEN_BATCH elements per spin batch
+        and _SWEEP_BATCH per exact one.
         """
         dim = self.dim
         p = self._modp[0]
@@ -976,13 +940,18 @@ class _ClosureEngine:
             reduced = ech.insert(row)
             return row if reduced is None else reduced
 
+        for gv in seeds:
+            if not self.box.contains(gv.grade):
+                raise ValueError(f"seed grade {gv.grade} outside the box")
+        rows = [_int_row(gv.payload) for gv in seeds]
         # the frontier: gids, F_p rows and exact rows, aligned
-        row = _int_row(seed.payload)
-        f_gids = np.array([idx.encode_one(seed.grade)])
-        f_rows = spans.insert(f_gids, np.array([[v % p for v in row]], dtype=np.int64))
-        x_rows = [insert(int(f_gids[0]), row)]
-        # a target's gid is its source's gid plus the generator's code
-        codes = offsets @ idx.weights
+        f_gids = np.array([idx.encode_one(gv.grade) for gv in seeds], dtype=np.int64)
+        exact = [insert(gid, row) for gid, row in zip(f_gids.tolist(), rows)]
+        inserted = spans.absorb(f_gids, np.array([[v % p for v in row] for row in rows],
+                                                 dtype=np.int64).reshape(-1, dim))
+        picked, f_gids, f_rows = map(np.concatenate, zip(
+            (f_gids[:0], f_gids[:0], np.zeros((0, dim), dtype=np.int64)), *inserted))
+        x_rows = [exact[k] for k in picked.tolist()]
         block = max(1, _SCREEN_BATCH // n_gens)
         chunk = max(1, _SCREEN_BATCH // (dim * dim))
         exact_chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
@@ -993,7 +962,7 @@ class _ClosureEngine:
                 src_gids = f_gids[b0:b0 + block]
                 src = idx.coords[src_gids]
                 ii, jj = np.divmod(np.flatnonzero(idx.steps_in_box(src, offsets)), n_gens)
-                tgt = src_gids[ii] + codes[jj]
+                tgt = src_gids[ii] + self.codes[jj]
                 open_tgt = spans.rank[tgt] < dim
                 ii, jj, tgt = ii[open_tgt], jj[open_tgt], tgt[open_tgt]
                 for c0 in range(0, len(ii), chunk):
@@ -1014,53 +983,57 @@ class _ClosureEngine:
             f_gids, f_rows, x_rows = gids, rows, new_rows
         return _echelon_grid(idx.count, dim, echelons)
 
+    def complete(self, grid: np.ndarray) -> np.ndarray:
+        """The closure W of the seeds of ``grid``, a family grid that holds
+        them and lies in W (``guided_run``'s, or the seeds alone), grown
+        until the enumeration's walks (``_failing_pairs``) find no failing
+        pair.  Each round adds the primitive exact image (``_carry``) of
+        each failing pair's first failing row at the pair's target, with
+        one ``_echelon_stack`` over the touched grades (``_grid_with_rows``).
+        A grade takes the images of at most dim pairs per round: the stack
+        is padded to the largest group, and at a bad prime one grade can be
+        the target of dozens.  The pairs left out fail again, and their
+        sources are walked again.  Each image leaves its target's space, so
+        every touched grade grows and the rounds end.  Sound for every
+        prime: every added row is an exact image of a row of the family,
+        which so stays in W, and an invariant family that holds the seeds
+        contains W.  From the second round on the walks take as sources
+        only the grades that grew and the last round's failing sources: any
+        other pair passed, and target spaces only grow.
+        """
+        sources = None
+        while True:
+            gids, gens, slots = _failing_pairs(self, grid, sources)
+            if not len(gids):
+                return grid
+            # the pairs by target, at most dim of them per grade
+            tgt = gids + self.codes[gens]
+            order = np.argsort(tgt, kind="stable")
+            _, first, counts = np.unique(tgt[order], return_index=True, return_counts=True)
+            taken = order[np.arange(len(order)) - np.repeat(first, counts) < self.dim]
+            src, j = gids[taken], gens[taken]
+            grid = _grid_with_rows(grid, tgt[taken],
+                                   self._carry(grid[src, slots[taken]][:, None], src, j)[:, 0])
+            sources = np.zeros(len(grid), dtype=bool)
+            sources[tgt] = sources[gids] = True
+
     def run(self, seeds: list) -> dict:
-        """{grade: _IntEchelon} of the closure, nonzero grades only."""
-        idx = self.index
-        state = _GradeState(idx.count, self.dim)
-        echelons: dict = {}
-
-        def insert(gid: int, rows) -> list:
-            ech = echelons.setdefault(gid, _IntEchelon(self.dim))
-            new_rows = [r for r in (ech.insert(row) for row in rows) if r is not None]
-            if new_rows:
-                state.set(gid, ech)
-            return new_rows
-
-        frontier = []
-        for gv in seeds:
-            if not self.box.contains(gv.grade):
-                raise ValueError(f"seed grade {gv.grade} outside the box")
-            if gv.is_zero():
-                continue
-            gid = idx.encode_one(gv.grade)
-            frontier.extend((gid, row) for row in insert(gid, [_int_row(gv.payload)]))
-
-        while frontier:
-            x_rows = _int_array([row for _, row in frontier])
-            src_gids = np.array([g for g, _ in frontier], dtype=np.int64)
-            frontier = []
-            for _, _, tgt, y in _sweep(self.table, idx, src_gids, x_rows, closed=state.full):
-                by_grade: dict = {}
-                for c in state.candidates(tgt, y):
-                    by_grade.setdefault(int(tgt[c]), []).append(_primitive(y[c]))
-                for gid, cand_rows in by_grade.items():
-                    frontier.extend((gid, row) for row in insert(gid, cand_rows))
-
-        return {
-            tuple(int(v) for v in idx.coords[gid]): ech
-            for gid, ech in sorted(echelons.items())
-        }
+        """{grade: _IntEchelon} of the closure (``run_grid``), nonzero
+        grades only."""
+        grid = self.run_grid(seeds)
+        return {tuple(self.index.coords[gid].tolist()): _IntEchelon.of_echelon(self.dim, grid[gid])
+                for gid in np.flatnonzero(_ranks(grid))}
 
     def run_grid(self, seeds: list) -> np.ndarray:
-        """``run`` as the closure's grid (``_echelon_grid``)."""
-        return _echelon_grid(self.index.count, self.dim, {
-            self.index.encode_one(g): ech for g, ech in self.run(seeds).items()})
+        """The grid (``TruncatedModule.grade_rows``) of the closure of
+        ``seeds``: the guided family (``guided_run``), completed."""
+        return self.complete(self.guided_run(seeds))
 
 
 def closure(seeds: list, p: ModuleParams, box: Box, gens: GeneratorSet) -> TruncatedModule:
     """Smallest family containing the seeds and closed under all H_r with
-    r in gens whenever the target grade stays in the box."""
+    r in gens whenever the target grade stays in the box: the seeds' guided
+    family, completed exactly (``_ClosureEngine.run_grid``)."""
     return TruncatedModule(p, box, grid=_ClosureEngine(p, box, gens).run_grid(seeds))
 
 
@@ -1086,51 +1059,53 @@ def _enumerate_invariance(family: TruncatedModule, gens: GeneratorSet,
     _ClosureEngine for the family's params and box and for ``gens``, lends
     its action table and grade index; without one, a new one is built.
 
-    Failures are listed generator-major and then by grade, each pair at its
-    first row whose image leaves the target space.  Two walks find them,
-    in that order and with the same witnesses, on one grade state:
-    ``_grid_walk`` and ``_sweep_walk``; ``_takes_grid`` picks one.  Both
-    read the family as one grid, its rows at every grade of the box in gid
-    order (``TruncatedModule.grade_rows``), and the state is built from
-    that grid at once (``_GradeState.of_grid``).  Every residual is exact
-    in int64 or decided by its residues (``_residue_moduli``), so neither
-    walk does arithmetic on Python integers."""
+    The failing pairs (``_failing_pairs``) are all counted and the first
+    _LISTED_FAILURES listed: generator-major, then by grade, each at its
+    first row whose image leaves the target space."""
     p, box = family.params, family.box
     if engine is None:
         engine = _ClosureEngine(p, box, gens)
-    idx = engine.index
-    table = engine.table
     grid = family.grade_rows()
-    state = _GradeState.of_grid(grid)
-    # the nonzero rows, by gid and then in echelon order
-    src_gids, slots = np.divmod(np.flatnonzero((grid != 0).any(axis=2)), grid.shape[1])
-
-    failures = []
-    failing = 0
-    if len(src_gids):
-        moduli = _residue_moduli(table, state, grid)
-        if _takes_grid(moduli, table, idx, src_gids, engine.dim):
-            walk = _grid_walk(table, idx, state, grid, moduli)
-        else:
-            walk = _sweep_walk(table, idx, state, grid[src_gids, slots], src_gids)
-        for gid, j, witness in walk:
-            failing += 1
-            if len(failures) < _LISTED_FAILURES:
-                failures.append({
-                    "grade": [int(v) for v in idx.coords[gid]],
-                    "generator": list(table.gens[j]),
-                    "witness": [str(int(v)) for v in witness],
-                })
-
+    failing = _failing_pairs(engine, grid)
+    failures = [{
+        "grade": engine.index.coords[gid].tolist(),
+        "generator": list(engine.table.gens[j]),
+        "witness": [str(v) for v in grid[gid, slot].tolist()],
+    } for gid, j, slot in zip(*(a[:_LISTED_FAILURES].tolist() for a in failing))]
     pairs = _pair_count(box, gens)
     return {
         "check": "invariance",
         "method": "enumerate",
         "params": _family_params(family, gens),
         "pairs": pairs,
-        "passes": pairs - failing,
+        "passes": pairs - len(failing[0]),
         "failures": failures,
     }
+
+
+def _failing_pairs(engine, grid: np.ndarray, sources: np.ndarray | None = None) -> tuple:
+    """(gids, gens, slots): the (source gid, generator index) pairs of the
+    family ``grid`` (``TruncatedModule.grade_rows``) whose image leaves the
+    target space, generator-major and then by gid, each at its first
+    failing row ``grid[gid, slot]``; ``sources``, a gid mask, keeps the
+    sources to its grades.  The enumeration and the closure's completion
+    (``_ClosureEngine.complete``) both take them from here.  Two walks find
+    them, in that order, on one grade state (``_GradeState.of_grid``):
+    ``_grid_walk`` and ``_sweep_walk``, as ``_takes_grid`` picks.  Every
+    residual is exact in int64 or decided by its residues
+    (``_residue_moduli``), so neither does arithmetic on Python integers."""
+    table, idx = engine.table, engine.index
+    state = _GradeState.of_grid(grid)
+    x = grid if sources is None else np.where(sources[:, None, None], grid, 0)
+    # the source rows, by gid and then in echelon order
+    src_gids, slots = np.divmod(np.flatnonzero((x != 0).any(axis=2)), x.shape[1])
+    if not len(src_gids):
+        return src_gids, src_gids, slots
+    moduli = _residue_moduli(table, state, grid)
+    if _takes_grid(moduli, table, idx, src_gids, engine.dim):
+        return _grid_walk(table, idx, state, x, moduli)
+    i, j = _sweep_walk(table, idx, state, x[src_gids, slots], src_gids)
+    return src_gids[i], j, slots[i]
 
 
 def _residue_moduli(table: _ActionTable, state: _GradeState, grid: np.ndarray) -> list:
@@ -1146,9 +1121,10 @@ def _residue_moduli(table: _ActionTable, state: _GradeState, grid: np.ndarray) -
     every m coprime to the product so far (a gcd, not a primality test).
     A residual z with |z| <= B that is 0 mod every modulus is then 0
     (Chinese remaindering)."""
-    max_y = (state.dim * int(table.max_p.max()) + table.max_c) * _max_abs(grid)
-    bound = state.dim * max(_max_abs(state.a_pad), 1) * max_y
-    moduli, m = [], _modulus_cap(state.dim)
+    dim = grid.shape[-1]
+    max_y = (dim * int(table.max_p.max()) + table.max_c) * _max_abs(grid)
+    bound = dim * max(_max_abs(state.a_pad), 1) * max_y
+    moduli, m = [], _modulus_cap(dim)
     while bound >= _INT64_SAFE and prod(moduli) <= bound:
         if gcd(m, prod(moduli)) == 1:
             moduli.append(m)
@@ -1159,9 +1135,9 @@ def _residue_moduli(table: _ActionTable, state: _GradeState, grid: np.ndarray) -
 def _takes_grid(moduli: list, table: _ActionTable, idx: _GradeIndex,
                 src_gids: np.ndarray, dim: int) -> bool:
     """The grid walk when it runs on residues (``moduli``) or a generator's
-    in-box rows fill, on average, at least half a ``_sweep`` chunk; the
-    sweep for the sparser int64 families, where the grid would spend its
-    per-generator products on padding and empty grades."""
+    in-box rows fill, on average, at least half a ``_sweep_walk`` chunk;
+    the sweep for the sparser int64 families, where the grid would spend
+    its per-generator products on padding and empty grades."""
     R = idx.R
     Rg = int(table.offsets.max())
     # per coordinate s_a: the offsets r_a in [-Rg, Rg] with |s_a + r_a| <= R
@@ -1174,19 +1150,40 @@ def _takes_grid(moduli: list, table: _ActionTable, idx: _GradeIndex,
 
 
 def _sweep_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
-                x_rows: np.ndarray, src_gids: np.ndarray):
-    """The failing (source gid, generator index, witness row) of the rows
-    ``x_rows`` at ``src_gids``, through ``_sweep``: generator-major, then in
-    row order, each pair once, at its first row whose image is a candidate
-    (``_GradeState.candidates``).  Taken only where ``_residue_moduli``
-    gives none, so images and residuals are int64."""
-    bad_pairs = set()
-    for i, j, tgt, y in _sweep(table, idx, src_gids, x_rows, closed=state.full):
-        for c in state.candidates(tgt, y):
-            pair = (int(src_gids[i[c]]), int(j[c]))
-            if pair not in bad_pairs:
-                bad_pairs.add(pair)
-                yield *pair, x_rows[i[c]]
+                x_rows: np.ndarray, src_gids: np.ndarray) -> tuple:
+    """(rows, gens): the failing pairs of the rows ``x_rows`` at
+    ``src_gids`` (in gid order), as row and generator indices,
+    generator-major and then by gid, each at its first row whose exact
+    image (``_images``) is a candidate (``_GradeState.candidates``).  Every
+    in-box pair whose target is not ``state.full`` is formed; generators go
+    in blocks whose in-box mask has at most about _SWEEP_BATCH elements,
+    and a chunk holds at most _SWEEP_BATCH // max(dim^2, N) pairs, so its
+    gathered generator matrices stay within _SWEEP_BATCH elements too.
+    Taken only where ``_residue_moduli`` gives no moduli, so images and
+    residuals are int64."""
+    n_rows, dim = x_rows.shape
+    n_gens, N = table.offsets.shape
+    src = idx.coords[src_gids]
+    # a target's gid is its source's gid plus the generator's code
+    codes = table.offsets @ idx.weights
+    block = max(1, _SWEEP_BATCH // n_rows)
+    chunk = max(1, _SWEEP_BATCH // max(dim * dim, N))
+    failing = [np.zeros((2, 0), dtype=np.intp)]
+    for j0 in range(0, n_gens, block):
+        jj, ii = np.nonzero(idx.steps_in_box(src, table.offsets[j0:j0 + block]).T)
+        jj += j0
+        tt = src_gids[ii] + codes[jj]
+        keep = ~state.full[tt]
+        ii, jj, tt = ii[keep], jj[keep], tt[keep]
+        for c0 in range(0, len(ii), chunk):
+            i, j = ii[c0:c0 + chunk], jj[c0:c0 + chunk]
+            bad = state.candidates(tt[c0:c0 + chunk], _images(table, src[i], x_rows[i], j))
+            failing.append(np.stack([i[bad], j[bad]]))
+    # generator-major and then in row order, so a pair's first occurrence
+    # is its first failing row
+    i, j = np.concatenate(failing, axis=1)
+    _, first = np.unique(j * idx.count + src_gids[i], return_index=True)
+    return i[first], j[first]
 
 
 def _residuals(x: np.ndarray, pt: np.ndarray, c: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
@@ -1198,8 +1195,9 @@ def _residuals(x: np.ndarray, pt: np.ndarray, c: np.ndarray, a: np.ndarray, m: i
 
 
 def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
-               grid: np.ndarray, moduli: list):
-    """``_sweep_walk``'s failing pairs, in its order, from the box grid.
+               grid: np.ndarray, moduli: list) -> tuple:
+    """(gids, gens, slots): ``_sweep_walk``'s failing pairs, in its order,
+    from the box grid, each at its first failing row ``grid[gid, slot]``.
 
     ``grid`` holds each grade's rows at its gid, zero-padded to the largest
     grade dimension m.  For each generator r, the grades s with s and s + r
@@ -1214,7 +1212,7 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
     hold k x count x (m + dim) x dim residues, and each generator's
     transients, one modulus at a time, a few arrays of slice grades x m x dim.
     """
-    dim, side = state.dim, idx.side
+    dim, side = grid.shape[-1], idx.side
     shape = (side,) * idx.N
     layers = []
     for mod in moduli or [0]:
@@ -1227,6 +1225,7 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
                        A.reshape(shape + (dim, dim)).swapaxes(-1, -2),
                        s_l.reshape(shape + (idx.N,)), pt))
     gid_grid = np.arange(idx.count).reshape(shape)
+    failing = [(gid_grid.ravel()[:0],) * 3]
     # per generator and axis: the grades s with s and s + r in the box run
     # from neg to side - pos, their targets from pos to side - neg
     pos = np.maximum(table.offsets, 0)
@@ -1244,10 +1243,10 @@ def _grid_walk(table: _ActionTable, idx: _GradeIndex, state: _GradeState,
         if bad is False:
             continue
         bad = bad.reshape(-1, bad.shape[-1])
-        gids = gid_grid[src].ravel()
         fail = np.flatnonzero(bad.any(axis=1))
-        for k, r in zip(fail.tolist(), bad[fail].argmax(axis=1).tolist()):
-            yield int(gids[k]), j, grid[gids[k], r]
+        failing.append((gid_grid[src].ravel()[fail], np.full(len(fail), j),
+                        bad[fail].argmax(axis=1)))
+    return tuple(map(np.concatenate, zip(*failing)))
 
 
 def _family_params(family: TruncatedModule, gens: GeneratorSet) -> dict:
@@ -1723,8 +1722,9 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
     W does too) or when it passes the enumeration re-check (invariant and
     holding the seed, it contains W, and then it is W).  That re-check is
     the one a PROPER seed's family gets anyway, and its outcome is kept in
-    ``rechecks``.  Otherwise the exact engine completes W' from its rows:
-    W' holds the seed and lies in W, so its closure is W.
+    ``rechecks``.  Otherwise ``_ClosureEngine.complete`` grows W' itself,
+    the grid that failed its re-check, by the exact images of its failing
+    pairs: W' holds the seed and lies in W, so the completion is W.
     """
     if engine.screen_full(seed):
         return None
@@ -1733,17 +1733,15 @@ def _close_seed(engine: _ClosureEngine, seed: GradedVector, gens: GeneratorSet,
         return grid
     # transport first; the guided closure when transport gives no family
     # or one that fails its re-check
-    for close in (engine.transport, engine.guided_run):
-        grid = close(seed)
+    for close, arg in ((engine.transport, seed), (engine.guided_run, [seed])):
+        grid = close(arg)
         if grid is None:
             continue
         if (_ranks(grid)[inner] == engine.dim).all():
             return None
         if _recheck(engine, gens, grid, rechecks)[0]:
             return grid
-    gids, slots = np.nonzero((grid != 0).any(axis=2))
-    return engine.run_grid([GradedVector(tuple(g), row) for g, row in
-                            zip(engine.index.coords[gids].tolist(), grid[gids, slots].tolist())])
+    return engine.complete(grid)
 
 
 def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
@@ -1769,8 +1767,9 @@ def irreducibility_probe(p: ModuleParams, box: Box, gens: GeneratorSet,
     box, and the enumeration re-check of that family proves it is the
     closure.  A seed with no transport (alpha = 0, or a lift that fails) or
     whose family fails the re-check falls back to the guided closure
-    (``_ClosureEngine.guided_run``) and, failing that, the exact engine
-    (``_ClosureEngine.run``).  Every path hands over the family as one
+    (``_ClosureEngine.guided_run``) and, failing that, to that family's
+    exact completion (``_ClosureEngine.complete``).  Every path hands over
+    the family as one
     grid (``TruncatedModule.grade_rows``): its ranks at the inner gids give
     the seed's dims, and it feeds the re-check and the detected family.  A
     seed that is a multiple of an earlier one reuses its outcome, and each

@@ -83,6 +83,7 @@ from hamlie.submodules import (
     _echelon_grid,
     _enumerate_invariance,
     _family_key,
+    _normalized,
     _probe_seeds,
     _ranks,
     build_submodule,
@@ -215,6 +216,37 @@ def _by_grade(engine, grid) -> dict:
     engine's box."""
     return {tuple(engine.index.coords[gid].tolist()): _IntEchelon.of_echelon(engine.dim, grid[gid])
             for gid in np.flatnonzero(_ranks(grid))}
+
+
+def _seed_grid(engine, seeds) -> np.ndarray:
+    """The grid of the family spanned by ``seeds`` alone, each at its
+    grade."""
+    echelons = {}
+    for gv in seeds:
+        gid = engine.index.encode_one(gv.grade)
+        echelons.setdefault(gid, _IntEchelon(engine.dim)).insert(_int_row(gv.payload))
+    return _echelon_grid(engine.index.count, engine.dim, echelons)
+
+
+def _complete(engine, grid) -> np.ndarray:
+    """``engine.complete(grid)``, asserting that it ends: every round grows
+    a grade, so the walk runs at most count x dim + 1 times."""
+    rounds = []
+    walk = submodules._failing_pairs
+
+    def counted(*a):
+        rounds.append(1)
+        assert len(rounds) <= engine.index.count * engine.dim + 1, "the completion does not end"
+        return walk(*a)
+
+    with mock.patch.object(submodules, "_failing_pairs", counted):
+        return engine.complete(grid)
+
+
+def _exact_grid(engine, seeds) -> np.ndarray:
+    """The closure of ``seeds`` with no F_p guide: the exact completion of
+    the seeds alone."""
+    return _complete(engine, _seed_grid(engine, seeds))
 
 
 def _inner_gids(engine) -> np.ndarray:
@@ -408,6 +440,81 @@ def test_closure_exact_beyond_int64(q):
     assert all(fam.space(g) == s for g, s in _naive_closure([seed], p, box, gens).items())
 
 
+def _alphas(N: int) -> list:
+    """alpha 0, an integral alpha, (1/3, 0, ...) and alphas of denominators
+    2^61-1 and 3^40."""
+    big = [tuple(F(a, q) for a in (1, 0, 2, 0)[:N]) for q in (2 ** 61 - 1, 3 ** 40)]
+    return [(0,) * N, (1, -1) + (0,) * (N - 2), (F(1, 3),) + (0,) * (N - 1)] + big
+
+
+# (n, rep, alpha) of the bare-seed completions; sym:2 at n=2 once, as its
+# naive closure takes seconds
+_COMPLETE_CASES = [(n, spec, alpha) for n, specs in ((1, ("trivial", "natural", "sym:2")),
+                                                     (2, ("trivial", "natural", "fundamental:2")))
+                   for spec in specs for alpha in _alphas(2 * n)] + [
+    (2, "sym:2", (F(1, 3), 0, 0, 0))]
+
+
+@pytest.mark.parametrize("n,spec,alpha", _COMPLETE_CASES)
+def test_completion_of_the_bare_seed_is_the_naive_closure(n, spec, alpha):
+    # no guide: ``complete`` grows the seed alone to its closure
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    box, gens = Box(3 - n, N), GeneratorSet(1, N)
+    dim = p.rep.dim
+    seed = GradedVector((0,) * N, tuple(F(int(j == 0) + 2 * int(j == dim - 1)) for j in range(dim)))
+    got = TruncatedModule(p, box, grid=_exact_grid(_ClosureEngine(p, box, gens), [seed]))
+    want = _naive_closure([seed], p, box, gens)
+    zero = Subspace.zero(dim)
+    assert all(got.space(g) == want.get(g, zero) for g in box.grades())
+
+
+@pytest.mark.parametrize("n,spec,alpha,radius", [(1, "natural", (F(1, 3), 0), 2),
+                                                 (2, "fundamental:2", (F(1, 3), 0, 0, 0), 1)])
+def test_completion_walks_the_sources_that_failed_again(n, spec, alpha, radius):
+    # the closure's grade 0 alone, then the closure less its outer shell:
+    # those grades are whole and never grow, so a pair from them that
+    # still fails after a round (a second failing row, or a pair left out)
+    # is found only because the next walk takes the last round's failing
+    # sources
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    box, gens = Box(radius, N), GeneratorSet(1, N)
+    engine = _ClosureEngine(p, box, gens)
+    coords = engine.index.coords
+    zero = Subspace.zero(p.rep.dim)
+    for i in range(2):
+        seed = GradedVector((0,) * N, tuple(F(int(j == i)) for j in range(p.rep.dim)))
+        want = _naive_closure([seed], p, box, gens)
+        full = _family(p, box, want).grade_rows()
+        for keep in (~coords.any(axis=1), np.abs(coords).max(axis=1) < radius):
+            short = _normalized(np.where(keep[:, None, None], full, 0))
+            got = TruncatedModule(p, box, grid=_complete(engine, short))
+            assert all(got.space(g) == want.get(g, zero) for g in box.grades()), (i, keep.sum())
+
+
+@pytest.mark.parametrize("n,spec,alpha", [(1, "natural", (F(1, 3), 0)),
+                                          (1, "sym:2", (F(2, 2 ** 61 - 1), 0)),
+                                          (2, "fundamental:2", (F(1, 3), 0, 0, 0))])
+def test_closure_of_seeds_at_several_grades_is_the_naive_closure(n, spec, alpha):
+    # two seeds share a grade and a third sits elsewhere: the guide spins
+    # them all, and every seed enters the family exactly
+    N = 2 * n
+    p = ModuleParams(alpha, (0,) * N, _rep(n, spec))
+    box, gens = Box(3 - n, N), GeneratorSet(1, N)
+    dim = p.rep.dim
+    one = (1,) + (0,) * (N - 1)
+    seeds = [GradedVector(one, tuple(F(int(j == 0)) for j in range(dim))),
+             GradedVector(one, tuple(F(j + 1, 2) for j in range(dim))),
+             GradedVector(tuple(-g for g in one), tuple(F(int(j == dim - 1)) for j in range(dim)))]
+    want = _naive_closure(seeds, p, box, gens)
+    zero = Subspace.zero(dim)
+    got = closure(seeds, p, box, gens)
+    assert all(got.space(g) == want.get(g, zero) for g in box.grades())
+    bare = TruncatedModule(p, box, grid=_exact_grid(_ClosureEngine(p, box, gens), seeds))
+    assert _family_key(bare.grade_rows()) == _family_key(got.grade_rows())
+
+
 # entries at and beyond 2^63 push annihilators and rows off int64
 BIG = (2 ** 63, -(2 ** 63 + 1), 3 ** 41)
 _entries = st.one_of(st.integers(-3, 3), st.sampled_from(BIG))
@@ -528,19 +635,22 @@ def test_nullspace_is_the_fraction_kernel(data):
 def test_grade_state_screen_bounds_minus_2_63_exactly():
     # the annihilator of span{(1, 0, 2^61), (0, 4, 1)} is (-2^63, -1, 4):
     # it fits int64, but its int64 absolute value wraps to -2^63, and an
-    # int64 residual of (-2, 0, 0) would wrap to 0
+    # int64 residual of (-2, 0, 0) would wrap to 0.  The state keeps it in
+    # Python integers (past 2^62), where the screen is exact
     ech = _IntEchelon.of_rows(3, [(1, 0, 2 ** 61), (0, 4, 1)])
-    state = _GradeState(1, 3)
-    state.set(0, ech)
-    assert state.a_pad.dtype == np.int64
-    # the same grade through the whole-family state, which keeps it in
-    # Python integers (past 2^62)
-    grid_state = _GradeState.of_grid(np.array([ech.rows], dtype=np.int64))
-    assert grid_state.a_pad.dtype == object
+    state = _GradeState.of_grid(np.array([ech.rows], dtype=np.int64))
+    assert state.a_pad.dtype == object and list(state.a_pad[0, 0]) == [-2 ** 63, -1, 4]
     y = np.array([[-2, 0, 0], [0, -8, -2]], dtype=np.int64)
-    for state in (state, grid_state):
-        assert list(state.a_pad[0, 0]) == [-2 ** 63, -1, 4] and not ech.contains((-2, 0, 0))
-        assert list(state.candidates(np.array([0, 0]), y)) == [0]
+    assert not ech.contains((-2, 0, 0)) and ech.contains((0, -8, -2))
+    assert list(state.candidates(np.array([0, 0]), y)) == [0]
+    # the same space in a family (sym:2 at n=1, all of V at (-1, 0)): its
+    # enumeration takes residues, and both walks match the act_H oracle
+    p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "sym:2"))
+    box, gens = Box(1, 2), GeneratorSet(1, 2)
+    family = _family(p, box, {(-1, 0): Subspace.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+                              (0, 0): Subspace.from_vectors(ech.rows, 3)})
+    assert len(_moduli_taken(family, gens)) >= 1
+    _assert_walks_match_naive(family, gens)
 
 
 @settings(max_examples=8, deadline=None)
@@ -592,16 +702,16 @@ def test_int64_grid_walk_retests_exact_grades():
     family = _family(p, box, {(-1, 0): Subspace.from_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
                               (0, 0): Subspace.from_vectors([[p1, 0, 1], [0, p2, 1]], 3)})
     engine = _ClosureEngine(p, box, gens)
-    state = _GradeState(engine.index.count, 3)
-    for gid in np.flatnonzero(_ranks(family.grade_rows())).tolist():
-        state.set(gid, family.int_basis(tuple(engine.index.coords[gid].tolist())))
-    gid = engine.index.encode_one((0, 0))
-    assert state.a_pad.dtype == object and list(state.a_pad[gid, 0]) == [-p2, -p1, p1 * p2]
-    # the same family through the whole-family state the enumeration builds
     grid = family.grade_rows(engine.index.coords)
-    grid_state = _GradeState.of_grid(grid)
-    assert grid.dtype == np.int64 and grid_state.a_pad.dtype == object
-    assert (grid_state.a_pad == state.a_pad).all()
+    state = _GradeState.of_grid(grid)
+    gid = engine.index.encode_one((0, 0))
+    assert grid.dtype == np.int64 and state.a_pad.dtype == object
+    assert list(state.a_pad[gid, 0]) == [-p2, -p1, p1 * p2]
+    # each grade's annihilator rows are the one-grade ones, then zero rows
+    for gid in np.flatnonzero(_ranks(grid)).tolist():
+        ech = family.int_basis(tuple(engine.index.coords[gid].tolist()))
+        ann = [list(row) for row in _annihilator(ech.rows, ech.pivots, 3)]
+        assert state.a_pad[gid].tolist() == ann + [[0, 0, 0]] * (3 - len(ann))
     assert len(_moduli_taken(family, gens)) >= 1
     _assert_walks_match_naive(family, gens)
 
@@ -685,6 +795,25 @@ def test_residuals_stay_in_int64_at_the_largest_modulus():
              for e in range(dim)]
         assert got[i].tolist() == [sum(y[k] * A[k][e] for k in range(dim)) % m
                                    for e in range(dim)]
+
+
+@pytest.mark.parametrize("q", [3, 2 ** 61 - 1])
+def test_failures_past_the_listed_ones_match_naive(q):
+    # sym:2 at n=1, span{e0, e1} where the first grade coordinate is even
+    # and span{e1, e2} elsewhere: more than _LISTED_FAILURES pairs fail, some
+    # at their second row.  Every one is counted, the listed ones keep their
+    # order and witnesses, on each walk, and at q = 2^61-1 on residues
+    p = ModuleParams((F(1, q), 0), (0, 0), _rep(1, "sym:2"))
+    box, gens = Box(2, 2), GeneratorSet(1, 2)
+    family = _family(p, box, {g: Subspace.from_vectors(
+        [[1, 0, 0], [0, 1, 0]] if g[0] % 2 == 0 else [[0, 1, 0], [0, 0, 1]], 3)
+        for g in box.grades()})
+    want = (_naive_pairs(box, gens), _naive_passes(family, gens), _naive_failures(family, gens))
+    assert want[0] - want[1] > submodules._LISTED_FAILURES
+    assert any(f["witness"] == ["0", "1", "0"] for f in want[2])
+    assert bool(_moduli_taken(family, gens)) == (q > 3)
+    for report in _each_walk(family, gens):
+        assert (report["pairs"], report["passes"], report["failures"]) == want
 
 
 @settings(max_examples=8, deadline=None)
@@ -1175,27 +1304,30 @@ def test_probe_reports_do_not_depend_on_the_screen(monkeypatch):
 
 
 def test_mod_p_table_is_built_only_by_the_screen(monkeypatch):
-    # the prime is chosen as the mod-p state is built, on the first spin
+    # the prime is chosen as the mod-p state is built, on an engine's first
+    # spin: never by the enumeration, once per probe, and once by a
+    # closure, whose guide spins its seeds
     built = []
     choose = submodules._spin_prime
     monkeypatch.setattr(submodules, "_spin_prime", lambda *a: built.append(a) or choose(*a))
     p = ModuleParams((F(1, 3), 0), (0, 0), _rep(1, "natural"))
     box, gens = Box(2, 2), GeneratorSet(1, 2)
-    closure([GradedVector((0, 0), (1, 0))], p, box, gens)
     invariance_check(build_submodule("delta1", p, box), gens, method="enumerate")
     assert built == []
     irreducibility_probe(p, box, gens)
     assert len(built) == 1
+    closure([GradedVector((0, 0), (1, 0)), GradedVector((1, 0), (0, 1))], p, box, gens)
+    assert len(built) == 2
 
 
 # -- the mod-p-guided exact closure ---------------------------------------
 
 
-def _count_runs(counter: list):
-    """A patch of ``_ClosureEngine.run`` that counts its calls."""
-    run = _ClosureEngine.run
-    return mock.patch.object(_ClosureEngine, "run",
-                             lambda self, *a: counter.append(1) or run(self, *a))
+def _count_completions(counter: list):
+    """A patch of ``_ClosureEngine.complete`` that counts its calls."""
+    complete = _ClosureEngine.complete
+    return mock.patch.object(_ClosureEngine, "complete",
+                             lambda self, *a: counter.append(1) or complete(self, *a))
 
 
 def _small_prime(*primes):
@@ -1207,11 +1339,12 @@ def _small_prime(*primes):
 
 
 def _exact_close_seed(engine, seed, gens, inner, rechecks, screen=False):
-    """The probe's ``_close_seed`` by the exact engine alone, or, with
-    ``screen``, by the exact engine on the seeds the mod-p screen leaves."""
+    """The probe's ``_close_seed`` by the exact completion of the seed
+    alone, or, with ``screen``, by that on the seeds the mod-p screen
+    leaves."""
     if screen and engine.screen_full(seed):
         return None
-    grid = engine.run_grid([seed])
+    grid = _exact_grid(engine, [seed])
     return None if (_ranks(grid)[inner] == engine.dim).all() else grid
 
 
@@ -1231,8 +1364,10 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
     seed = GradedVector((0,) * N, payload)
     engine = _ClosureEngine(p, box, gens)
 
-    exact = engine.run([seed])
-    guided = engine.guided_run(seed)
+    # the exact side takes no guide: the completion of the seed alone
+    exact_grid = _exact_grid(engine, [seed])
+    exact = _by_grade(engine, exact_grid)
+    guided = engine.guided_run([seed])
     # every guided row is an exact image inside the closure, and the guided
     # family is the closure, as its re-check proves: at every denominator,
     # the spin's default prime included
@@ -1240,19 +1375,19 @@ def test_guided_closure_matches_exact_engine(n, spec, data):
                for g, ech in _by_grade(engine, guided).items())
     family = TruncatedModule(p, box, grid=guided)
     assert not _enumerate_invariance(family, gens, engine=engine)["failures"]
-    exact_grid = engine.run_grid([seed])
     assert _family_key(guided) == _family_key(exact_grid)
+    assert _family_key(engine.run_grid([seed])) == _family_key(exact_grid)
     # at a bad prime the guide may miss rows, but every row it takes is
     # still inside the closure
     with mock.patch.object(submodules, "_spin_prime", _small_prime(3, 5, 7)):
-        short = _ClosureEngine(p, box, gens).guided_run(seed)
+        short = _ClosureEngine(p, box, gens).guided_run([seed])
     assert all(g in exact and all(exact[g].contains(row) for row in ech.rows)
                for g, ech in _by_grade(engine, short).items())
 
     # the probe's step: the closure itself, through the guide alone
     inner = _inner_gids(engine)
     runs = []
-    with _count_runs(runs):
+    with _count_completions(runs):
         closed = _close_seed(engine, seed, gens, inner, {})
     if closed is None:
         assert (_ranks(exact_grid)[inner] == engine.dim).all()
@@ -1275,7 +1410,7 @@ def test_probe_closes_exactly_where_p_divides_L():
     p = ModuleParams((F(1, _SCREEN_PRIME), 0), (0, 0), _rep(1, "natural"))
     box, gens = Box(3, 2), GeneratorSet(2, 2)
     runs = []
-    with _count_runs(runs):
+    with _count_completions(runs):
         report = irreducibility_probe(p, box, gens)
     assert runs == []
     assert report["verdict"] == "PROPER"
@@ -1287,24 +1422,22 @@ def test_probe_closes_exactly_where_p_divides_L():
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_probe_falls_back_when_the_guide_misses_rows(monkeypatch, prime):
     expected = _probe_bytes()
-    # a small prime makes the guide miss rows, and the exact engine completes
-    # the short family W' from all of its rows
+    # a small prime makes the guide miss rows, and the exact completion
+    # grows the short family W' that failed its re-check, from all of its rows
     guided = _ClosureEngine.guided_run
-    run = _ClosureEngine.run
+    complete = _ClosureEngine.complete
     families, completions = [], []
     monkeypatch.setattr(submodules, "_spin_prime", _small_prime(prime, 3, 5, 7))
     monkeypatch.setattr(_ClosureEngine, "guided_run",
-                        lambda self, seed: families.append(guided(self, seed)) or families[-1])
-    monkeypatch.setattr(_ClosureEngine, "run",
-                        lambda self, seeds: completions.append((_by_grade(self, families[-1]),
-                                                                seeds))
-                        or run(self, seeds))
+                        lambda self, seeds: families.append(guided(self, seeds)) or families[-1])
+    monkeypatch.setattr(_ClosureEngine, "complete",
+                        lambda self, grid: completions.append((families[-1], grid))
+                        or complete(self, grid))
     assert _probe_bytes() == expected
     assert completions
-    for family, seeds in completions:
-        assert sorted((gv.grade, _int_row(gv.payload)) for gv in seeds) == sorted(
-            (g, tuple(row)) for g, ech in family.items() for row in ech.rows)
-    assert any(len(seeds) > 1 for _, seeds in completions)
+    for family, grid in completions:
+        assert grid is family
+    assert any(int((grid != 0).any(axis=2).sum()) > 1 for _, grid in completions)
 
 
 # (n, rep, alpha, box, gens): probes where a seed lies at grade 0 in a
@@ -1350,7 +1483,7 @@ def _assert_exact_closures(closed: list):
         if got is None:
             assert _full_on_inner(engine, seed, inner), seed.payload
         else:
-            assert _family_key(got) == _family_key(engine.run_grid([seed])), seed.payload
+            assert _family_key(got) == _family_key(_exact_grid(engine, [seed])), seed.payload
 
 
 @pytest.mark.parametrize("n,spec,alpha,box,gens", _REUSE_CASES)
@@ -1466,15 +1599,15 @@ def test_transport_is_the_exact_closure(n, spec, alpha, box, gens):
         seed = GradedVector((0,) * (2 * n), payload)
         got = engine.transport(seed)
         assert got is not None, name
-        # the grid the helper makes of the exact engine's echelons, entry for
-        # entry and in the same shape and dtype
-        want = engine.run_grid([seed])
+        # the exact completion of the seed alone, entry for entry and in
+        # the same shape and dtype
+        want = _exact_grid(engine, [seed])
         assert (got.shape, got.dtype) == (want.shape, want.dtype), name
         assert (got == want).all(), name
         assert _family_key(got) == _family_key(want), name
         if n == 2 and spec in ("natural", "fundamental:2"):
             # every closure path hands over the same family key
-            assert _family_key(engine.guided_run(seed)) == _family_key(want), name
+            assert _family_key(engine.guided_run([seed])) == _family_key(want), name
     # the walk over the whole box, which transport reads, and over the inner
     # box, which the screen reads
     for radius in (box, box - gens):
@@ -1518,7 +1651,7 @@ def test_probe_falls_back_when_the_lift_fails(monkeypatch):
                         lambda self, seed: transported.append(close(self, seed)) or transported[-1])
     run = _ClosureEngine.guided_run
     monkeypatch.setattr(_ClosureEngine, "guided_run",
-                        lambda self, seed: guided.append(seed) or run(self, seed))
+                        lambda self, seeds: guided.append(seeds) or run(self, seeds))
     assert _probe_bytes() == expected
     assert transported and all(t is None for t in transported)
     assert len(guided) == len(transported)
@@ -1655,7 +1788,7 @@ def test_transport_refuses_a_grade_zero_that_is_not_the_seeds():
         # an invariant family that holds the seed, but too large at grade 0
         assert engine.transport(line) is None
         got = _close_seed(engine, line, GeneratorSet(1, 4), inner, {})
-        assert _family_key(got) == _family_key(engine.run_grid([line]))
+        assert _family_key(got) == _family_key(_exact_grid(engine, [line]))
     other = np.zeros_like(rref_line)
     other[0, 3] = 1
     with mock.patch.object(_ClosureEngine, "_grade_zero_spin",
@@ -1700,7 +1833,7 @@ def test_probe_reports_do_not_depend_on_the_caches(monkeypatch):
         counts["closures"] += 1
         return out
 
-    for name in ("transport", "guided_run", "run"):
+    for name in ("transport", "guided_run", "complete"):
         close = getattr(_ClosureEngine, name)
         monkeypatch.setattr(_ClosureEngine, name,
                             lambda self, *a, close=close: count_closure(close(self, *a)))

@@ -354,7 +354,7 @@ def _spy_probe_work(monkeypatch) -> dict:
         counts["recheck"] += 1
         return recheck(*a, **k)
 
-    for name in ("transport", "guided_run", "run"):
+    for name in ("transport", "guided_run", "complete"):
         monkeypatch.setattr(submodules._ClosureEngine, name,
                             closure_spy(getattr(submodules._ClosureEngine, name)))
     monkeypatch.setattr(submodules, "_enumerate_invariance", recheck_spy)

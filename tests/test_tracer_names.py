@@ -29,3 +29,42 @@ def test_tracer_patches_every_pinned_name():
         assert len(hits) == 1, (cls.__name__, name)
     assert all(getattr(importlib.import_module(home), name) is fn
                for (home, name), fn in originals.items())
+
+
+def test_result_counts_read_what_their_functions_return():
+    # each RESULT_COUNTS reader takes the value its traced function returns
+    # now: the closure engine's {grade: echelon}, an enumeration report and
+    # a probe report
+    from fractions import Fraction
+
+    from hamlie import submodules
+    from hamlie.hamiltonian import GradedVector, ModuleParams
+    from hamlie.reps import build_rep
+    from hamlie.symplectic import build_sp
+
+    p = ModuleParams((Fraction(1, 3), 0), (0, 0), build_rep(build_sp(1, verify=False), "natural"))
+    box, gens = submodules.Box(2, 2), submodules.GeneratorSet(1, 2)
+    engine = submodules._ClosureEngine(p, box, gens)
+    seed = GradedVector((0, 0), (Fraction(1), Fraction(0)))
+    family = submodules.build_submodule("delta1", p, box)
+    tracer = spantrace.Tracer()
+    read = []
+    try:
+        tracer.install()
+        tracer.active = True
+        for call, counter in (
+                (lambda: engine.run([seed]), "submodules.closure.total_dim"),
+                (lambda: submodules.invariance_check(family, gens, method="enumerate"),
+                 "submodules.enumerate.pairs"),
+                (lambda: submodules.irreducibility_probe(p, box, gens), "submodules.probe.seeds")):
+            before = tracer.counts[counter]
+            out = call()
+            read.append((tracer.counts[counter] - before, out))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    (dims, spaces), (pairs, report), (seeds, probe) = read
+    assert dims == int(submodules._ranks(engine.run_grid([seed])).sum()) == sum(
+        s.dim for s in spaces.values()) > 0
+    assert pairs == report["pairs"] > 0
+    assert seeds == len(probe["seeds"]) > 0
