@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import format_scalar, nullspace, parse_scalar
-from .symplectic import build_sp, rank_one, sp_decompose
+from .symplectic import SpBasisError, build_sp, rank_one, sp_decompose
 from .reps import (
     bracket_violations,
     build_rep,
@@ -138,7 +138,11 @@ def _emit(report: dict, args) -> int:
 
 
 def _cmd_sp_check(args) -> int:
-    alg = build_sp(args.n, verify=True)
+    # a basis that fails its own check is a failed check, not bad input
+    try:
+        alg, basis_failures = build_sp(args.n, verify=True), []
+    except SpBasisError as exc:
+        alg, basis_failures = exc.alg, exc.failures
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.samples):
@@ -153,7 +157,7 @@ def _cmd_sp_check(args) -> int:
         "dim": alg.dim,
         "samples": args.samples,
         "passes": args.samples - len(failures),
-        "failures": failures,
+        "failures": basis_failures + failures,
     }
     return _emit(report, args)
 
@@ -161,12 +165,11 @@ def _cmd_sp_check(args) -> int:
 def _cmd_rep_build(args) -> int:
     alg = build_sp(args.n, verify=False)
     rep = _resolve_rep(alg, args.rep)
-    round_trip = rep_from_obj(rep.to_obj())
-    failures = [] if round_trip == rep else [{"kind": "round_trip"}]
+    obj = rep.to_obj()
+    failures = [] if rep_from_obj(obj) == rep else [{"kind": "round_trip"}]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_obj(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     ok = not failures
     print(f"[rep_build] name={rep.name} dim={rep.dim} round_trip={'ok' if ok else 'FAILED'}")
     return 0 if ok else 1

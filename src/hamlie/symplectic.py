@@ -92,10 +92,20 @@ def _minus_label(k: int, l: int) -> str:
 
 
 def build_sp(n: int, verify: bool = True) -> SpAlgebra:
-    """Construct sp_2n; optionally verify bracket closure and the
-    symplectic condition for every basis matrix."""
+    """Construct sp_2n; with ``verify``, check bracket closure and the
+    symplectic condition for the whole basis (``basis_failures``) and
+    raise ``SpBasisError`` listing every failure."""
     if n < 1:
         raise ValueError("rank must be at least 1")
+    alg = SpAlgebra(n, _basis(n))
+    if verify:
+        failures = basis_failures(alg)
+        if failures:
+            raise SpBasisError(alg, failures)
+    return alg
+
+
+def _basis(n: int) -> list:
     N = 2 * n
     basis = []
 
@@ -121,17 +131,101 @@ def build_sp(n: int, verify: bool = True) -> SpAlgebra:
             ent = {(n + k, l): 1}
             ent[(n + l, k)] = ent.get((n + l, k), 0) + 1
             basis.append(SpBasisElement(_minus_label(k, l), mat(ent)))
+    return basis
 
-    alg = SpAlgebra(n, basis)
 
-    if verify:
-        for b in basis:
-            if not is_symplectic(b.matrix, n):
-                raise AssertionError(f"basis element {b.label} fails the symplectic condition")
-        for x in basis:
-            for y in basis:
-                sp_decompose(bracket(x.matrix, y.matrix), alg)
-    return alg
+class SpBasisError(ValueError):
+    """The basis of ``alg`` fails its check; ``failures`` as ``basis_failures``."""
+
+    def __init__(self, alg: SpAlgebra, failures: list):
+        super().__init__(f"the sp basis fails {len(failures)} checks, first {failures[0]}")
+        self.alg = alg
+        self.failures = failures
+
+
+# basis entries above this size could wrap the int64 pass of basis_failures
+_ENTRY_BOUND = 2**8
+
+
+def basis_failures(alg: SpAlgebra) -> list:
+    """Every ordered basis pair whose bracket leaves the span, as
+    {"bracket": [x, y]}, then every basis element that fails the
+    symplectic condition m^t J + J m = 0, as {"symplectic": label}.
+
+    One int64 pass over the basis entries, each matrix holding at most two:
+    every product entry x_a[i, j] x_b[j, k] is a join of entries on column =
+    row, and [x_a, x_b] sums the products keyed by (pair, position).  The
+    coefficients are read at ``alg.readout``, doubled so that the halved
+    readouts stay integral, and the doubled bracket must equal the
+    combination they rebuild, entry by entry.  This is ``sp_decompose`` of
+    every bracket at once: a pair fails here exactly when it raises there.
+    """
+    # numpy loads on first use, as in linalg: imported with this module, ahead
+    # of the others, it raised the process's peak RSS by 3 MB
+    import numpy as np
+
+    n, N, labels = alg.n, alg.N, alg.labels
+    d, NN = len(labels), N * N
+    ents = [(a, i, j, v) for a, label in enumerate(labels)
+            for (i, j), v in alg.matrices[label].entries.items()]
+    if any(type(v) is not int or abs(v) > _ENTRY_BOUND for *_, v in ents):
+        raise ValueError(f"the sp basis check takes integer entries of size at most {_ENTRY_BOUND}")
+    lab, row, col, val = np.array(ents, dtype=np.int64).reshape(-1, 4).T
+    # products x_a x_b: entry (a, i, j) meets every entry (b, j, k)
+    by_row = np.argsort(row, kind="stable")
+    left, right = _join(col, np.searchsorted(row[by_row], np.arange(N + 1)))
+    right = by_row[right]
+    a, b = lab[left], lab[right]
+    pos = row[left] * N + col[right]
+    prod = val[left] * val[right]
+    keys, vals = _sum_by_key(np.concatenate([(a * d + b) * NN + pos, (b * d + a) * NN + pos]),
+                             np.concatenate([prod, -prod]))
+    # doubled coefficients, read where the readout table points
+    rlabel = np.full(NN, -1, dtype=np.int64)
+    rmult = np.zeros(NN, dtype=np.int64)
+    index = {label: t for t, label in enumerate(labels)}
+    for (i, j), (label, halved) in alg.readout.items():
+        rlabel[i * N + j] = index[label]
+        rmult[i * N + j] = 1 if halved else 2
+    pair, pos = np.divmod(keys, NN)
+    hit = rlabel[pos] >= 0
+    pair, coeff, c2 = pair[hit], rlabel[pos[hit]], vals[hit] * rmult[pos[hit]]
+    # the rebuilt combination: every coefficient times its label's entries
+    # (the entries run in label order)
+    cl, ce = _join(coeff, np.searchsorted(lab, np.arange(d + 1)))
+    rebuilt = (pair[cl] * NN + row[ce] * N + col[ce], c2[cl] * val[ce])
+    # the symplectic condition of x_a, keyed after every pair: J[s, s^] =
+    # +1 for s < n and -1 for s >= n, with s^ = s + n mod N
+    sig = (row + n) % N
+    sv = np.where(row < n, val, -val)
+    sym = ((d * d + lab) * NN + col * N + sig, (d * d + lab) * NN + sig * N + col)
+    bad, _ = _sum_by_key(np.concatenate([rebuilt[0], keys, *sym]),
+                         np.concatenate([rebuilt[1], -2 * vals, sv, -sv]))
+    return [{"bracket": [labels[p // d], labels[p % d]]} if p < d * d
+            else {"symplectic": labels[p - d * d]} for p in sorted(set((bad // NN).tolist()))]
+
+
+def _join(want, starts) -> tuple:
+    """Index pairs (l, r) with r running over starts[want[l]]:starts[want[l] + 1],
+    the positions of group want[l] in an array sorted by group."""
+    import numpy as np
+
+    lo = starts[want]
+    cnt = starts[want + 1] - lo
+    left = np.repeat(np.arange(len(want)), cnt)
+    return left, np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+
+def _sum_by_key(keys, vals) -> tuple:
+    """The distinct keys in increasing order with their nonzero value sums."""
+    import numpy as np
+
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.add.reduceat(vals, first)
+    keep = sums != 0
+    return keys[first][keep], sums[keep]
 
 
 def bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

@@ -1,15 +1,24 @@
 """sp_2n construction, bar map, pairing, decomposition, heights."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamlie import cli, symplectic
 from hamlie.linalg import SparseMatrix
 from hamlie.symplectic import (
+    SpAlgebra,
+    SpBasisElement,
+    SpBasisError,
     bar,
+    basis_failures,
     bracket,
     build_sp,
     is_symplectic,
@@ -34,7 +43,119 @@ def test_n1_basis_matrices():
 
 def test_dim_formula():
     for n in range(1, 5):
-        assert build_sp(n, verify=(n <= 2)).dim == 2 * n * n + n
+        assert build_sp(n, verify=True).dim == 2 * n * n + n
+
+
+def _loop_failures(alg):
+    """The reference check, one ordered pair at a time: sp_decompose of
+    every bracket, then is_symplectic of every basis element."""
+    out = []
+    for x in alg.basis:
+        for y in alg.basis:
+            try:
+                sp_decompose(bracket(x.matrix, y.matrix), alg)
+            except ValueError:
+                out.append({"bracket": [x.label, y.label]})
+    return out + [{"symplectic": b.label} for b in alg.basis if not is_symplectic(b.matrix, alg.n)]
+
+
+def _mutated(n, label, change):
+    """The sp_2n basis with ``change`` applied to the entries of ``label``."""
+    basis = []
+    for b in build_sp(n, verify=False).basis:
+        if b.label == label:
+            entries = dict(b.matrix.entries)
+            change(entries)
+            b = SpBasisElement(label, SparseMatrix(2 * n, 2 * n, entries))
+        basis.append(b)
+    return basis
+
+
+def _moved(n):
+    # h1's -1 at (n, n) moved one column to the right, cyclically
+    def change(entries):
+        entries[(n, (n + 1) % (2 * n))] = entries.pop((n, n))
+    return _mutated(n, "h1", change)
+
+
+def _halved(n):
+    # X(2e1) = e_{1,n+1} instead of 2 e_{1,n+1}: still symplectic, and its
+    # brackets are caught only through the halved readout
+    def change(entries):
+        entries[(0, n)] = 1
+    return _mutated(n, "X(2e1)", change)
+
+
+def _negated(n):
+    def change(entries):
+        entries[(n, n)] = -entries[(n, n)]
+    return _mutated(n, "h1", change)
+
+
+def test_closure_pass_matches_the_pair_loop():
+    for n in range(1, 6):
+        alg = build_sp(n, verify=False)
+        assert basis_failures(alg) == _loop_failures(alg) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mutation", [_moved, _halved, _negated])
+def test_mutated_bases_rejected_by_pass_and_loop(mutation, n):
+    alg = SpAlgebra(n, mutation(n))
+    failures = basis_failures(alg)
+    assert failures == _loop_failures(alg)
+    assert any("bracket" in f for f in failures)
+    assert any("symplectic" in f for f in failures) == (mutation is not _halved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closure_pass_matches_the_pair_loop_on_random_mutations(data):
+    n = data.draw(st.integers(1, 3))
+    N = 2 * n
+    label = data.draw(st.sampled_from(build_sp(n, verify=False).labels))
+    pos = (data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1)))
+    value = data.draw(st.integers(-2, 2))
+    alg = SpAlgebra(n, _mutated(n, label, lambda entries: entries.__setitem__(pos, value)))
+    assert basis_failures(alg) == _loop_failures(alg)
+
+
+def test_closure_pass_refuses_entries_it_cannot_hold_exactly():
+    for value in (F(1, 2), 2**9):
+        alg = SpAlgebra(1, _mutated(1, "h1", lambda entries: entries.__setitem__((0, 0), value)))
+        with pytest.raises(ValueError):
+            basis_failures(alg)
+
+
+@pytest.mark.parametrize("mutation,kind", [(_halved, "bracket"), (_negated, "symplectic")])
+def test_sp_check_lists_basis_failures(mutation, kind, monkeypatch, tmp_path, capsys):
+    # a basis that fails the check is a failed check (exit 1), not an input
+    # error or a crash
+    basis = mutation(2)
+    want = _loop_failures(SpAlgebra(2, basis))
+    monkeypatch.setattr(symplectic, "_basis", lambda n: basis)
+    with pytest.raises(SpBasisError):
+        build_sp(2)
+    out = tmp_path / "report.json"
+    assert cli.main(["sp-check", "--n", "2", "--samples", "5", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["failures"][:len(want)] == want
+    assert any(kind in f for f in want)
+    assert report["passes"] == 5 - len(report["failures"][len(want):])
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_sp_check_leaves_numpy_ma_unimported():
+    # numpy.ma costs resident memory on its first import (np.unique pulls it in)
+    code = ("import io, sys, contextlib\n"
+            "from hamlie.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sp-check', '--n', '5']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_bracket_examples():
