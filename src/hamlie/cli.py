@@ -23,6 +23,7 @@ from .reps import (
     bracket_violations,
     build_rep,
     contraction_theta,
+    fundamental_degree,
     rep_from_obj,
     theta_matrix,
     verify_intertwiner,
@@ -73,9 +74,9 @@ def _load_rep(path: str):
         x, y = violations[0]
         raise ValueError(f"{path}: rho([{x}, {y}]) != [rho({x}), rho({y})]; "
                          f"{len(violations)} basis pair(s) break the bracket")
-    kind, _, k = rep.name.partition(":")
-    if kind == "fundamental" and k.isdigit() and int(k) >= 2:
-        kernel = nullspace(theta_matrix(rep.alg.N, int(k)))
+    k = fundamental_degree(rep.name)
+    if k is not None and k >= 2:
+        kernel = nullspace(theta_matrix(rep.alg.N, k))
         if kernel.dim != rep.dim:
             raise ValueError(f"{path}: {rep.name} must have dimension {kernel.dim}")
         rep.subspace = kernel

@@ -14,17 +14,17 @@ the echelon of its annihilator).  ``_echelon_stack`` and
 ``_annihilator_stack`` give the same rows for a whole stack of equal-shape
 integer matrices at once, one column or pivot row per numpy step; they
 make the grades of the built families and the enumeration's annihilators.
-A ``Subspace``
-is the canonical form of an echelon, made for reports and the API: a
+Every subspace the program computes with is such an echelon.  A
+``Subspace``, the reference and report form, is its canonical form: a
 reduced row-echelon basis of ``Fraction`` rows (pivot = first nonzero
-column, leading entry 1), so equal subspaces compare equal bit-for-bit
-and every operation is deterministic.
+column, leading entry 1), so equal subspaces compare equal bit-for-bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -413,20 +413,12 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains(v) for v in other.basis)
 
-    def embedding(self) -> SparseMatrix:
-        """The ambient x dim matrix whose columns are the basis rows."""
-        return SparseMatrix._trusted(
-            self.ambient_dim, len(self.basis),
-            {(i, c): canon(v) for c, row in enumerate(self.basis)
-             for i, v in enumerate(row) if v},
-        )
-
     def annihilator(self) -> "Subspace":
         """Row space of functionals vanishing on this subspace."""
         if self.is_zero():
             return Subspace.full(self.ambient_dim)
         m = SparseMatrix.from_rows([list(r) for r in self.basis])
-        return nullspace(m)
+        return nullspace(m).subspace()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -449,9 +441,9 @@ class Subspace:
         }
 
 
-def nullspace(m: SparseMatrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    return _IntEchelon.of_rows(m.cols, map(_int_row, m.to_rows())).kernel().subspace()
+def nullspace(m: SparseMatrix) -> "_IntEchelon":
+    """The integer echelon of the right kernel {v : m v = 0}."""
+    return _IntEchelon.of_rows(m.cols, map(_int_row, m.to_rows())).kernel()
 
 
 # -- the fraction-free integer echelon ----------------------------------
@@ -509,8 +501,9 @@ class _IntEchelon:
 
     def _reduce(self, cand) -> list:
         """An integer multiple of ``cand`` minus its part in the span,
-        cleared at every pivot."""
-        v = [int(x) for x in cand]
+        cleared at every pivot.  TypeError on an entry that is not an
+        integer (``operator.index``): a Fraction is not truncated."""
+        v = [index(x) for x in cand]
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
@@ -527,6 +520,16 @@ class _IntEchelon:
         basis = tuple(tuple(Fraction(x, row[p]) for x in row)
                       for row, p in zip(self.rows, self.pivots))
         return Subspace(self.ambient, basis, tuple(self.pivots))
+
+    def embedding(self) -> tuple[SparseMatrix, int]:
+        """(E, s): s the lcm of the pivot entries and E the ambient x dim
+        integer matrix whose column c is row c times s / (its pivot entry):
+        s times the canonical basis as columns, so E's pivot rows are s I."""
+        s = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+        return SparseMatrix._trusted(self.ambient, self.dim, {
+            (i, c): v * (s // row[p])
+            for c, (row, p) in enumerate(zip(self.rows, self.pivots))
+            for i, v in enumerate(row) if v}), s
 
     def kernel(self) -> "_IntEchelon":
         """The echelon of the annihilator: {v : row . v = 0 for every row}."""

@@ -17,13 +17,13 @@ from math import comb
 
 from .linalg import (
     SparseMatrix,
-    Subspace,
+    _IntEchelon,
+    _int_row,
     canon,
     format_scalar,
     nullspace,
     parse_scalar,
     unit_vector,
-    vec_is_zero,
 )
 from .symplectic import (
     SpAlgebra,
@@ -46,7 +46,7 @@ class Representation:
     action: dict
     weights: list
     # for subrepresentations cut out of a wedge power: the ambient kernel
-    subspace: Subspace | None = field(default=None, repr=False)
+    subspace: _IntEchelon | None = field(default=None, repr=False)
 
     def act(self, label: str) -> SparseMatrix:
         return self.action[label]
@@ -208,32 +208,33 @@ def contraction_theta(alg: SpAlgebra, k: int) -> LinearMap:
     return LinearMap(exterior_power(nat, k), exterior_power(nat, k - 2), matrix)
 
 
-def subrepresentation(rep: Representation, space: Subspace, name: str) -> Representation:
-    """Restrict rep to an invariant subspace given in canonical RREF basis.
+def subrepresentation(rep: Representation, space: _IntEchelon, name: str) -> Representation:
+    """Restrict rep to an invariant subspace given as its integer echelon.
 
-    With E the embedding (columns = basis rows), the restriction of rho(x)
-    is the R with E R = rho(x) E.  In an RREF basis the coordinates of a
-    vector are its pivot entries, so R is the pivot rows of rho(x) E, and
+    With E its integer embedding of scale s (``_IntEchelon.embedding``),
+    the restriction of rho(x) is the R with E R = rho(x) E.  The pivot rows
+    of E are s I, so R is the pivot rows of rho(x) E divided by s, and
     E R = rho(x) E is the invariance check.
     """
-    if space.ambient_dim != rep.dim:
+    if space.ambient != rep.dim:
         raise ValueError("subspace ambient dimension does not match rep")
     d = space.dim
-    emb = space.embedding()
+    emb, s = space.embedding()
     pivot_row = {piv: row for row, piv in enumerate(space.pivots)}
     action = {}
     for label in rep.alg.labels:
         img = rep.action[label] @ emb
         restricted = SparseMatrix._trusted(d, d, {
-            (pivot_row[i], c): v for (i, c), v in img.entries.items() if i in pivot_row
+            (pivot_row[i], c): v if s == 1 else canon(Fraction(v, s))
+            for (i, c), v in img.entries.items() if i in pivot_row
         })
         if emb @ restricted != img:
             raise ValueError(f"subspace is not invariant under {label}")
         action[label] = restricted
-    # RREF basis rows of a Cartan-stable subspace are weight-homogeneous:
+    # echelon rows of a Cartan-stable subspace are weight-homogeneous:
     # read the weight off the pivot monomial and confirm it exactly; as
-    # E R = rho(h) E holds and E has full column rank, basis row c is a
-    # weight vector of weight wt iff column c of R is wt[a] e_c
+    # E R = rho(h) E holds and E has full column rank, row c is a weight
+    # vector of weight wt iff column c of R is wt[a] e_c
     weights = [rep.weights[piv] for piv in space.pivots]
     for a in range(rep.alg.n):
         diag = {(c, c): wt[a] for c, wt in enumerate(weights) if wt[a] != 0}
@@ -243,6 +244,12 @@ def subrepresentation(rep: Representation, space: Subspace, name: str) -> Repres
     sub = Representation(rep.alg, name, d, labels, action, weights)
     sub.subspace = space
     return sub
+
+
+def fundamental_degree(name: str) -> int | None:
+    """k for a rep named fundamental:k (k in ASCII digits), else None."""
+    kind, _, k = name.partition(":")
+    return int(k) if kind == "fundamental" and k.isascii() and k.isdigit() else None
 
 
 def fundamental_rep(alg: SpAlgebra, k: int) -> Representation:
@@ -257,21 +264,18 @@ def fundamental_rep(alg: SpAlgebra, k: int) -> Representation:
 
 
 def highest_weight_vectors(rep: Representation) -> list:
-    """Basis of the joint kernel of all raising operators, with weights."""
-    pos = rep.alg.positive_labels()
-    if not pos:
-        stacked = SparseMatrix(0, rep.dim)
-    else:
-        stacked = rep.action[pos[0]]
-        for label in pos[1:]:
-            stacked = stacked.stack(rep.action[label])
+    """The integer echelon rows of the joint kernel of all raising
+    operators, each with its weight."""
+    pos = rep.alg.positive_labels()  # never empty: n >= 1
+    stacked = rep.action[pos[0]]
+    for label in pos[1:]:
+        stacked = stacked.stack(rep.action[label])
     space = nullspace(stacked)
     out = []
-    for row in space.basis:
+    for row, piv in zip(map(tuple, space.rows), space.pivots):
         wt = []
         for a in range(rep.alg.n):
             hv = rep.action[f"h{a + 1}"].matvec(row)
-            piv = next(i for i, x in enumerate(row) if x != 0)
             mu = canon(Fraction(hv[piv]) / row[piv])
             if hv != tuple(mu * x for x in row):
                 raise ValueError("highest weight vector is not a weight vector")
@@ -280,25 +284,21 @@ def highest_weight_vectors(rep: Representation) -> list:
     return out
 
 
-def cyclic_span(rep: Representation, v) -> Subspace:
-    """Smallest subspace containing v and stable under every basis action."""
+def cyclic_span(rep: Representation, v) -> _IntEchelon:
+    """The integer echelon of the smallest subspace containing v and stable
+    under every basis action."""
     v = tuple(canon(x) for x in v)
     if len(v) != rep.dim:
         raise ValueError("vector length does not match rep dimension")
-    if vec_is_zero(v):
-        return Subspace.zero(rep.dim)
-    span = Subspace.from_vectors([v], rep.dim)
-    pending = [v]
+    span = _IntEchelon.of_rows(rep.dim, [_int_row(v)])
+    pending = list(span.rows)
     mats = [rep.action[label] for label in rep.alg.labels]
-    while pending:
+    while pending and span.dim < rep.dim:
         x = pending.pop()
         for m in mats:
-            w = m.matvec(x)
-            span, new = span.add_vector(w)
-            if new:
+            w = span.insert(_int_row(m.matvec(x)))
+            if w is not None:
                 pending.append(w)
-        if span.is_full():
-            break
     return span
 
 
@@ -308,10 +308,7 @@ def is_irreducible(rep: Representation) -> bool:
         raise ValueError("empty representation")
     if len(highest_weight_vectors(rep)) != 1:
         return False
-    for i in range(rep.dim):
-        if not cyclic_span(rep, unit_vector(rep.dim, i)).is_full():
-            return False
-    return True
+    return all(cyclic_span(rep, unit_vector(rep.dim, i)).dim == rep.dim for i in range(rep.dim))
 
 
 def verify_intertwiner(f: LinearMap):

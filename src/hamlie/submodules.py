@@ -43,6 +43,7 @@ from .reps import (
     Representation,
     contraction_theta,
     exterior_power,
+    fundamental_degree,
     interior_matrix,
     natural_rep,
     theta_matrix,
@@ -1434,7 +1435,7 @@ def _certificate_invariance(family: TruncatedModule, gens: GeneratorSet,
         # the kernel embedding intertwines the fundamental rep with
         # Lambda^k, so invariance can be argued upstairs
         checks["kernel_embedding"] = verify_intertwiner(
-            LinearMap(p.rep, lam, p.rep.subspace.embedding()))[0]
+            LinearMap(p.rep, lam, p.rep.subspace.embedding()[0]))[0]
     else:
         raise ValueError(f"no certificate available for family kind {family.kind!r}")
 
@@ -1518,19 +1519,14 @@ def build_submodule(kind: str, p: ModuleParams, box: Box) -> TruncatedModule:
         return TruncatedModule(p, box, builder=partial(_delta1_rows, p.alpha), kind="delta1")
 
     if kind == "deltak":
-        if not rep.name.startswith("fundamental:"):
-            raise ValueError("deltak requires a fundamental representation")
-        k = int(rep.name.split(":")[1])
-        if k < 2:
-            raise ValueError("deltak requires k >= 2")
-        # (e_a wedge) E : Ker theta_k -> Lambda^{k+1}, E the kernel embedding
-        # scaled by the lcm of its entry denominators, as integer entries
-        emb = rep.subspace.embedding()
-        e_scale = lcm(*(v.denominator for v in emb.entries.values()))
-        wedge_emb = np.zeros((N, comb(N, k + 1), rep.dim), dtype=object)
-        for a in range(N):
-            for (i, j), v in (wedge_matrix(N, k, a) @ emb).entries.items():
-                wedge_emb[a, i, j] = int(v * e_scale)
+        k = fundamental_degree(rep.name)
+        if k is None or k < 2 or rep.subspace is None:
+            raise ValueError(f"deltak requires a representation named fundamental:k, "
+                             f"k >= 2, that carries its theta kernel, not {rep.name!r}")
+        # (e_a wedge) E : Ker theta_k -> Lambda^{k+1}, E the integer kernel embedding
+        emb, _ = rep.subspace.embedding()
+        wedge_emb = np.array([(wedge_matrix(N, k, a) @ emb).to_rows() for a in range(N)],
+                             dtype=object)
         return TruncatedModule(p, box, builder=partial(_deltak_rows, p.alpha, wedge_emb),
                                kind="deltak", k=k)
 
@@ -1602,9 +1598,10 @@ def claim2_witness(p: ModuleParams, r, k: int):
     factors = []
     for _ in range(k - 1):
         l_space = nullspace(SparseMatrix.from_rows(constraints))
-        if l_space.is_zero():
+        if not l_space.dim:
             raise AssertionError("hyperplane chain collapsed early")
-        v = l_space.basis[0]
+        row, piv = l_space.rows[0], l_space.pivots[0]
+        v = tuple(Fraction(x, row[piv]) for x in row)
         factors.append(v)
         constraints.append(list(v))
         constraints.append(list(bar(v)))

@@ -62,20 +62,32 @@ def test_rep_build_malformed_file(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["enumerate", "certificate"])
-@pytest.mark.parametrize("spec,name,kind,dim", [("trivial", "natural", "delta1", 4),
-                                                ("natural", "trivial", "trivial_line", 1)])
-def test_renamed_rep_of_another_dimension_exits_2(tmp_path, capsys, spec, name, kind, dim,
-                                                  method):
+@pytest.mark.parametrize("spec,name,kind,alpha,message", [
+    pytest.param("trivial", "natural", "delta1", "1,0,0,0", "dimension 4",
+                 id="trivial-natural-delta1-4"),
+    pytest.param("natural", "trivial", "trivial_line", "1,0,0,0", "dimension 1",
+                 id="natural-trivial-trivial_line-1"),
+    # names that only look like fundamental:2 carry no kernel
+    pytest.param("fundamental:2", "fundamental:+2", "deltak", "1/3,0,0,0", "fundamental:k",
+                 id="fundamental:2-fundamental:+2-deltak"),
+    pytest.param("fundamental:2", "fundamental: 2", "deltak", "1/3,0,0,0", "fundamental:k",
+                 id="fundamental:2-fundamental: 2-deltak"),
+    pytest.param("fundamental:2", "fundamental:2:x", "deltak", "1/3,0,0,0", "fundamental:k",
+                 id="fundamental:2-fundamental:2:x-deltak"),
+])
+def test_renamed_rep_of_another_dimension_exits_2(tmp_path, capsys, spec, name, kind, alpha,
+                                                  message, method):
     # a file: rep under a builtin name keeps the bracket law, but the family
-    # of that name needs the builtin's dimension
+    # of that name needs the builtin's dimension, and deltak the kernel that
+    # only a rep named fundamental:k gets back on loading
     obj = build_rep(build_sp(2, verify=False), spec).to_obj()
     obj["name"] = name
     path = tmp_path / "renamed.json"
     path.write_text(json.dumps(obj))
     assert main(["submodule-check", kind, "--n", "2", "--rep", f"file:{path}",
-                 "--alpha", "1,0,0,0", "--box", "1", "--gens", "1", "--method", method]) == 2
+                 "--alpha", alpha, "--box", "1", "--gens", "1", "--method", method]) == 2
     err = capsys.readouterr().err
-    assert kind in err and f"dimension {dim}" in err, err
+    assert kind in err and message in err, err
 
 
 def test_float_literals_rejected(capsys):
@@ -295,3 +307,35 @@ def test_loaded_reps_equal_fresh_ones_types_included(spec, tmp_path, monkeypatch
     loaded = [rep_from_obj(fresh.to_obj()), cli._resolve_rep(alg, f"file:{path}")]
     for rep in loaded:
         assert _typed(rep) == _typed(fresh)
+    # the file: rep gets back the kernel echelon the fresh one was cut from
+    kernel = loaded[1].subspace
+    if fresh.subspace is None:
+        assert kernel is None
+    else:
+        assert (kernel.rows, kernel.pivots) == (fresh.subspace.rows, fresh.subspace.pivots)
+
+
+def test_commands_build_no_subspace(tmp_path, monkeypatch):
+    # Subspace is the reference and report form: none of these builds one
+    from hamlie.linalg import Subspace
+    from hamlie.reps import is_irreducible
+
+    def refuse(self, *args):
+        raise AssertionError("a Subspace was built")
+
+    monkeypatch.setattr(Subspace, "__init__", refuse)
+    rep = tmp_path / "rep.json"
+    module = ["--n", "2", "--rep", "fundamental:2", "--alpha", "1/3,0,0,0"]
+    for argv in (["rep-build", "--n", "3", "--rep", "fundamental:3", "--output", str(rep)],
+                 ["rep-build", "--n", "3", "--rep", f"file:{rep}"],
+                 ["dim-check", "--n", "3", "--k", "3"],
+                 ["theta-check", "--n", "3", "--k", "3"],
+                 ["claim2-witness", "--n", "2", "--rep", "fundamental:2",
+                  "--alpha", "1/2,0,0,0", "--r", "1,0,-1,2", "--k", "2"],
+                 ["submodule-check", "deltak"] + module + ["--box", "1", "--gens", "1",
+                                                           "--method", "enumerate"],
+                 ["submodule-check", "deltak"] + module + ["--box", "1", "--gens", "1",
+                                                           "--method", "certificate"],
+                 ["probe"] + module + ["--box", "1", "--gens", "1", "--extra-seeds", "1"]):
+        assert main(argv) == 0, argv
+    assert is_irreducible(build_rep(build_sp(2, verify=False), "sym:2"))

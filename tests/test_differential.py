@@ -9,11 +9,16 @@ chosen so that every branch runs: 1, 2^31-1 (int64 throughout), 2^61-1
 int64).  ``rho_rank_one``, which reads the rep's table of rho(C_ab), is
 held to the same direct decomposition.
 
-The sparse rep-layer kernels (restriction to Ker theta_k, the deltak grade
-spaces, ``sp_decompose``) are compared with the per-vector ``Subspace``
-solves, the Fraction-RREF kernel and the dense readout they replace, kept
-here as oracles.  ``nullspace``, the integer echelon's kernel, is checked
-against the Fraction RREF on rational and beyond-int64 matrices.
+The rep layer computes with integer echelons only; ``Subspace``, the
+Fraction RREF form, is kept here as the oracle.  Restriction to Ker theta_k
+and to random spans, the deltak grade spaces, ``cyclic_span``,
+``highest_weight_vectors``, ``is_irreducible`` and ``sp_decompose`` are
+compared with per-vector ``Subspace`` solves, Fraction-RREF kernels, the
+``Subspace.add_vector`` spin and the dense readout they replace.  The
+integer embedding of an echelon must be its one scale s times the Fraction
+embedding of its canonical form, on bases whose pivots exceed 1 and whose
+entries pass int64.  ``nullspace``, the integer echelon's kernel, is
+checked against the Fraction RREF on rational and beyond-int64 matrices.
 
 The probe's mod-p FULL screen is compared with the exact closure engine:
 it may only say FULL where the exact closure is full on the inner box, it
@@ -60,10 +65,13 @@ from hamlie.linalg import (
     nullspace,
 )
 from hamlie.reps import (
+    Representation,
     build_rep,
     contraction_theta,
+    cyclic_span,
     exterior_power,
     highest_weight_vectors,
+    is_irreducible,
     natural_rep,
     rep_from_obj,
     subrepresentation,
@@ -202,13 +210,17 @@ def test_rho_rank_one_matches_direct_decomposition(n, spec, data):
         assert _typed_entries(got) == _typed_entries(_rho_direct(rep, r)), (spec, r)
 
 
+def _echelon(space: Subspace) -> _IntEchelon:
+    """The integer echelon of a canonical space, its rows made primitive."""
+    return _IntEchelon.of_rows(space.ambient_dim, map(_int_row, space.basis))
+
+
 def _family(p, box, spaces) -> TruncatedModule:
     """A family holding the given Subspaces, as the grid of their integer
     echelons."""
     idx = _GradeIndex(box.radius, box.N)
     return TruncatedModule(p, box, grid=_echelon_grid(box.count(), p.rep.dim, {
-        idx.encode_one(g): _IntEchelon.of_rows(s.ambient_dim, map(_int_row, s.basis))
-        for g, s in spaces.items()}))
+        idx.encode_one(g): _echelon(s) for g, s in spaces.items()}))
 
 
 def _by_grade(engine, grid) -> dict:
@@ -615,9 +627,9 @@ _kernel_entries = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_nullspace_is_the_fraction_kernel(data):
-    # three properties fix the kernel: m kills each basis vector, the
-    # dimension is cols minus the Fraction-RREF rank, and the basis is the
-    # canonical RREF one
+    # three properties fix the kernel: m kills each echelon row, the
+    # dimension is cols minus the Fraction-RREF rank, and the echelon's
+    # canonical form is the RREF of its rows
     cols = data.draw(st.integers(0, 5))
     rows = [[data.draw(_kernel_entries) for _ in range(cols)]
             for _ in range(data.draw(st.integers(0, cols + 2)))]
@@ -626,10 +638,12 @@ def test_nullspace_is_the_fraction_kernel(data):
     m = SparseMatrix(len(rows), cols, {(i, j): v for i, row in enumerate(rows)
                                        for j, v in enumerate(row)})
     got = nullspace(m)
-    assert all(not any(m.matvec(v)) for v in got.basis)
+    assert all(not any(m.matvec(v)) for v in got.rows)
     assert got.dim == cols - Subspace.from_vectors(rows, cols).dim
-    want = Subspace.from_vectors(got.basis, cols)
-    assert got == want and got.pivots == want.pivots
+    want = Subspace.from_vectors(got.rows, cols)
+    assert got.subspace() == want and got.pivots == list(want.pivots)
+    # the echelon rows are the canonical rows made primitive
+    assert [list(r) for r in got.rows] == [_primitive_row(r) for r in want.basis]
 
 
 def test_grade_state_screen_bounds_minus_2_63_exactly():
@@ -850,15 +864,56 @@ def _naive_restriction(rep, space):
     return action
 
 
+def _canonical_scalars(action) -> bool:
+    """Every entry an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is F and v.denominator != 1)
+               for m in action.values() for v in m.entries.values())
+
+
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
 def test_kernel_restriction_matches_coordinate_solves(n, k):
+    # the oracle solves for coordinates in the kernel's canonical form
     alg = build_sp(n, verify=False)
     kernel = nullspace(contraction_theta(alg, k).matrix)
     lam = exterior_power(natural_rep(alg), k)
     sub = subrepresentation(lam, kernel, f"fundamental:{k}")
-    assert sub.action == _naive_restriction(lam, kernel)
+    assert sub.action == _naive_restriction(lam, kernel.subspace())
+    assert _canonical_scalars(sub.action)
     assert sub.weights == [lam.weights[p] for p in kernel.pivots]
     assert sub.subspace is kernel
+
+
+def _doubled(rep):
+    """rep + rep, block-diagonal, each basis vector keeping its weight."""
+    d = rep.dim
+    action = {label: SparseMatrix(2 * d, 2 * d, {
+        (i + off, j + off): v for (i, j), v in m.entries.items() for off in (0, d)})
+        for label, m in rep.action.items()}
+    return Representation(rep.alg, "doubled", 2 * d, list(range(2 * d)), action,
+                          rep.weights * 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_to_a_graph_with_pivots_above_1(data):
+    # {(c v, e v)} is invariant in rep + rep for every integer c != 0 and e,
+    # and its echelon has pivots c / gcd(c, e): the embedding's one scale s
+    # goes into every restricted entry, beyond int64 too
+    n, spec = data.draw(st.sampled_from([(1, "natural"), (1, "sym:2"), (2, "natural"),
+                                         (2, "sym:2"), (2, "fundamental:2")]))
+    rep = _rep(n, spec)
+    c = data.draw(st.integers(-4, 4).filter(bool) | st.sampled_from(BIG))
+    e = data.draw(_entries)
+    d = rep.dim
+    space = Subspace.from_vectors(
+        [[c * (i == j) for i in range(d)] + [e * (i == j) for i in range(d)]
+         for j in range(d)], 2 * d)
+    double = _doubled(rep)
+    ech = _echelon(space)
+    sub = subrepresentation(double, ech, "graph")
+    assert sub.action == _naive_restriction(double, space)
+    assert _canonical_scalars(sub.action)
+    assert ech.embedding()[1] == abs(c) // gcd(c, e)
 
 
 def test_restriction_confirms_recorded_weights():
@@ -875,10 +930,11 @@ def test_restriction_confirms_recorded_weights():
 def test_restriction_raises_exactly_off_invariant_subspaces(data):
     # exterior:2 at n=2 holds the invariant kernel of theta_2 (dim 5) and the
     # symplectic form line; random spans, alone or joined to those, mostly
-    # are not invariant
+    # are not invariant; each span goes in as its integer echelon, whose
+    # pivots exceed 1 wherever its canonical rows have denominators
     alg = build_sp(2, verify=False)
     lam = exterior_power(natural_rep(alg), 2)
-    kernel = nullspace(contraction_theta(alg, 2).matrix)
+    kernel = nullspace(contraction_theta(alg, 2).matrix).subspace()
     omega = Subspace.from_vectors([[0, 1, 0, 0, 1, 0]], 6)  # e1^e3 + e2^e4
     base = data.draw(st.sampled_from([Subspace.zero(6), kernel, omega]))
     extra = [[data.draw(st.integers(-2, 2)) for _ in range(6)]
@@ -887,9 +943,60 @@ def test_restriction_raises_exactly_off_invariant_subspaces(data):
     want = _naive_restriction(lam, space)
     if want is None:
         with pytest.raises(ValueError, match="not invariant"):
-            subrepresentation(lam, space, "sub")
+            subrepresentation(lam, _echelon(space), "sub")
     else:
-        assert subrepresentation(lam, space, "sub").action == want
+        assert subrepresentation(lam, _echelon(space), "sub").action == want
+
+
+SPAN_REPS = [(1, "natural"), (1, "sym:2"), (1, "exterior:2"), (2, "natural"), (2, "sym:2"),
+             (2, "exterior:2"), (2, "fundamental:2")]
+
+
+def _naive_cyclic_span(rep, v) -> Subspace:
+    """The cyclic span by ``Subspace.add_vector``, one image at a time."""
+    span = Subspace.from_vectors([v], rep.dim)
+    pending = list(span.basis)
+    while pending:
+        x = pending.pop()
+        for label in rep.alg.labels:
+            w = rep.action[label].matvec(x)
+            span, new = span.add_vector(w)
+            if new:
+                pending.append(w)
+    return span
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cyclic_span_matches_the_subspace_oracle(data):
+    # mostly-zero integer and rational vectors, so that spans in the
+    # reducible exterior:2 are often proper, and the zero vector
+    n, spec = data.draw(st.sampled_from(SPAN_REPS))
+    rep = _rep(n, spec)
+    q = data.draw(st.sampled_from((1, 7, 2 ** 61 - 1)))
+    v = [F(data.draw(st.sampled_from((0, 0, 0, 1, -2, 3))), q) for _ in range(rep.dim)]
+    got = cyclic_span(rep, v)
+    want = _naive_cyclic_span(rep, v)
+    assert got.subspace() == want
+    assert [list(r) for r in got.rows] == [_primitive_row(r) for r in want.basis]
+
+
+@pytest.mark.parametrize("n,spec", SPAN_REPS)
+def test_irreducibility_and_highest_weights_match_the_subspace_oracle(n, spec):
+    rep = _rep(n, spec)
+    raising = [row for label in rep.alg.positive_labels() for row in rep.action[label].to_rows()]
+    want = _fraction_kernel(SparseMatrix.from_rows(raising))
+    hw = highest_weight_vectors(rep)
+    assert Subspace.from_vectors([row for row, _ in hw], rep.dim) == want
+    assert len(hw) == want.dim
+    for row, wt in hw:
+        assert all(type(x) is int for x in row)
+        for a in range(n):
+            assert rep.action[f"h{a + 1}"].matvec(row) == tuple(wt[a] * x for x in row)
+    irreducible = want.dim == 1 and all(
+        _naive_cyclic_span(rep, [int(i == j) for j in range(rep.dim)]).is_full()
+        for i in range(rep.dim))
+    assert is_irreducible(rep) == irreducible
 
 
 def _wedge_with_vector(u, k: int, N: int) -> list:
@@ -919,8 +1026,9 @@ def _deltak_space_by_intersection(p, k, grade):
     if not any(u):
         return Subspace.zero(rep.dim)
     w = Subspace.from_vectors(_wedge_with_vector(u, k, N), comb(N, k))
-    inter = w.intersect(rep.subspace)
-    return Subspace.from_vectors([rep.subspace.coordinates(r) for r in inter.basis], rep.dim)
+    kernel = rep.subspace.subspace()
+    inter = w.intersect(kernel)
+    return Subspace.from_vectors([kernel.coordinates(r) for r in inter.basis], rep.dim)
 
 
 def _delta1_space_by_fractions(p, grade):
@@ -945,13 +1053,62 @@ def _fraction_kernel(m: SparseMatrix) -> Subspace:
     return Subspace.from_vectors(vectors, m.cols)
 
 
+def _fraction_embedding(space: Subspace) -> SparseMatrix:
+    """The ambient x dim matrix whose columns are the canonical basis rows."""
+    return SparseMatrix(space.ambient_dim, space.dim, {
+        (i, c): v for c, row in enumerate(space.basis) for i, v in enumerate(row)})
+
+
+_DENOMINATORS = (2, 3, 2 ** 64 + 1, 3 ** 41)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_embedding_is_the_scaled_fraction_embedding(data):
+    # a random canonical basis with entries and denominators beyond int64;
+    # its first row ends in a fraction of denominator q > 1, so the echelon
+    # has a pivot q or larger.  The one scale s is the lcm of the pivots and
+    # of every denominator of the canonical rows
+    d = data.draw(st.integers(2, 5))
+    mask = data.draw(st.lists(st.booleans(), min_size=d - 2, max_size=d - 2))
+    pivots = [0] + [j for j, b in enumerate(mask, 1) if b]
+    rows = []
+    for p in pivots:
+        row = [F(0)] * d
+        row[p] = F(1)
+        for j in range(p + 1, d):
+            if j not in pivots:
+                row[j] = F(data.draw(_entries), data.draw(st.sampled_from((1,) + _DENOMINATORS)))
+        rows.append(row)
+    q = data.draw(st.sampled_from(_DENOMINATORS))
+    rows[0][-1] = F(1 + q * data.draw(_entries), q)
+    space = Subspace.from_vectors(rows, d)
+    assert space.basis == tuple(map(tuple, rows))
+    ech = _IntEchelon.of_rows(d, map(_int_row, rows))
+    emb, s = ech.embedding()
+    assert ech.pivots == pivots and ech.rows[0][0] >= q and s % q == 0
+    assert s == lcm(*(row[p] for row, p in zip(ech.rows, ech.pivots)))
+    assert s == lcm(*(x.denominator for row in space.basis for x in row))
+    assert emb == _fraction_embedding(space).scale(s)
+    assert all(type(v) is int for v in emb.entries.values())
+
+
+def test_integer_embedding_example():
+    # pivots 2 and 3^41 (beyond int64): one scale for both columns
+    ech = _IntEchelon.of_rows(3, [(2, 0, 1), (0, 3 ** 41, 2 ** 64 + 1)])
+    emb, s = ech.embedding()
+    assert s == 2 * 3 ** 41
+    assert emb.to_rows() == [[s, 0], [0, s], [3 ** 41, 2 * (2 ** 64 + 1)]]
+    assert emb == _fraction_embedding(ech.subspace()).scale(s)
+
+
 def _deltak_builder_by_fractions(p, k):
     """The deltak grade spaces as Fraction kernels of (u ^ .) E, E the
-    kernel embedding and u = s + alpha scaled by its common denominator;
-    the whole kernel at the integral grade -alpha."""
+    canonical kernel basis as columns and u = s + alpha scaled by its
+    common denominator; the whole kernel at the integral grade -alpha."""
     rep = p.rep
     N = rep.alg.N
-    emb = rep.subspace.embedding()
+    emb = _fraction_embedding(rep.subspace.subspace())
     wedge_emb = [(wedge_matrix(N, k, a) @ emb).entries for a in range(N)]
 
     def builder(grade):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hamlie.linalg import (
     SparseMatrix,
     Subspace,
+    _IntEchelon,
     canon,
     format_scalar,
     nullspace,
@@ -29,11 +30,31 @@ def test_parse_format_round_trip():
 
 
 def test_nullspace_examples():
-    assert nullspace(SparseMatrix.identity(3)).is_zero()
-    assert nullspace(SparseMatrix.zero(2, 3)).is_full()
+    # the kernel comes as its integer echelon; its canonical form is read
+    # through subspace()
+    assert nullspace(SparseMatrix.identity(3)).subspace().is_zero()
+    assert nullspace(SparseMatrix.zero(2, 3)).subspace().is_full()
     ns = nullspace(SparseMatrix.from_rows([[1, 1]]))
     assert ns.dim == 1
-    assert ns.contains((F(1), F(-1)))
+    assert ns.contains((1, -1))
+    assert ns.subspace().contains((F(1), F(-1)))
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), F(2), 0.5, 1.0])
+def test_int_echelon_refuses_non_integer_entries(bad):
+    # int() would truncate: 1/2 read as 0 made (1/2, 0) look like it lay
+    # in the span of (1, 1), and (1/2, 1/3) insert nothing
+    ech = _IntEchelon.of_rows(2, [(1, 1)])
+    with pytest.raises(TypeError):
+        ech.contains((bad, 0))
+    with pytest.raises(TypeError):
+        ech.insert((bad, F(1, 3)))
+    with pytest.raises(TypeError):
+        _IntEchelon(2).insert((bad, 0))
+    assert ech.rows == [[1, 1]] and ech.pivots == [0]
+    # numpy integers are integers
+    assert ech.contains((np.int64(-3), np.int64(-3)))
+    assert not ech.contains((np.int64(1), 0))
 
 
 def test_intersect_examples():

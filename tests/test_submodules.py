@@ -8,7 +8,7 @@ import pytest
 from hamlie.hamiltonian import GradedVector, ModuleParams, act_H
 from hamlie.linalg import Subspace, _IntEchelon, _int_row, nullspace, parse_scalar
 from hamlie import submodules
-from hamlie.reps import build_rep, contraction_theta
+from hamlie.reps import build_rep, contraction_theta, rep_from_obj
 from hamlie.submodules import (
     Box,
     GeneratorSet,
@@ -143,6 +143,10 @@ def test_build_kind_mismatch():
         build_submodule("trivial_line", p, Box(2, 2))
     with pytest.raises(ValueError):
         build_submodule("deltak", p, Box(2, 2))
+    # the name alone: a rep read back from its object carries no kernel
+    bare = rep_from_obj(build_rep(build_sp(2, verify=False), "fundamental:2").to_obj())
+    with pytest.raises(ValueError, match="theta kernel"):
+        build_submodule("deltak", ModuleParams((F(1, 3), 0, 0, 0), (0,) * 4, bare), Box(1, 4))
     # -alpha outside the box: an empty family would pass every check
     with pytest.raises(ValueError):
         build_submodule("trivial_line", _params(1, "trivial", alpha=(5, 0)), Box(1, 2))
